@@ -78,7 +78,6 @@ from .asymptotics import (
     R_expansion,
     power_sum,
     K_direct,
-    H_direct,
     K_leading_asymptotics,
     K_expansion_refined,
     h10_closed_form,
@@ -119,7 +118,7 @@ __all__ = [
     "estimate_m_with_error", "existence_verdict", "count_equilibria_probe",
     "SUPREMUM_AT_INFINITY",
     "ExpansionTerm", "AsymptoticExpansion", "R_sum_direct", "R_expansion",
-    "power_sum", "K_direct", "H_direct", "K_leading_asymptotics",
+    "power_sum", "K_direct", "K_leading_asymptotics",
     "K_expansion_refined", "h10_closed_form", "cutoff_index",
     "tail_beyond_cutoff", "relative_tail_beyond_cutoff", "TailEnvelope",
     "fit_tail_envelope", "tail_cutoff_check",

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .series import BoundedValue
+from .series import BoundedValue, blocked_sum, certified
 from .special import DEFAULT_TABLE, EULER_GAMMA
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "R_expansion",
     "power_sum",
     "K_direct",
-    "H_direct",
     "K_leading_asymptotics",
     "K_expansion_refined",
     "h10_closed_form",
@@ -130,35 +129,28 @@ def R_sum_direct(a: float, A: float, v: float, *,
                  tol: float = 1e-12, term_cap: int = 10**6) -> BoundedValue:
     """sum_{i>=1} i^A exp(-v i^{a+1}) with a certified truncation bound.
 
-    Past index n the term ratio is at most
+    exp(-v i^{a+1}) is walked as the running product of the factors
+    exp(-v (j^{a+1} - (j-1)^{a+1})).  Past index n the term ratio is at most
     ((n+1)/n)^{max(A,0)} * exp(-v (a+1) n^a) (increments of i^{a+1} grow),
     giving a geometric tail bound once that ratio drops below 1.
     """
     _check_a(a)
     if not (math.isfinite(v) and v > 0.0):
         raise DomainError(f"v must be finite and positive, got {v}")
-    acc = 0.0
-    n = 0
-    block = 64
-    a_pos = max(A, 0.0)
-    while n < term_cap:
-        hi = min(n + block, term_cap)
-        idx = np.arange(n + 1, hi + 1, dtype=float)
-        terms = idx**A * np.exp(-v * idx ** (a + 1.0))
-        acc += float(np.sum(terms))
-        n = hi
-        last = float(terms[-1])
-        step = ((n + 1.0) / n) ** a_pos * math.exp(-v * (a + 1.0) * n**a)
-        if step < 1.0:
-            tail = last * step / (1.0 - step)
-            if tail <= tol:
-                envelope = 16.0 * np.finfo(float).eps * acc
-                return BoundedValue(acc, tail + envelope, n)
-        block = min(block * 2, 8192)
-    raise ConvergenceError(
-        f"R sum did not reach tol={tol} within {term_cap} terms at v={v}",
-        series="R_sum", x=v, terms_used=term_cap,
-    )
+    p = a + 1.0
+
+    def factors(idx):
+        # j^p - (j-1)^p without cancellation; log1p(-1) = -inf gives 1 at j = 1
+        with np.errstate(divide="ignore"):
+            step = -(idx ** p) * np.expm1(p * np.log1p(-1.0 / idx))
+        return np.exp(-v * step)
+
+    def stop(n):
+        return ((n + 1.0) / n) ** max(A, 0.0) * math.exp(-v * p * n**a)
+
+    walk = blocked_sum(factors, (lambda idx: idx ** float(A),), stop, cap=term_cap,
+                       tol=tol, name="R_sum", x=v)
+    return certified(walk)
 
 
 def _pole_order(theta: float, *, tol: float = 1e-12) -> int | None:
@@ -279,60 +271,26 @@ def K_direct(a: float, b: float, x: float, *, tol: float = 1e-12,
              term_cap: int = 10**6, start: int = 0) -> BoundedValue:
     """sum_{i>start} i^{b+1} prod_{j=1..i} x/(x+j^a), certified.
 
-    With start > 0 the product prefix over j <= start is included, so the
-    result is the exact tail of K beyond the start index.
+    This is H with d_j = j^a and rho_i = i^b.  With start > 0 the
+    product prefix over j <= start is included, so the result is the
+    exact tail of K beyond the start index.
     """
     _check_a(a)
     _check_bx(b, x)
     if start < 0:
         raise DomainError(f"start must be >= 0, got {start}")
-    q_run = 1.0
-    lo = 1
-    while lo <= start:
-        hi = min(lo + 8191, start)
-        idx = np.arange(lo, hi + 1, dtype=float)
-        q_run *= float(np.prod(x / (x + idx**a)))
-        lo = hi + 1
-    acc = 0.0
-    n = start
-    block = 64
-    w_pos = max(b + 1.0, 0.0)
-    while n < start + term_cap:
-        hi = min(n + block, start + term_cap)
-        idx = np.arange(n + 1, hi + 1, dtype=float)
-        qvals = q_run * np.cumprod(x / (x + idx**a))
-        terms = idx ** (b + 1.0) * qvals
-        acc += float(np.sum(terms))
-        q_run = float(qvals[-1])
-        n = hi
-        last = float(terms[-1])
-        step = ((n + 1.0) / n) ** w_pos * x / (x + (n + 1.0) ** a)
-        if step < 1.0:
-            if q_run < 2.3e-308:
-                return BoundedValue(acc, 16.0 * np.finfo(float).eps * acc, n - start)
-            tail = last * step / (1.0 - step)
-            if tail <= tol:
-                envelope = np.finfo(float).eps * acc * (2.0 * (n - start) + 64.0)
-                return BoundedValue(acc, tail + envelope, n - start)
-        block = min(block * 2, 8192)
-    raise ConvergenceError(
-        f"K sum did not reach tol={tol} within {term_cap} terms at x={x}",
-        series="K_direct", x=x, terms_used=term_cap,
-    )
 
+    def factors(idx):
+        return x / (x + idx ** float(a))
 
-def H_direct(a: float, b: float, x: float, *, tol: float = 1e-12,
-             term_cap: int = 10**6) -> BoundedValue:
-    """sum_{i>=1} i^{b+1} prod_{j<=i} x/(x+j^a+j^b), certified.
+    def stop(n):
+        return ((n + 1.0) / n) ** max(b + 1.0, 0.0) * x / (x + (n + 1.0) ** a)
 
-    This is the numerator series of the power-law equilibrium function;
-    it is sandwiched between K(x/2) and K(x) whenever b <= a.
-    """
-    from .coefficients import PowerLawFamily
-    from .series import H_series
-
-    fam = PowerLawFamily.from_ab(a, b)
-    return H_series(fam, x, tol=tol, term_cap=term_cap)
+    q = blocked_sum(factors, (), None, cap=start).q_n
+    walk = blocked_sum(factors, (lambda idx: idx ** (b + 1.0),), stop,
+                       cap=start + term_cap, tol=tol, name="K_direct", x=x,
+                       start=start, q=q)
+    return certified(walk, start=start)
 
 
 def K_leading_asymptotics(a: float, b: float, *, allow_log: bool = False) -> AsymptoticExpansion:
@@ -370,73 +328,61 @@ def _exact_zeta_neg(m: int) -> Fraction:
     return -DEFAULT_TABLE.bernoulli_fraction(m + 1) / (m + 1)
 
 
-def _build_W(a_frac: Fraction, exact: bool, depth: int) -> dict:
-    """Monomials of W_i: {(i_power, x_power): coeff}.
+def _build_W(a, exact: bool, depth: int) -> dict:
+    """Monomials of W_i: {(m, n, B): coeff} for coeff * i^(m a + n) * x^-B.
 
     W_i = sum_{j<=i} log(1 + j^a/x) - i^{a+1}/((a+1)x), expanded through
     x^{-depth} by the log series in j^a/x and Euler-Maclaurin power sums
-    (with the zeta constant).  Coefficients are exact Fractions when a is
-    an integer.
+    (with the zeta constant).  With exact (a an integer >= 1) a is an int
+    and the coefficients are exact Fractions; otherwise they are floats.
     """
-    W: dict[tuple[Fraction, int], object] = {}
+    W: dict[tuple[int, int, int], object] = {}
 
-    def add(ipow, xpow, coeff):
-        if coeff == 0:
-            return
-        key = (ipow, xpow)
-        W[key] = W.get(key, 0) + coeff
+    def add(key, coeff):
+        if coeff != 0:
+            if exact:  # integer exponents m a + n merge exactly
+                key = (0, key[0] * a + key[1], key[2])
+            W[key] = W.get(key, 0) + coeff
 
     for ell in range(1, depth + 1):
         sgn = Fraction((-1) ** (ell + 1), ell)
-        al = a_frac * ell
+        fsgn = sgn if exact else float(sgn)
+        al = a * ell
         # constant (zeta) part of the power sum
-        if exact:
-            zc = sgn * _exact_zeta_neg(int(al))
-        else:
-            zc = float(sgn) * DEFAULT_TABLE.zeta(-float(al))
-        add(Fraction(0), ell, zc)
+        add((0, 0, ell), sgn * _exact_zeta_neg(al) if exact
+            else fsgn * DEFAULT_TABLE.zeta(-al))
         # i^{al+1}/(al+1); the ell = 1 piece is the split-off v i^{a+1}
         if ell >= 2:
-            c = sgn / (al + 1) if exact else float(sgn) / float(al + 1)
-            add(al + 1, ell, c)
+            add((ell, 1, ell), fsgn / (al + 1))
         # i^{al}/2
-        add(al, ell, sgn / 2 if exact else float(sgn) / 2.0)
+        add((ell, 0, ell), fsgn / 2)
         # Bernoulli corrections i^{al+1-2k}
         for k in range(1, depth + 3):
-            ff = _falling(al if exact else float(al), 2 * k - 1)
+            ff = _falling(al, 2 * k - 1)
             if ff == 0:
                 break
-            bk = DEFAULT_TABLE.bernoulli_fraction(2 * k)
-            c = sgn * bk * ff / math.factorial(2 * k)
-            if not exact:
-                c = float(c) if not isinstance(c, float) else c
-            add(al + 1 - 2 * k, ell, c)
+            bk = sgn * DEFAULT_TABLE.bernoulli_fraction(2 * k)
+            add((ell, 1 - 2 * k, ell),
+                (bk if exact else float(bk)) * ff / math.factorial(2 * k))
     return W
 
 
-def _poly_mul(p: dict, q: dict, depth: int) -> dict:
-    out: dict = {}
-    for (ip1, xp1), c1 in p.items():
-        for (ip2, xp2), c2 in q.items():
-            xp = xp1 + xp2
-            if xp > depth:
-                continue
-            key = (ip1 + ip2, xp)
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
 def _exp_neg(W: dict, depth: int) -> dict:
-    """exp(-W) truncated past x^{-depth}, as {(i_power, x_power): coeff}."""
-    neg = {k: -v for k, v in W.items()}
-    unit = {(Fraction(0), 0): Fraction(1)}
-    total = dict(unit)
-    running = dict(unit)
+    """exp(-W) truncated past x^{-depth}, keyed like W."""
+    neg = sorted(((key, -c) for key, c in W.items()), key=lambda item: item[0][2])
+    total = {(0, 0, 0): 1}
+    running = dict(total)
     for m in range(1, depth + 1):
-        running = _poly_mul(running, neg, depth)
-        inv_fact = Fraction(1, math.factorial(m))
+        product: dict = {}
+        for (m1, n1, b1), c1 in running.items():
+            for (m2, n2, b2), c2 in neg:
+                if b1 + b2 > depth:
+                    break
+                key = (m1 + m2, n1 + n2, b1 + b2)
+                product[key] = product.get(key, 0) + c1 * c2
+        running = product
         for key, c in running.items():
-            total[key] = total.get(key, 0) + c * inv_fact
+            total[key] = total.get(key, 0) + c / math.factorial(m)
     return total
 
 
@@ -444,10 +390,11 @@ def K_expansion_refined(a: float, b: float, depth: int = 4) -> AsymptoticExpansi
     """Multi-term large-x expansion of K_{a,b} via exp(-W) composition.
 
     The product prod_{j<=i} x/(x+j^a) is written exp(-v i^{a+1} - W_i)
-    with v = 1/((a+1)x); exp(-W_i) is expanded into monomials i^A x^{-B}
-    with exact rational bookkeeping, and each monomial is summed by the
-    R expansion (pole orders become log x terms).  Emitted terms stop at
-    the certified remainder order
+    with v = 1/((a+1)x); exp(-W_i) is expanded into monomials i^A x^{-B},
+    A = m a + n for integers m, n, and each monomial is summed by the R
+    expansion (pole orders become log x terms).  The bookkeeping is exact
+    in rationals when a is an integer, whose pole test needs it, and in
+    floats otherwise.  Emitted terms stop at the certified remainder order
 
         (b+2)/(a+1) + (floor((depth+1)/2) - (depth+1)) / (a+1).
 
@@ -462,67 +409,65 @@ def K_expansion_refined(a: float, b: float, depth: int = 4) -> AsymptoticExpansi
         raise DomainError(
             f"depth must be an integer in 0..{_MAX_REFINED_DEPTH}, got {depth}"
         )
-    a_frac = Fraction(a) if float(a).is_integer() else Fraction(*float(a).as_integer_ratio())
     exact = float(a).is_integer() and a >= 1
-    if not exact and a == 0:
-        exact = False
+    a = int(a) if exact else float(a)
     b_frac = Fraction(*float(b).as_integer_ratio())
-    ap1 = a_frac + 1
-    log_ap1 = math.log(float(ap1))
+    ap1 = float(a) + 1.0
+    log_ap1 = math.log(ap1)
 
-    monomials = _exp_neg(_build_W(a_frac, exact, depth), depth)
+    # monomials grouped by their i exponent (m, n): {B: coefficient}
+    by_power: dict[tuple[int, int], dict[int, float]] = {}
+    for (m, n, B), c in _exp_neg(_build_W(a, exact, depth), depth).items():
+        by_power.setdefault((m, n), {})[B] = c
 
-    # accumulate (power, log_power) -> list of contributions
+    theta_K = float((b_frac + 2) / (Fraction(a) + 1))
+    remainder = theta_K + ((depth + 1) // 2 - (depth + 1)) / ap1
     buckets: dict[tuple[float, int], list[float]] = {}
 
     def emit(power, log_power, value):
-        if value == 0.0:
-            return
-        key = (round(float(power), 12), log_power)
-        buckets.setdefault(key, []).append(float(value))
+        # orders at or below the remainder are dropped, so never summed
+        if value != 0.0 and power > remainder + 1e-9:
+            key = (round(float(power), 12), log_power)
+            buckets.setdefault(key, []).append(float(value))
 
-    for (ipow, B), c_tilde in monomials.items():
-        ct = float(c_tilde)
-        if ct == 0.0:
-            continue
-        A_prime = b_frac + 1 + ipow  # weight exponent i^{b+1+ipow}
-        theta = (A_prime + 1) / ap1
-        theta_f = float(theta)
-        # pole test is exact in the rational case
-        if isinstance(theta, Fraction):
+    for (m, n), group in by_power.items():
+        # weight exponent A' = b + 1 + m a + n of i, and theta = (A'+1)/(a+1)
+        if exact:
+            theta = (b_frac + 2 + n) / (a + 1)
             k0 = -int(theta) if theta.denominator == 1 and theta <= 0 else None
+            A_prime = float(b_frac + 1 + n)
         else:
-            k0 = _pole_order(theta_f)
-        budget = depth - B
+            A_prime = float(b) + 1.0 + m * a + n
+            theta = (A_prime + 1.0) / ap1
+            k0 = _pole_order(theta)
+        theta_f = float(theta)
         if k0 is None:
-            # Gamma residue: ct x^{-B} Gamma(th)/(a+1) ((a+1)x)^{th}
-            coeff = ct * DEFAULT_TABLE.gamma(theta_f) * float(ap1) ** (theta_f - 1.0)
-            emit(theta_f - B, 0, coeff)
-        elif k0 <= budget:
-            base = ct * (-1.0) ** k0 / (float(ap1) * math.factorial(k0))
-            scale = float(ap1) ** (-k0)
-            # log(1/v) = log x + log(a+1)
-            emit(-B - k0, 1, base * scale)
-            emit(
-                -B - k0, 0,
-                base * scale * (DEFAULT_TABLE.harmonic(k0) + float(a_frac) * EULER_GAMMA + log_ap1),
-            )
-        for k in range(budget + 1):
-            if k0 is not None and k == k0:
+            gamma_part = DEFAULT_TABLE.gamma(theta_f) * ap1 ** (theta_f - 1.0)
+        for B, c in group.items():
+            ct = float(c)
+            if ct == 0.0:
                 continue
-            zarg = -float(A_prime) - k * float(ap1)
-            zv = DEFAULT_TABLE.zeta(zarg)
-            if zv == 0.0:
-                continue
-            coeff = ct * (-1.0) ** k / math.factorial(k) * zv * float(ap1) ** (-k)
-            emit(-B - k, 0, coeff)
+            budget = depth - B
+            if k0 is None:
+                # Gamma residue: ct x^{-B} Gamma(th)/(a+1) ((a+1)x)^{th}
+                emit(theta_f - B, 0, ct * gamma_part)
+            elif k0 <= budget:
+                base = ct * (-1.0) ** k0 / (ap1 * math.factorial(k0)) * ap1 ** (-k0)
+                # log(1/v) = log x + log(a+1)
+                emit(-B - k0, 1, base)
+                emit(-B - k0, 0, base * (DEFAULT_TABLE.harmonic(k0)
+                                         + float(a) * EULER_GAMMA + log_ap1))
+            # larger k give orders -B - k at or below the remainder
+            for k in range(min(budget, math.ceil(-B - remainder - 1e-9) - 1) + 1):
+                if k == k0:
+                    continue
+                zv = DEFAULT_TABLE.zeta(-A_prime - k * ap1)
+                emit(-B - k, 0, ct * (-1.0) ** k / math.factorial(k) * zv * ap1 ** (-k))
 
-    theta_K = float((b_frac + 2) / ap1)
-    remainder = theta_K + ((depth + 1) // 2 - (depth + 1)) / float(ap1)
     terms = tuple(
         ExpansionTerm(math.fsum(vals), power, log_power)
         for (power, log_power), vals in sorted(buckets.items(), reverse=True)
-        if power > remainder + 1e-9 and abs(math.fsum(vals)) > 1e-300
+        if abs(math.fsum(vals)) > 1e-300
     )
     return AsymptoticExpansion("x->oo", terms, remainder)
 

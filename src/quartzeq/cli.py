@@ -44,15 +44,12 @@ from .powerlaw import (
 from .series import (
     DEFAULT_TERM_CAP,
     DEFAULT_TOL,
-    F_equilibrium,
     GridSpec,
-    H_series,
+    audit_G_identity,
+    audit_d_identity,
     grid_evaluate,
-    sum_iqM,
-    sum_kM,
 )
 from .asymptotics import K_direct, K_expansion_refined
-from .series import audit_G_identity, audit_d_identity
 
 __all__ = ["main", "RunConfig"]
 
@@ -159,23 +156,13 @@ def _cmd_equilibrium(args) -> int:
     fmt = args.format or ("json" if args.x is not None else "csv")
     config = RunConfig("equilibrium", fam_doc, numerics, args.out, fmt, args.seed)
 
-    def one(x: float):
-        if args.quantity == "F":
-            return F_equilibrium(fam, x, tol=tol, term_cap=args.term_cap)
-        if args.quantity == "H":
-            return H_series(fam, x, tol=tol, term_cap=args.term_cap)
-        if args.quantity == "kM":
-            return sum_kM(fam, x, args.r, tol=tol, term_cap=args.term_cap)
-        return sum_iqM(fam, x, args.r, tol=tol, term_cap=args.term_cap)
-
     if args.x is not None:
-        bv = one(args.x)
-        rows = [(args.x, bv.value, bv.tail_bound, bv.terms_used)]
+        grid = GridSpec(args.x, args.x, 1, "linear")
     else:
         grid = GridSpec(args.x_min, args.x_max, args.count, args.spacing)
-        rows = [(row.x, row.value, row.tail_bound, row.terms_used)
-                for row in grid_evaluate(fam, args.quantity, grid, args.r,
-                                         tol=tol, term_cap=args.term_cap)]
+    rows = [(row.x, row.value, row.tail_bound, row.terms_used)
+            for row in grid_evaluate(fam, args.quantity, grid, args.r,
+                                     tol=tol, term_cap=args.term_cap)]
     if fmt == "csv":
         _emit(_csv_text(config, ["x", "value", "tail_bound", "terms_used"], rows),
               args.out)

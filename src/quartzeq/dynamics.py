@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .coefficients import CoefficientFamily
 from .errors import DomainError, IntegrationError
@@ -192,6 +191,10 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
     below -1e-12, or a step-size underflow (stiffness), raise
     IntegrationError.
     """
+    # imported here: it is most of the package's import time, and only
+    # integration needs it
+    from scipy.integrate import solve_ivp
+
     _check_rates(alpha, r)
     if not (math.isfinite(t_end) and t_end > initial.t):
         raise DomainError(f"t_end must exceed the initial time, got {t_end}")

@@ -127,8 +127,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _F(fam: PowerLawFamily, x: float, term_cap: int) -> float:
-    # scans tolerate looser certification; the dual-route consistency
-    # check is exercised separately by the series tests
+    # scans tolerate looser certification; the cohort-balance check is
+    # exercised separately by the series tests
     return F_equilibrium(fam, x, tol=1e-11, term_cap=term_cap, cross_check=False).value
 
 

@@ -14,12 +14,26 @@ Every series evaluated here is a nonnegative weighted sum of the Q_i:
 
 and the equilibrium function itself is F(x) = H(x) / (x + d_0).
 
+One kernel, blocked_sum, walks the Q_i in blocks once and accumulates
+every requested weight in that pass; the audits, tail_product and the
+direct sums of the asymptotics module call it too.
+
 Truncation control: past an index n where the certified step-ratio bound
     s_n = [sup_{i>=n} w_{i+1}/w_i] * x / (x + inf_{i>n} d_i)
 drops below 1, the tail is at most t_n * s_n / (1 - s_n).  Reported
 tail bounds add a standard floating-point envelope on top of the
-truncation bound, so the interval [value - pad, value + tail_bound]
-honestly covers the exact sum.  All functions are pure.
+truncation bound, so the interval [value - tail_bound, value + tail_bound]
+honestly covers the exact sum.
+
+F_equilibrium's cross-check sums the weights 1 and i g_i alongside H and
+tests, at the index n where H stopped, the exact finite-n cohort balance
+
+    x (1 + sum_{i<=n} Q_i) - sum_{i<=n} i g_i Q_i
+        = sum_{i<=n} i rho_i Q_i + (n+1) x Q_n
+
+against its rounding envelope.  It verifies the summed products and that
+d = rho + g; it does not verify the truncation bound, which rests on the
+family's ratio certificate alone.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -56,15 +70,18 @@ DEFAULT_TERM_CAP = 10**6
 
 _EPS = sys.float_info.epsilon
 _UNDERFLOW_FLOOR = 2.3e-308  # just above the smallest normal double
+_TINY = 2.0**-1074  # spacing of the subnormal doubles
 
 
 @dataclass(frozen=True)
 class BoundedValue:
-    """A numeric result with a one-sided certified error bound.
+    """A numeric result with a certified error bound.
 
-    The exact quantity lies in [value - fp_pad, value + tail_bound] where
-    fp_pad is a few ulps of the reported value; tail_bound covers both the
-    omitted series tail and the rounding envelope of the computed part.
+    tail_bound covers both the omitted series tail and the rounding
+    envelope of the computed part, so the exact quantity lies in
+    [value - tail_bound, value + tail_bound].  The omitted tail of a
+    nonnegative series only adds, so the value falls short of the exact
+    sum by up to tail_bound but exceeds it only by rounding.
     """
 
     value: float
@@ -93,76 +110,91 @@ class EquilibriumProfile:
         return len(self.M) - 1
 
 
-class _Partial(NamedTuple):
-    total: float
-    trunc_tail: float
-    terms: int
-    abs_sum: float
-    max_index: int
+class _Walk(NamedTuple):
+    sums: tuple[float, ...]  # one compensated partial sum per weight
+    trunc_tail: float  # truncation bound of the first weight's series
+    n: int  # last index summed
+    q_n: float  # the running product at n
 
 
-def _weight_values(fam: CoefficientFamily, which: str, idx: np.ndarray) -> np.ndarray:
-    if which == "ones":
-        return np.ones(idx.shape)
-    if which == "iq":
-        return idx * fam.g_values(idx)
-    if which == "irho":
-        return idx * fam.rho_values(idx)
-    raise ValueError(which)
+def blocked_sum(factors, weights, stop, *, cap: int, tol: float = 0.0,
+                name: str = "series", x: float | None = None,
+                start: int = 0, q: float = 1.0) -> _Walk:
+    """The certified summation kernel shared by every series in the package.
 
-
-def _weight_ratio_sup(fam: CoefficientFamily, which: str, n: int) -> float:
-    if which == "ones":
-        return 1.0
-    if which == "iq":
-        return fam.iq_ratio_sup(n)
-    if which == "irho":
-        return fam.irho_ratio_sup(n)
-    raise ValueError(which)
-
-
-def _q_weighted_sum(fam, x, which, tol, term_cap, series_name) -> _Partial:
-    """sum_{i>=1} w_i Q_i with a certified truncation bound <= tol."""
-    acc = NeumaierSum()
-    abs_sum = 0.0
-    q_run = 1.0
-    n = 0
-    block = 64
-    while n < term_cap:
-        hi = min(n + block, term_cap)
+    Walks Q_i = q * prod_{j=start+1..i} factors(j) over i = start+1, ... in
+    blocks of 64 doubling to 8192 indices, and adds sum w(i) Q_i to one
+    compensated sum per weight, all in the same pass (None is the unit
+    weight).  With stop=None the walk ends after index cap.  Otherwise
+    stop(n) bounds sup_{i>=n} T_{i+1}/T_i for the terms T_i of the first
+    weight's series: 0 when every later term vanishes, >= 1 or inf while no
+    bound is known.  The walk ends at the first block boundary where the
+    geometric tail T_n s / (1 - s) is at most tol or Q has underflowed, and
+    raises ConvergenceError when it reaches index cap first.
+    """
+    accs = [NeumaierSum() for _ in weights]
+    n, block = start, 64
+    while n < cap:
+        hi = min(n + block, cap)
         idx = np.arange(n + 1, hi + 1)
-        qvals = q_run * np.cumprod(x / (x + fam.d_values(idx)))
-        terms = _weight_values(fam, which, idx) * qvals
-        acc.add(float(np.sum(terms)))
-        abs_sum += float(np.sum(terms))  # terms are nonnegative
-        q_run = float(qvals[-1])
-        n = hi
-        last = float(terms[-1])
-        sup = _weight_ratio_sup(fam, which, n)
-        if sup == 0.0:
-            # every later weight vanishes: truncation is exact
-            return _Partial(acc.value, 0.0, n, abs_sum, n)
-        if math.isfinite(sup):
-            step = sup * x / (x + fam.d_inf_beyond(n))
-            if step < 1.0:
-                if q_run < _UNDERFLOW_FLOOR:
-                    # Q underflowed; the true tail is below any usable tol
-                    return _Partial(acc.value, 0.0, n, abs_sum, n)
-                tail = last * step / (1.0 - step)
-                if tail <= tol:
-                    return _Partial(acc.value, tail, n, abs_sum, n)
+        qvals = q * np.cumprod(factors(idx))
+        terms = [qvals if w is None else w(idx) * qvals for w in weights]
+        for acc, t in zip(accs, terms):
+            acc.add(float(t.sum()))
+        q, n = float(qvals[-1]), hi
+        s = math.inf if stop is None else stop(n)
+        if s < 1.0:
+            # once Q has underflowed, the true tail is below any usable tol
+            exact = s == 0.0 or q < _UNDERFLOW_FLOOR
+            tail = 0.0 if exact else float(terms[0][-1]) * s / (1.0 - s)
+            if tail <= tol:
+                return _Walk(tuple(a.value for a in accs), tail, n, q)
         block = min(block * 2, 8192)
+    if stop is None:
+        return _Walk(tuple(a.value for a in accs), 0.0, n, q)
     raise ConvergenceError(
-        f"{series_name} did not reach tol={tol} within {term_cap} terms at x={x}",
-        series=series_name, x=x, terms_used=term_cap,
+        f"{name} did not reach tol={tol} within {cap - start} terms at x={x}",
+        series=name, x=x, terms_used=cap - start,
     )
 
 
-def _fp_envelope(partial: _Partial, prefactor: float = 1.0) -> float:
-    # covers cumulative product drift (linear in index, worst case) plus
-    # block-pairwise summation error
-    scaled_abs = partial.abs_sum * abs(prefactor)
-    return _EPS * scaled_abs * (2.0 * partial.max_index + 64.0)
+def certified(walk: _Walk, pref: float = 1.0, head: float = 0.0,
+              start: int = 0) -> BoundedValue:
+    """pref * (head + first sum of a walk over nonnegative terms), bounded.
+
+    The tail bound adds to the truncation bound a floating-point envelope:
+    cumulative product drift (linear in the index, worst case) plus
+    block-pairwise summation error, and a few ulps of the result.
+    """
+    total = walk.sums[0]
+    value = pref * (head + total)
+    envelope = _EPS * (total * pref) * (2.0 * walk.n + 64.0)
+    tail = pref * walk.trunc_tail + envelope + 4.0 * _EPS * abs(value)
+    return BoundedValue(value, tail, walk.n - start)
+
+
+def _q_factors(fam: CoefficientFamily, x: float):
+    return lambda idx: x / (x + fam.d_values(idx))
+
+
+def _q_walk(fam, x, which, tol, term_cap, name) -> _Walk:
+    """Sums of w_i Q_i for the weights named in ``which``, in one pass that
+    stops when the first one's tail meets tol."""
+    series = {  # name: (w_i, sup_{i>=n} w_{i+1}/w_i)
+        "ones": (None, lambda n: 1.0),
+        "iq": (lambda idx: idx * fam.g_values(idx), fam.iq_ratio_sup),
+        "irho": (lambda idx: idx * fam.rho_values(idx), fam.irho_ratio_sup),
+    }
+    ratio_sup = series[which[0]][1]
+
+    def stop(n):
+        sup = ratio_sup(n)
+        if not 0.0 < sup < math.inf:
+            return sup
+        return sup * x / (x + fam.d_inf_beyond(n))
+
+    return blocked_sum(_q_factors(fam, x), [series[w][0] for w in which], stop,
+                       cap=term_cap, tol=tol, name=name, x=x)
 
 
 def _check_x(x: float) -> None:
@@ -185,10 +217,8 @@ def sum_kM(fam: CoefficientFamily, x: float, r: float = 1.0, *,
         return BoundedValue(r * fam.k(0) / (fam.p(0) + fam.q(0)), 0.0, 1)
     pref = r / (x + d0)
     core_tol = tol / pref if pref > 0 else tol
-    part = _q_weighted_sum(fam, x, "ones", core_tol, term_cap, "sum_kM")
-    value = pref * (1.0 + part.total)
-    tail = pref * part.trunc_tail + _fp_envelope(part, pref) + 4.0 * _EPS * abs(value)
-    return BoundedValue(value, tail, part.terms + 1)
+    walk = _q_walk(fam, x, ("ones",), core_tol, term_cap, "sum_kM")
+    return certified(walk, pref, head=1.0, start=-1)  # Q_0 = 1 counts as a term
 
 
 def sum_iqM(fam: CoefficientFamily, x: float, r: float = 1.0, *,
@@ -200,10 +230,7 @@ def sum_iqM(fam: CoefficientFamily, x: float, r: float = 1.0, *,
         return BoundedValue(0.0, 0.0, 1)
     pref = r / (x + fam.d(0))
     core_tol = tol / pref if pref > 0 else tol
-    part = _q_weighted_sum(fam, x, "iq", core_tol, term_cap, "sum_iqM")
-    value = pref * part.total
-    tail = pref * part.trunc_tail + _fp_envelope(part, pref) + 4.0 * _EPS * abs(value)
-    return BoundedValue(value, tail, part.terms)
+    return certified(_q_walk(fam, x, ("iq",), core_tol, term_cap, "sum_iqM"), pref)
 
 
 def H_series(fam: CoefficientFamily, x: float, *,
@@ -212,10 +239,7 @@ def H_series(fam: CoefficientFamily, x: float, *,
     _check_x(x)
     if x == 0.0:
         return BoundedValue(0.0, 0.0, 0)
-    part = _q_weighted_sum(fam, x, "irho", tol, term_cap, "H_series")
-    value = part.total
-    tail = part.trunc_tail + _fp_envelope(part) + 4.0 * _EPS * abs(value)
-    return BoundedValue(value, tail, part.terms)
+    return certified(_q_walk(fam, x, ("irho",), tol, term_cap, "H_series"))
 
 
 def F_equilibrium(fam: CoefficientFamily, x: float, *,
@@ -224,36 +248,58 @@ def F_equilibrium(fam: CoefficientFamily, x: float, *,
     """Equilibrium function F(x) = H(x) / (x + d_0).
 
     An equilibrium with dust inflow alpha and cell supply r exists at x
-    iff F(x) = alpha/r.  Evaluated through the all-nonnegative H form;
-    with cross_check the flux form x*sum_kM - sum_iqM (with r = 1) must
-    agree within the combined certified bounds or ConsistencyError is
-    raised.
+    iff F(x) = alpha/r.  Evaluated through the all-nonnegative H form.
+
+    With cross_check, the same pass also sums S1_n = sum_{i<=n} Q_i and
+    Siq_n = sum_{i<=n} i g_i Q_i up to the index n where H stopped, and
+    the cohort balance
+
+        x (1 + S1_n) - Siq_n = H_n + (n+1) x Q_n
+
+    (the cohort equations multiplied by i and summed, exact at every
+    finite n) must hold within its rounding envelope, or ConsistencyError
+    is raised.  That verifies the summed products against d and that the
+    family's d_values equal rho_values + g_values.  It does not verify the
+    truncation bound of the omitted tail, which rests on the family's
+    ratio certificate (irho_ratio_sup, d_inf_beyond).
     """
     _check_x(x)
     if x == 0.0:
         return BoundedValue(0.0, 0.0, 0)
-    h = H_series(fam, x, tol=tol, term_cap=term_cap)
+    which = ("irho", "ones", "iq") if cross_check else ("irho",)
+    walk = _q_walk(fam, x, which, tol, term_cap, "H_series")
+    if cross_check:
+        _check_balance(fam, x, walk)
+    h = certified(walk)
     denom = x + fam.d(0)
     value = h.value / denom
     tail = h.tail_bound / denom + 4.0 * _EPS * abs(value)
-    result = BoundedValue(value, tail, h.terms_used)
-    if cross_check:
-        skm = sum_kM(fam, x, 1.0, tol=tol, term_cap=term_cap)
-        siqm = sum_iqM(fam, x, 1.0, tol=tol, term_cap=term_cap)
-        flux = x * skm.value - siqm.value
-        budget = (
-            tail
-            + x * skm.tail_bound
-            + siqm.tail_bound
-            + 64.0 * _EPS * (abs(x * skm.value) + abs(siqm.value) + abs(value))
-            + 1e-300
+    return BoundedValue(value, tail, h.terms_used)
+
+
+def _check_balance(fam: CoefficientFamily, x: float, walk: _Walk) -> None:
+    """Raise ConsistencyError unless the finite-n cohort balance holds.
+
+    The envelope is first order in the unit roundoff eps/2: each Q_i
+    carries at most 3i roundings (sum, quotient, running product) plus one
+    per block, each weight and term up to 4, each block sum up to
+    log2(8192) + 1 = 14 and each family's d against rho + g up to 4, so
+    every summed magnitude is off by at most (3n + 32) eps/2.  Counted in
+    eps it has a factor 2 of headroom.  Below the normal range roundings are
+    absolute, at most _TINY each, on terms weighted by at most x + n d_n.
+    """
+    h_n, s1_n, siq_n = walk.sums
+    n = walk.n
+    inflow = x * (1.0 + s1_n)
+    outflow = h_n + (n + 1) * x * walk.q_n
+    rounds = 3.0 * n + 32.0
+    budget = _EPS * rounds * (inflow + siq_n + outflow)
+    budget += _TINY * rounds * (n + 1) * (1.0 + x + n * fam.d(n))
+    if abs(inflow - siq_n - outflow) > budget:
+        raise ConsistencyError(
+            f"cohort balance fails at x={x}, n={n}: x(1 + S1) - Siq = "
+            f"{inflow - siq_n!r} vs H + (n+1) x Q_n = {outflow!r}, budget {budget!r}"
         )
-        if abs(flux - value) > budget:
-            raise ConsistencyError(
-                f"equilibrium-function routes disagree at x={x}: "
-                f"H-form {value!r} vs flux form {flux!r}, budget {budget!r}"
-            )
-    return result
 
 
 def cohort_profile(fam: CoefficientFamily, x: float, r: float, n: int) -> EquilibriumProfile:
@@ -296,29 +342,7 @@ def tail_product(fam: CoefficientFamily, x: float, n: int) -> float:
     _check_x(x)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    q = 1.0
-    lo = 1
-    while lo <= n:
-        hi = min(lo + 8191, n)
-        idx = np.arange(lo, hi + 1)
-        q *= float(np.prod(x / (x + fam.d_values(idx))))
-        lo = hi + 1
-    return q
-
-
-def _audit_terms(fam, x, n_terms, weight_fn) -> tuple[float, float]:
-    """(compensated partial sum of weight(i)*Q_i over i<=n, final Q_n)."""
-    terms = []
-    q_run = 1.0
-    lo = 1
-    while lo <= n_terms:
-        hi = min(lo + 8191, n_terms)
-        idx = np.arange(lo, hi + 1)
-        qvals = q_run * np.cumprod(x / (x + fam.d_values(idx)))
-        terms.extend((weight_fn(idx) * qvals).tolist())
-        q_run = float(qvals[-1])
-        lo = hi + 1
-    return math.fsum(terms), q_run
+    return blocked_sum(_q_factors(fam, x), (), None, cap=n).q_n
 
 
 def audit_G_identity(fam: CoefficientFamily, x: float, n_terms: int) -> tuple[float, float]:
@@ -333,11 +357,11 @@ def audit_G_identity(fam: CoefficientFamily, x: float, n_terms: int) -> tuple[fl
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     if x == 0.0:
         return 0.0, 0.0
-    s, q_n = _audit_terms(
-        fam, x, n_terms, lambda idx: (idx * fam.d_values(idx) - x) / x
-    )
-    a_n = (n_terms + 1) * q_n
-    return s, abs(1.0 - s - a_n)
+    walk = blocked_sum(_q_factors(fam, x),
+                       (lambda idx: (idx * fam.d_values(idx) - x) / x,),
+                       None, cap=n_terms)
+    s = walk.sums[0]
+    return s, abs(1.0 - s - (n_terms + 1) * walk.q_n)
 
 
 def audit_d_identity(fam: CoefficientFamily, x: float, n_terms: int) -> tuple[float, float]:
@@ -350,9 +374,9 @@ def audit_d_identity(fam: CoefficientFamily, x: float, n_terms: int) -> tuple[fl
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     if x == 0.0:
         return 0.0, 0.0
-    s, q_n = _audit_terms(fam, x, n_terms, lambda idx: fam.d_values(idx))
-    b_n = x * q_n
-    return s, abs(s + b_n - x)
+    walk = blocked_sum(_q_factors(fam, x), (fam.d_values,), None, cap=n_terms)
+    s = walk.sums[0]
+    return s, abs(s + x * walk.q_n - x)
 
 
 @dataclass(frozen=True)

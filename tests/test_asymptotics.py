@@ -21,13 +21,14 @@ from quartzeq.asymptotics import (
     cutoff_index,
     fit_tail_envelope,
     h10_closed_form,
-    H_direct,
     power_sum,
     relative_tail_beyond_cutoff,
     tail_beyond_cutoff,
     tail_cutoff_check,
 )
+from quartzeq.coefficients import PowerLawFamily
 from quartzeq.errors import DomainError
+from quartzeq.series import H_series
 from quartzeq.special import EULER_GAMMA
 
 
@@ -93,6 +94,53 @@ class TestRExpansion:
         assert tight.value <= loose.value + loose.tail_bound + 1e-12 * tight.value
 
 
+# K_expansion_refined(a, b, 4) before its bookkeeping moved to integer
+# exponent keys and float coefficients at non-integer a:
+# (a, b): (remainder_power, ((power, log_power, coefficient), ...)).
+# At b = a - 1 the sum is exactly x, and the later coefficients are rounding
+# residues of that cancellation.
+_REFINED_PINS = {
+    (1.0, -1.0): (-1.0, ((0.5, 0, 1.2533141373155003), (0.0, 0, -0.6666666666666667),
+                         (-0.5, 0, 0.10444284477629151))),
+    (2.0, 0.0): (-0.33333333333333337, ((0.666666666667, 0, 0.9388929401017445),
+                                        (0.333333333333, 0, -0.12878993168540687),
+                                        (0.0, 0, -0.07214285714285716))),
+    (3.0, 1.0): (0.0, ((0.75, 0, 0.8665004600923852), (0.5, 0, -0.12660384649325107),
+                       (0.25, 0, 0.013080068122657551))),
+    (1.5, 0.5): (-0.19999999999999996, ((1.0, 0, 1.0), (0.6, 0, 1.1102230246251565e-16),
+                                        (0.2, 0, 4.996003610813204e-16))),
+    (2.3, 1.3): (0.09090909090909083, ((1.0, 0, 1.0),
+                                       (0.69696969697, 0, 2.220446049250313e-16),
+                                       (0.393939393939, 0, -3.6637359812630166e-15))),
+    # the earlier code raised DomainError here: one monomial has theta = 0 up
+    # to rounding, which the exact test missed, so zeta(1) was evaluated;
+    # these values track K_direct for x in [1e3, 1e5] (TestKExpansion)
+    (0.7, -0.4): (-0.8235294117647058, ((0.941176470588, 0, 1.005687404354432),
+                                        (0.352941176471, 0, -0.022382144088518574),
+                                        (0.0, 0, -0.17459571193801338),
+                                        (-0.058823529412, 0, 0.14706890176690993),
+                                        (-0.235294117647, 0, 0.0014355745594001948),
+                                        (-0.647058823529, 0, -0.0032731018963095826))),
+}
+
+
+@pytest.mark.parametrize("ab", list(_REFINED_PINS))
+def test_refined_expansion_pins(ab):
+    remainder, pinned = _REFINED_PINS[ab]
+    exp = K_expansion_refined(*ab, 4)
+    assert exp.remainder_power == pytest.approx(remainder, rel=1e-13)
+    lead = max(abs(c) for _, _, c in pinned)
+    got = {(t.power, t.log_power): t.coefficient for t in exp.terms}
+    want = {(p, lp): c for p, lp, c in pinned}
+    for key in got.keys() | want.keys():
+        c_got, c_want = got.get(key, 0.0), want.get(key, 0.0)
+        if abs(c_want) > 1e-13 * lead:
+            assert key in got
+            assert c_got == pytest.approx(c_want, rel=1e-13)
+        else:  # a rounding residue: tiny, and may vanish
+            assert abs(c_got) <= 1e-13 * lead
+
+
 class TestKExpansion:
     def test_three_term_pin(self):
         # K_{1,-1}(x) = sqrt(pi/2) x^{1/2} - 2/3 + sqrt(2 pi)/24 x^{-1/2} + O(1/x)
@@ -102,6 +150,13 @@ class TestKExpansion:
         assert by_power[0.0] == pytest.approx(-2.0 / 3.0, rel=1e-12)
         assert by_power[-0.5] == pytest.approx(math.sqrt(2.0 * math.pi) / 24.0, rel=1e-10)
         assert exp.remainder_power == -1.0
+
+    def test_resonant_monomial_tracks_direct_sum(self):
+        # (0.7, -0.4): one monomial is a Gamma pole up to rounding
+        exp = K_expansion_refined(0.7, -0.4, 4)
+        for x in (1e3, 1e4, 1e5):
+            direct = K_direct(0.7, -0.4, x)
+            assert abs(direct.value - exp.evaluate(x)) <= 0.01 * x**exp.remainder_power
 
     def test_residual_scales_like_remainder(self):
         exp = K_expansion_refined(1.0, -1.0, 4)
@@ -125,8 +180,9 @@ class TestKExpansion:
 
 
 def test_h10_closed_form_matches_series():
+    fam = PowerLawFamily.from_ab(1.0, 0.0)
     for x in (1.0, 5.0, 10.0, 20.0):
-        direct = H_direct(1.0, 0.0, x)
+        direct = H_series(fam, x)
         assert h10_closed_form(x) == pytest.approx(direct.value, rel=1e-12)
 
 

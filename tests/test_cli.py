@@ -8,12 +8,15 @@ import contextlib
 import io
 import json
 import math
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
 
 from quartzeq import cli
+
+EPS = 2.0**-52
 
 
 def run(argv):
@@ -129,14 +132,32 @@ class TestEquilibrium:
         assert len(lines) == 2 + 4
 
     def test_term_cap_exhaustion_is_numeric_error(self):
+        # sum k_i M_i at kx = 1e5 decays by kx/(kx+1) per term, so ten terms
+        # cannot reach the tolerance
         code, _, err = run(
             ["equilibrium", "--family", "piecewise", "--k", "1", "--N", "1",
-             "--x", "1e5", "--term-cap", "10"]
+             "--x", "1e5", "--quantity", "kM", "--term-cap", "10"]
         )
         assert code == 3
         diag = json.loads(err)
         assert diag["error"] == "ConvergenceError"
         assert diag["detail"]["terms_used"] == 10
+
+
+    def test_piecewise_f_at_large_kx(self):
+        # F is exact after N terms; its check must not need the slowly
+        # converging sum k_i M_i.  The reference is F = y (1 - y) in exact
+        # rationals: the float closed form F_piecewise cancels about 5
+        # digits at kx = 1e5.
+        code, out, _ = run(
+            ["equilibrium", "--family", "piecewise", "--k", "1", "--N", "1", "--x", "1e5"]
+        )
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        y = Fraction(10**5, 10**5 + 1)
+        exact = float(y * (1 - y))
+        pad = 16 * EPS * abs(row["value"])
+        assert row["value"] - pad <= exact <= row["value"] + row["tail_bound"] + pad
 
 
 class TestAsym:

@@ -155,3 +155,20 @@ class TestValidation:
     def test_truncation_floor(self):
         with pytest.raises(DomainError):
             initial_state(0)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is most of the import time and only integrate needs it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import quartzeq
+
+    src = str(Path(quartzeq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, quartzeq; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

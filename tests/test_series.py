@@ -1,13 +1,15 @@
 """Certified equilibrium series: closed-form pins, tail soundness, identity audits.
 
-The load-bearing contract here is one-sided enclosure: for a
-nonnegative-term series the reported value never exceeds the true sum,
-and value + tail_bound never falls below it.  We cannot query the true
+The load-bearing contract here is enclosure: for a nonnegative-term
+series the reported value exceeds the true sum by rounding at most, and
+value + tail_bound never falls below it.  We cannot query the true
 sum directly, so a much tighter re-summation stands in for it.
 """
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from quartzeq.coefficients import (
     PowerLawFamily,
     TabulatedFamily,
 )
-from quartzeq.errors import ConvergenceError, DomainError
+from quartzeq.errors import ConsistencyError, ConvergenceError, DomainError
 from quartzeq.series import (
     F_equilibrium,
     GridSpec,
@@ -121,8 +123,85 @@ def test_triangle_f_times_denominator_is_h(fam, x):
     assert abs(f.value * (x + fam.d(0)) - h.value) <= budget
 
 
+def _encloses(bv, exact):
+    # the rounding envelope inside tail_bound can fall on either side
+    pad = 16.0 * np.finfo(float).eps * abs(bv.value) + bv.tail_bound
+    return bv.value - pad <= exact <= bv.value + pad
+
+
+def _piecewise_exact(k, N, x):
+    """(H, sum k_i M_i, sum i q_i M_i) at r = 1 from the closed forms
+    H = (x + 1/k) (sum_{j<=N} y^j - N y^{N+1}), k and y^{N+1} (kx + N + 1),
+    y = kx/(kx+1), evaluated in exact rationals."""
+    k, x = Fraction(k), Fraction(x)
+    y = k * x / (k * x + 1)
+    f = sum(y**j for j in range(1, N + 1)) - N * y ** (N + 1)
+    return (float(f * (x + 1 / k)), float(k),
+            float(y ** (N + 1) * (k * x + N + 1)))
+
+
+def _power_law_exact(a, b, x):
+    """(H, sum k_i M_i, sum i q_i M_i) at r = 1 for d_j = j^a + j^b, d_0 = 1,
+    summed with 30 digits until the terms are negligible and shrinking."""
+    with mpmath.workdps(30):
+        a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+        q, h, s1, siq, i = mpmath.mpf(1), 0, 0, 0, 0
+        while True:
+            i += 1
+            q *= x / (x + i**a + i**b)
+            h, s1, siq = h + i ** (b + 1) * q, s1 + q, siq + i ** (a + 1) * q
+            shrinking = (i + 1) ** (a + 1) / i ** (a + 1) * x / (x + (i + 1) ** a) < 0.5
+            if shrinking and i ** (a + 1) * q < mpmath.mpf(10) ** -40 * (1 + h + siq):
+                return float(h), float((1 + s1) / (x + 1)), float(siq / (x + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.1, 10.0), st.integers(0, 8), st.floats(1e-2, 1e3))
+def test_piecewise_intervals_contain_closed_forms(k, N, x):
+    fam = PiecewiseConstantFamily(k, N)
+    h, skm, siqm = _piecewise_exact(k, N, x)
+    assert _encloses(H_series(fam, x), h)
+    assert _encloses(sum_kM(fam, x), skm)
+    assert _encloses(sum_iqM(fam, x), siqm)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.5, 2.5), st.floats(0.0, 1.0), st.floats(1e-2, 1e2))
+def test_power_law_intervals_contain_high_precision_sums(a, u, x):
+    b = a - (a + 1.5) * u
+    fam = PowerLawFamily.from_ab(a, b)
+    h, skm, siqm = _power_law_exact(a, b, x)
+    assert _encloses(H_series(fam, x), h)
+    assert _encloses(sum_kM(fam, x), skm)
+    assert _encloses(sum_iqM(fam, x), siqm)
+
+
+@pytest.mark.parametrize("kx", [3e4, 1e5, 1e6])
+@pytest.mark.parametrize("N", [0, 1, 5, 20])
+def test_piecewise_f_checked_beyond_the_flux_series_reach(kx, N):
+    # F is exact after N terms; sum k_i M_i would need millions of terms here
+    fam = PiecewiseConstantFamily(1.0, N)
+    bv = F_equilibrium(fam, kx)
+    assert _encloses(bv, _piecewise_exact(1.0, N, kx)[0] / (kx + 1.0))
+
+
+class _SkewedD(PowerLawFamily):
+    """d_i off from rho_i + g_i by one part in 1e9."""
+
+    def d_values(self, idx):
+        return super().d_values(idx) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("x", [1e-2, 1.0, 1e2, 1e4])
+def test_balance_catches_d_off_rho_plus_g(x):
+    fam = _SkewedD(p_exp=1.0, q_exp=1.0, k_exp=0.0)
+    F_equilibrium(fam, x, cross_check=False)
+    with pytest.raises(ConsistencyError):
+        F_equilibrium(fam, x)
+
+
 def test_cross_check_accepts_whole_grid():
-    # the dual-route evaluation must agree everywhere, not just at spot points
+    # the cohort balance must hold everywhere, not just at spot points
     fam = PowerLawFamily.from_ab(2.0, 0.0)
     for x in np.geomspace(1e-2, 1e4, 25):
         F_equilibrium(fam, float(x), cross_check=True)
