@@ -65,7 +65,6 @@ from .powerlaw import (
     RegimeVerdict,
     MEstimate,
     classify_regime,
-    estimate_m,
     estimate_m_with_error,
     existence_verdict,
     count_equilibria_probe,
@@ -114,7 +113,7 @@ __all__ = [
     "RootReport", "F_piecewise", "F_piecewise_y", "stationary_polynomial",
     "stationary_point", "alpha_star", "solve_roots", "sum_kM_closed",
     "sum_iqM_closed", "H_closed",
-    "Regime", "RegimeVerdict", "MEstimate", "classify_regime", "estimate_m",
+    "Regime", "RegimeVerdict", "MEstimate", "classify_regime",
     "estimate_m_with_error", "existence_verdict", "count_equilibria_probe",
     "SUPREMUM_AT_INFINITY",
     "ExpansionTerm", "AsymptoticExpansion", "R_sum_direct", "R_expansion",

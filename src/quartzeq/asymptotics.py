@@ -36,7 +36,14 @@ import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .series import BoundedValue, blocked_sum, certified
-from .special import DEFAULT_TABLE, EULER_GAMMA
+from .special import (
+    EULER_GAMMA,
+    bernoulli_fraction,
+    gamma,
+    harmonic,
+    reg_lower_gamma,
+    zeta,
+)
 
 __all__ = [
     "ExpansionTerm",
@@ -182,17 +189,17 @@ def R_expansion(a: float, A: float, depth: int) -> AsymptoticExpansion:
     k0 = _pole_order(theta)
     terms: list[ExpansionTerm] = []
     if k0 is None:
-        terms.append(ExpansionTerm(DEFAULT_TABLE.gamma(theta) / (a + 1.0), -theta))
+        terms.append(ExpansionTerm(gamma(theta) / (a + 1.0), -theta))
     elif k0 <= depth:
         base = (-1.0) ** k0 / ((a + 1.0) * math.factorial(k0))
         terms.append(ExpansionTerm(base, float(k0), log_power=1))
         terms.append(
-            ExpansionTerm(base * (DEFAULT_TABLE.harmonic(k0) + a * EULER_GAMMA), float(k0))
+            ExpansionTerm(base * (harmonic(k0) + a * EULER_GAMMA), float(k0))
         )
     for k in range(depth + 1):
         if k0 is not None and k == k0:
             continue
-        coeff = (-1.0) ** k / math.factorial(k) * DEFAULT_TABLE.zeta(-A - k * (a + 1.0))
+        coeff = (-1.0) ** k / math.factorial(k) * zeta(-A - k * (a + 1.0))
         if coeff != 0.0:
             terms.append(ExpansionTerm(coeff, float(k)))
     return AsymptoticExpansion("v->0", tuple(terms), depth + 0.5)
@@ -225,13 +232,13 @@ def power_sum(a, n: int, *, depth: int = 6):
     if isinstance(a, int) and not isinstance(a, bool) and a >= 1:
         nf = Fraction(n)
         # zeta(-a) = -B_{a+1}/(a+1); finitely many correction terms
-        total = -DEFAULT_TABLE.bernoulli_fraction(a + 1) / (a + 1)
+        total = -bernoulli_fraction(a + 1) / (a + 1)
         total += nf ** (a + 1) / (a + 1) + nf**a / Fraction(2)
         k = 1
         while 2 * k - 1 <= a:
             ff = _falling(Fraction(a), 2 * k - 1)
             total += (
-                DEFAULT_TABLE.bernoulli_fraction(2 * k)
+                bernoulli_fraction(2 * k)
                 / math.factorial(2 * k) * ff * nf ** (a - 2 * k + 1)
             )
             k += 1
@@ -245,7 +252,7 @@ def power_sum(a, n: int, *, depth: int = 6):
     if not (math.isfinite(a) and a > 0.0):
         raise DomainError(f"a must be positive, got {a}")
     pieces = [
-        DEFAULT_TABLE.zeta(-a),
+        zeta(-a),
         n ** (a + 1.0) / (a + 1.0),
         0.5 * n**a,
     ]
@@ -254,7 +261,7 @@ def power_sum(a, n: int, *, depth: int = 6):
         if ff == 0.0:
             break
         pieces.append(
-            float(DEFAULT_TABLE.bernoulli_fraction(2 * k)) / math.factorial(2 * k)
+            float(bernoulli_fraction(2 * k)) / math.factorial(2 * k)
             * ff * n ** (a - 2 * k + 1.0)
         )
     return math.fsum(pieces)
@@ -317,7 +324,7 @@ def K_leading_asymptotics(a: float, b: float, *, allow_log: bool = False) -> Asy
             "b = -2 has log-order growth, available with allow_log=True"
         )
     theta = (b + 2.0) / (a + 1.0)
-    coeff = DEFAULT_TABLE.gamma(theta) * (a + 1.0) ** (theta - 1.0)
+    coeff = gamma(theta) * (a + 1.0) ** (theta - 1.0)
     return AsymptoticExpansion(
         "x->oo", (ExpansionTerm(coeff, theta),), max(theta - a / (a + 1.0), 0.0)
     )
@@ -325,7 +332,7 @@ def K_leading_asymptotics(a: float, b: float, *, allow_log: bool = False) -> Asy
 
 def _exact_zeta_neg(m: int) -> Fraction:
     """zeta(-m) for integer m >= 1, exact: -B_{m+1}/(m+1)."""
-    return -DEFAULT_TABLE.bernoulli_fraction(m + 1) / (m + 1)
+    return -bernoulli_fraction(m + 1) / (m + 1)
 
 
 def _build_W(a, exact: bool, depth: int) -> dict:
@@ -350,7 +357,7 @@ def _build_W(a, exact: bool, depth: int) -> dict:
         al = a * ell
         # constant (zeta) part of the power sum
         add((0, 0, ell), sgn * _exact_zeta_neg(al) if exact
-            else fsgn * DEFAULT_TABLE.zeta(-al))
+            else fsgn * zeta(-al))
         # i^{al+1}/(al+1); the ell = 1 piece is the split-off v i^{a+1}
         if ell >= 2:
             add((ell, 1, ell), fsgn / (al + 1))
@@ -361,7 +368,7 @@ def _build_W(a, exact: bool, depth: int) -> dict:
             ff = _falling(al, 2 * k - 1)
             if ff == 0:
                 break
-            bk = sgn * DEFAULT_TABLE.bernoulli_fraction(2 * k)
+            bk = sgn * bernoulli_fraction(2 * k)
             add((ell, 1 - 2 * k, ell),
                 (bk if exact else float(bk)) * ff / math.factorial(2 * k))
     return W
@@ -442,7 +449,7 @@ def K_expansion_refined(a: float, b: float, depth: int = 4) -> AsymptoticExpansi
             k0 = _pole_order(theta)
         theta_f = float(theta)
         if k0 is None:
-            gamma_part = DEFAULT_TABLE.gamma(theta_f) * ap1 ** (theta_f - 1.0)
+            gamma_part = gamma(theta_f) * ap1 ** (theta_f - 1.0)
         for B, c in group.items():
             ct = float(c)
             if ct == 0.0:
@@ -455,13 +462,13 @@ def K_expansion_refined(a: float, b: float, depth: int = 4) -> AsymptoticExpansi
                 base = ct * (-1.0) ** k0 / (ap1 * math.factorial(k0)) * ap1 ** (-k0)
                 # log(1/v) = log x + log(a+1)
                 emit(-B - k0, 1, base)
-                emit(-B - k0, 0, base * (DEFAULT_TABLE.harmonic(k0)
+                emit(-B - k0, 0, base * (harmonic(k0)
                                          + float(a) * EULER_GAMMA + log_ap1))
             # larger k give orders -B - k at or below the remainder
             for k in range(min(budget, math.ceil(-B - remainder - 1e-9) - 1) + 1):
                 if k == k0:
                     continue
-                zv = DEFAULT_TABLE.zeta(-A_prime - k * ap1)
+                zv = zeta(-A_prime - k * ap1)
                 emit(-B - k, 0, ct * (-1.0) ** k / math.factorial(k) * zv * ap1 ** (-k))
 
     terms = tuple(
@@ -483,7 +490,7 @@ def h10_closed_form(x: float) -> float:
     """
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be finite and positive, got {x}")
-    p = DEFAULT_TABLE.reg_lower_gamma(x + 2.0, x)
+    p = reg_lower_gamma(x + 2.0, x)
     return x - p * math.exp(x + math.lgamma(x + 2.0) - (x + 1.0) * math.log(x))
 
 

@@ -37,9 +37,9 @@ from .piecewise import solve_roots
 from .powerlaw import (
     SUPREMUM_AT_INFINITY,
     Regime,
+    _inflow_ratio,
     classify_regime,
     estimate_m_with_error,
-    existence_verdict,
 )
 from .series import (
     DEFAULT_TERM_CAP,
@@ -238,8 +238,8 @@ def _cmd_threshold(args) -> int:
             extra["attained"] = SUPREMUM_AT_INFINITY
         extra["f_evaluations"] = evals
     if args.alpha is not None:
-        extra["existence"] = existence_verdict(fam, args.alpha, args.r,
-                                               x_max=args.x_max, grid=args.grid)
+        # answered from the verdict above and its m estimate: no second scan
+        extra["existence"] = verdict.existence(_inflow_ratio(args.alpha, args.r))
     doc = {"config": config.as_dict()}
     doc.update(_verdict_doc(verdict, extra))
     _emit(_json_dump(doc), args.out)

@@ -9,6 +9,12 @@ Derived quantities used throughout the package:
     g_i   = q_i / k_i
     z     = inf_i d_i  > 0           (standing hypothesis)
 
+Accessor contract: ``rates(idx)`` returns the arrays (k, p, q) and
+``d_values``, ``rho_values`` and ``g_values`` the derived ratios in their
+per-kind exact form, all vectorised over index arrays with i >= 1.
+Cohort 0 is read from the attributes ``k0, p0, q0`` (with ``d0`` derived
+from them); ``rates_through(n)`` joins the two over 0..n.
+
 The three concrete families are
 
 * ``PiecewiseConstantFamily(k, N)``: k_i = k, p_i = 1 for i <= N else 0,
@@ -51,28 +57,17 @@ class CoefficientFamily:
 
     kind = "abstract"
 
-    # -- scalar accessors -------------------------------------------------
+    # every family also carries its cohort-0 rates as k0, p0, q0
 
-    def k(self, i: int) -> float:
-        raise NotImplementedError
-
-    def p(self, i: int) -> float:
-        raise NotImplementedError
-
-    def q(self, i: int) -> float:
-        raise NotImplementedError
-
-    def d(self, i: int) -> float:
-        """(p_i + q_i) / k_i, in the per-kind exact form where one exists."""
-        return (self.p(i) + self.q(i)) / self.k(i)
-
-    def rho(self, i: int) -> float:
-        return self.p(i) / self.k(i)
-
-    def g(self, i: int) -> float:
-        return self.q(i) / self.k(i)
+    @property
+    def d0(self) -> float:
+        return (self.p0 + self.q0) / self.k0
 
     # -- vectorised accessors over index arrays (i >= 1) ------------------
+
+    def rates(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(k_i, p_i, q_i) at each index."""
+        raise NotImplementedError
 
     def d_values(self, idx: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -82,6 +77,12 @@ class CoefficientFamily:
 
     def rho_values(self, idx: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def rates_through(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(k, p, q) arrays over cohorts 0..n."""
+        tail = self.rates(np.arange(1, n + 1))
+        head = (self.k0, self.p0, self.q0)
+        return tuple(np.concatenate(([h], t)) for h, t in zip(head, tail))
 
     # -- tail-certification hooks -----------------------------------------
 
@@ -129,6 +130,8 @@ class PiecewiseConstantFamily(CoefficientFamily):
     N: int
 
     kind = "piecewise_constant"
+    p0 = 1.0
+    q0 = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.k_value) and self.k_value > 0.0):
@@ -136,23 +139,14 @@ class PiecewiseConstantFamily(CoefficientFamily):
         if not (isinstance(self.N, int) and self.N >= 0):
             raise DomainError(f"N must be an integer >= 0, got {self.N!r}")
 
-    def k(self, i):
+    @property
+    def k0(self) -> float:
         return self.k_value
 
-    def p(self, i):
-        return 1.0 if i <= self.N else 0.0
-
-    def q(self, i):
-        return 0.0 if i <= self.N else 1.0
-
-    def d(self, i):
-        return 1.0 / self.k_value
-
-    def rho(self, i):
-        return 1.0 / self.k_value if i <= self.N else 0.0
-
-    def g(self, i):
-        return 0.0 if i <= self.N else 1.0 / self.k_value
+    def rates(self, idx):
+        removal = idx <= self.N
+        return (np.full(idx.shape, self.k_value), np.where(removal, 1.0, 0.0),
+                np.where(removal, 0.0, 1.0))
 
     def d_values(self, idx):
         return np.full(idx.shape, 1.0 / self.k_value)
@@ -251,26 +245,9 @@ class PowerLawFamily(CoefficientFamily):
         k_exp = max(b, 0.0)
         return cls(p_exp=k_exp - b, q_exp=a - k_exp, k_exp=k_exp, **index0)
 
-    def k(self, i):
-        return self.k0 if i == 0 else float(i) ** (-self.k_exp)
-
-    def p(self, i):
-        return self.p0 if i == 0 else float(i) ** (-self.p_exp)
-
-    def q(self, i):
-        return self.q0 if i == 0 else float(i) ** self.q_exp
-
-    def d(self, i):
-        if i == 0:
-            return (self.p0 + self.q0) / self.k0
-        fi = float(i)
-        return fi ** self.a + fi ** self.b
-
-    def rho(self, i):
-        return self.p0 / self.k0 if i == 0 else float(i) ** self.b
-
-    def g(self, i):
-        return self.q0 / self.k0 if i == 0 else float(i) ** self.a
+    def rates(self, idx):
+        fi = idx.astype(float)
+        return fi ** -self.k_exp, fi ** -self.p_exp, fi ** self.q_exp
 
     def d_values(self, idx):
         fi = idx.astype(float)
@@ -283,8 +260,7 @@ class PowerLawFamily(CoefficientFamily):
         return idx.astype(float) ** self.b
 
     def _infimum_d(self):
-        d0 = (self.p0 + self.q0) / self.k0
-        return min(d0, _power_law_inf_from(self.a, self.b, 1))
+        return min(self.d0, _power_law_inf_from(self.a, self.b, 1))
 
     def d_inf_beyond(self, n):
         return _power_law_inf_from(self.a, self.b, max(n + 1, 1))
@@ -340,6 +316,8 @@ class TabulatedFamily(CoefficientFamily):
         if any(pi + qi <= 0.0 for pi, qi in zip(p, q)):
             raise DomainError("p_i + q_i must be positive for every stored i")
         self._k, self._p, self._q = k, p, q
+        self.k0, self.p0, self.q0 = k[0], p[0], q[0]
+        self._kpq = np.array([k, p, q])
         self._d = tuple((pi + qi) / ki for ki, pi, qi in zip(k, p, q))
         self._g = tuple(qi / ki for ki, qi in zip(k, q))
         self._rho = tuple(pi / ki for ki, pi in zip(k, p))
@@ -362,29 +340,11 @@ class TabulatedFamily(CoefficientFamily):
     def __repr__(self):
         return f"TabulatedFamily(len={len(self._k)})"
 
-    def _at(self, seq, i):
-        return seq[i] if i < len(seq) else seq[-1]
-
-    def k(self, i):
-        return self._at(self._k, i)
-
-    def p(self, i):
-        return self._at(self._p, i)
-
-    def q(self, i):
-        return self._at(self._q, i)
-
-    def d(self, i):
-        return self._at(self._d, i)
-
-    def rho(self, i):
-        return self._at(self._rho, i)
-
-    def g(self, i):
-        return self._at(self._g, i)
-
     def _clipped(self, idx):
         return np.minimum(idx, len(self._d) - 1)
+
+    def rates(self, idx):
+        return tuple(self._kpq[:, self._clipped(idx)])
 
     def d_values(self, idx):
         return self._d_arr[self._clipped(idx)]
@@ -499,17 +459,18 @@ def load_family(path) -> CoefficientFamily:
         return family_from_config(json.load(fh))
 
 
-def infimum_d(family: CoefficientFamily, probe_limit: int = 1000) -> float:
+_PROBE_LIMIT = 512
+
+
+def infimum_d(family: CoefficientFamily) -> float:
     """z = inf_i d_i, exact by per-kind analysis.
 
-    probe_limit caps the defensive numeric sweep that cross-checks the
-    analytic value (cheap; it has caught sign mistakes in development).
+    A numeric sweep over d_0..d_512 cross-checks the analytic value
+    (cheap; it has caught sign mistakes in development).
     """
-    if probe_limit < 1:
-        raise DomainError(f"probe_limit must be >= 1, got {probe_limit}")
     z = family.z
-    n_probe = min(probe_limit, 512)
-    probed = min(family.d(i) for i in range(0, n_probe + 1))
+    probe = family.d_values(np.arange(1, _PROBE_LIMIT + 1))
+    probed = min(family.d0, float(np.min(probe)))
     if probed < z * (1.0 - 1e-12):
         raise AssertionError(
             f"analytic infimum {z} exceeds probed minimum {probed}"

@@ -105,9 +105,7 @@ class _Arrays:
 
     def __init__(self, fam: CoefficientFamily, i_max: int):
         idx = np.arange(i_max + 1)
-        self.k = np.array([fam.k(int(i)) for i in idx])
-        self.p = np.array([fam.p(int(i)) for i in idx])
-        self.q = np.array([fam.q(int(i)) for i in idx])
+        self.k, self.p, self.q = fam.rates_through(i_max)
         self.iq = idx * self.q
         self.ip = idx * self.p
         self.pq = self.p + self.q
@@ -278,10 +276,10 @@ def equilibrium_residual(fam: CoefficientFamily, alpha: float, r: float,
 
     x = profile.x
     rb = x / (x + fam.d_inf_beyond(n)) if x > 0 else 0.0
-    km_top = fam.k(n) * float(profile.M[-1])
+    km_top = arr.k[n] * float(profile.M[-1])
     t_k = km_top * rb / (1.0 - rb) if rb < 1.0 else math.inf
     s = fam.iq_ratio_sup(n) * rb
-    iq_top = n * fam.q(n) * float(profile.M[-1])
+    iq_top = n * arr.q[n] * float(profile.M[-1])
     if s < 1.0:
         # first omitted term is at most iq_ratio * last kept, then geometric
         t_q = max(iq_top, 1e-300) * s / (1.0 - s) if s > 0 else 0.0

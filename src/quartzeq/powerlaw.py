@@ -34,11 +34,9 @@ __all__ = [
     "RegimeVerdict",
     "classify_regime",
     "MEstimate",
-    "estimate_m",
     "estimate_m_with_error",
     "existence_verdict",
     "count_equilibria_probe",
-    "second_difference_probe",
     "SUPREMUM_AT_INFINITY",
 ]
 
@@ -89,7 +87,7 @@ class RegimeVerdict:
         if self.m_estimate is None:
             raise DomainError(
                 "threshold regime verdict carries no m estimate; "
-                "build it via existence_verdict or attach estimate_m output"
+                "build it via existence_verdict or attach estimate_m_with_error output"
             )
         band = self.m_error_bar if self.m_error_bar is not None else 0.0
         if abs(alpha_over_r - self.m_estimate) <= band:
@@ -156,7 +154,15 @@ def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float,
 def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
                           grid: int = 200, *, x_min: float = 1e-3,
                           term_cap: int = 10**6) -> tuple[MEstimate, float, int]:
-    """(MEstimate, error bar, number of F evaluations) behind estimate_m.
+    """(MEstimate, error bar, number of F evaluations) for sup F.
+
+    The estimate is m with its maximizer, or "supremum at infinity": a
+    log-grid sweep up to x_max plus golden-section refinement around the
+    best cell.  In the ThresholdStrict regime, when the best value sits
+    at the grid edge with F still rising, the supremum is approached
+    only as x -> oo and the boundary value is reported with the flag; in
+    the ThresholdWeak regime the same situation means x_max is too small
+    and is an error (F must eventually decay there).
 
     The error bar is the F spread over the final search bracket plus the
     series tail bound at the maximizer; for a supremum reported at the
@@ -212,19 +218,13 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
     return MEstimate(max(f_best, bv.value), x_best), err, evals
 
 
-def estimate_m(params: PowerLawFamily, x_max: float = 1e6,
-               grid: int = 200) -> MEstimate:
-    """Numerical supremum of F: (m, maximizer or "supremum at infinity").
-
-    Log-grid sweep up to x_max plus golden-section refinement around the
-    best cell.  In the ThresholdStrict regime, when the best value sits
-    at the grid edge with F still rising, the supremum is approached
-    only as x -> oo and the boundary value is reported with the flag; in
-    the ThresholdWeak regime the same situation means x_max is too small
-    and is an error (F must eventually decay there).
-    """
-    est, _, _ = estimate_m_with_error(params, x_max, grid)
-    return est
+def _inflow_ratio(alpha: float, r: float) -> float:
+    """alpha / r after checking that both are finite and positive."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(r) and r > 0.0):
+        raise DomainError(f"r must be positive, got {r}")
+    return alpha / r
 
 
 def existence_verdict(params: PowerLawFamily, alpha: float, r: float, *,
@@ -234,10 +234,7 @@ def existence_verdict(params: PowerLawFamily, alpha: float, r: float, *,
     AlwaysExists regime answers without any numerics; threshold regimes
     estimate m first and answer at_threshold within its error bar.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"r must be positive, got {r}")
+    phi = _inflow_ratio(alpha, r)
     verdict = classify_regime(params)
     if verdict.regime is Regime.ALWAYS_EXISTS:
         return EXISTS
@@ -246,7 +243,7 @@ def existence_verdict(params: PowerLawFamily, alpha: float, r: float, *,
         verdict.regime, verdict.a, verdict.b,
         m_estimate=est.m, m_error_bar=err, m_attained_at=est.attained_at,
     )
-    return full.existence(alpha / r)
+    return full.existence(phi)
 
 
 def count_equilibria_probe(params: PowerLawFamily, alpha: float, r: float, *,
@@ -291,30 +288,3 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float, r: float, *,
         roots.append(float(xs[-1]))
     return len(roots), tuple(roots)
 
-
-def second_difference_probe(params: PowerLawFamily, xs) -> tuple[tuple[float, float], ...]:
-    """Exploratory curvature samples of H: (x_mid, second difference).
-
-    Provided for eyeballing convexity behavior only; no conclusions are
-    drawn from it, and none should be (uniform grids in x, no error
-    control beyond the series tolerance).
-    """
-    from .series import H_series
-
-    xs = sorted(float(x) for x in xs)
-    if len(xs) < 3:
-        raise DomainError("need at least 3 sample points")
-    vals = [H_series(params, x).value for x in xs]
-    out = []
-    for i in range(1, len(xs) - 1):
-        h1 = xs[i] - xs[i - 1]
-        h2 = xs[i + 1] - xs[i]
-        if h1 <= 0 or h2 <= 0:
-            continue
-        d2 = 2.0 * (
-            vals[i - 1] / (h1 * (h1 + h2))
-            - vals[i] / (h1 * h2)
-            + vals[i + 1] / (h2 * (h1 + h2))
-        )
-        out.append((xs[i], d2))
-    return tuple(out)

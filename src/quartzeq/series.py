@@ -212,10 +212,9 @@ def sum_kM(fam: CoefficientFamily, x: float, r: float = 1.0, *,
     """sum_i k_i M_i at the equilibrium profile."""
     _check_x(x)
     _check_r(r)
-    d0 = fam.d(0)
     if x == 0.0:
-        return BoundedValue(r * fam.k(0) / (fam.p(0) + fam.q(0)), 0.0, 1)
-    pref = r / (x + d0)
+        return BoundedValue(r * fam.k0 / (fam.p0 + fam.q0), 0.0, 1)
+    pref = r / (x + fam.d0)
     core_tol = tol / pref if pref > 0 else tol
     walk = _q_walk(fam, x, ("ones",), core_tol, term_cap, "sum_kM")
     return certified(walk, pref, head=1.0, start=-1)  # Q_0 = 1 counts as a term
@@ -228,7 +227,7 @@ def sum_iqM(fam: CoefficientFamily, x: float, r: float = 1.0, *,
     _check_r(r)
     if x == 0.0:
         return BoundedValue(0.0, 0.0, 1)
-    pref = r / (x + fam.d(0))
+    pref = r / (x + fam.d0)
     core_tol = tol / pref if pref > 0 else tol
     return certified(_q_walk(fam, x, ("iq",), core_tol, term_cap, "sum_iqM"), pref)
 
@@ -271,7 +270,7 @@ def F_equilibrium(fam: CoefficientFamily, x: float, *,
     if cross_check:
         _check_balance(fam, x, walk)
     h = certified(walk)
-    denom = x + fam.d(0)
+    denom = x + fam.d0
     value = h.value / denom
     tail = h.tail_bound / denom + 4.0 * _EPS * abs(value)
     return BoundedValue(value, tail, h.terms_used)
@@ -293,9 +292,13 @@ def _check_balance(fam: CoefficientFamily, x: float, walk: _Walk) -> None:
     inflow = x * (1.0 + s1_n)
     outflow = h_n + (n + 1) * x * walk.q_n
     rounds = 3.0 * n + 32.0
+    residual = abs(inflow - siq_n - outflow)
     budget = _EPS * rounds * (inflow + siq_n + outflow)
-    budget += _TINY * rounds * (n + 1) * (1.0 + x + n * fam.d(n))
-    if abs(inflow - siq_n - outflow) > budget:
+    if residual > budget:
+        # d_n costs an array call, so it is read only when the absolute part counts
+        d_n = float(fam.d_values(np.array([n]))[0])
+        budget += _TINY * rounds * (n + 1) * (1.0 + x + n * d_n)
+    if residual > budget:
         raise ConsistencyError(
             f"cohort balance fails at x={x}, n={n}: x(1 + S1) - Siq = "
             f"{inflow - siq_n!r} vs H + (n+1) x Q_n = {outflow!r}, budget {budget!r}"
@@ -314,14 +317,15 @@ def cohort_profile(fam: CoefficientFamily, x: float, r: float, n: int) -> Equili
     _check_r(r)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    denom0 = fam.k(0) * x + fam.p(0) + fam.q(0)
+    k, p, q = (v.tolist() for v in fam.rates_through(n))
+    denom0 = k[0] * x + p[0] + q[0]
     if denom0 <= 0.0:
         raise DomainError("k_0 x + p_0 + q_0 must be positive")
     m = [r / denom0]
     if x > 0.0:
         for i in range(1, n + 1):
-            num = fam.k(i - 1) * x * m[-1]
-            den = fam.k(i) * x + fam.p(i) + fam.q(i)
+            num = k[i - 1] * x * m[-1]
+            den = k[i] * x + p[i] + q[i]
             mi = num / den
             if mi < _UNDERFLOW_FLOOR:
                 break

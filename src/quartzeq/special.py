@@ -17,8 +17,6 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "EULER_GAMMA",
-    "SpecialFunctionTable",
-    "DEFAULT_TABLE",
     "zeta",
     "gamma",
     "harmonic",
@@ -223,49 +221,3 @@ def incomplete_gamma_upper(s: float, x: float) -> float:
         )
     return reg_upper_gamma(s, x) * gamma(s)
 
-
-class SpecialFunctionTable:
-    """Bundle of the kernels above, with the Bernoulli cache precomputed.
-
-    Immutable after construction; one shared instance (DEFAULT_TABLE)
-    serves the whole package.
-    """
-
-    def __init__(self, bernoulli_max: int = 60):
-        self._bernoulli_max = bernoulli_max
-        self._bernoulli = _bernoulli_list(bernoulli_max)
-        self.euler_gamma = EULER_GAMMA
-
-    def gamma(self, s: float) -> float:
-        return gamma(s)
-
-    def lgamma(self, s: float) -> float:
-        return math.lgamma(s)
-
-    def zeta(self, s: float) -> float:
-        return zeta(s)
-
-    def bernoulli(self, n: int) -> float:
-        return float(self.bernoulli_fraction(n))
-
-    def bernoulli_fraction(self, n: int) -> Fraction:
-        if not (0 <= n <= self._bernoulli_max):
-            raise DomainError(
-                f"Bernoulli index {n} outside precomputed range 0..{self._bernoulli_max}"
-            )
-        return self._bernoulli[n]
-
-    def harmonic(self, k: int) -> float:
-        return harmonic(k)
-
-    def incomplete_gamma_upper(self, s: float, x: float) -> float:
-        return incomplete_gamma_upper(s, x)
-
-    def reg_lower_gamma(self, s: float, x: float) -> float:
-        return reg_lower_gamma(s, x)
-
-    def reg_upper_gamma(self, s: float, x: float) -> float:
-        return reg_upper_gamma(s, x)
-
-
-DEFAULT_TABLE = SpecialFunctionTable()

@@ -106,6 +106,42 @@ class TestClassifyThreshold:
         assert doc["m_attained_at"] is None
         assert doc["attained"] == "supremum at infinity"
 
+    def test_threshold_existence_reuses_the_m_scan(self, monkeypatch):
+        # answering --alpha must not repeat the F scan behind m
+        from quartzeq import powerlaw
+
+        calls = []
+        real = powerlaw.F_equilibrium
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(powerlaw, "F_equilibrium", counted)
+        base = ["threshold", "--a", "2", "--b", "0"]
+        assert run(base)[0] == 0
+        alone = len(calls)
+        calls.clear()
+        code, out, _ = run(base + ["--alpha", "0.2"])
+        assert code == 0 and json.loads(out)["existence"] == "exists"
+        assert alone > 0 and len(calls) == alone
+
+    @pytest.mark.parametrize(
+        "a,b,alpha,r,message",
+        [
+            ("2", "0", "-1", "-1", "alpha must be positive, got -1.0"),
+            ("2", "0", "0.2", "0", "r must be positive, got 0.0"),
+            ("2", "0", "nan", "1", "alpha must be positive, got nan"),
+            ("1", "0.5", "-1", "1", "alpha must be positive, got -1.0"),
+            ("1", "0.5", "3", "-0.5", "r must be positive, got -0.5"),
+        ],
+    )
+    def test_threshold_rejects_bad_inflow(self, a, b, alpha, r, message):
+        code, out, err = run(["threshold", "--a", a, "--b", b, "--x-max", "1e3",
+                              "--grid", "20", "--alpha", alpha, "--r", r])
+        assert code == 2 and out == ""
+        assert err == f"usage error: {message}\n"
+
     def test_inconsistent_exponents_usage_error(self):
         code, _, err = run(["threshold", "--a", "1", "--b", "5"])
         assert code == 2

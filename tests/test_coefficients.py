@@ -23,12 +23,14 @@ from quartzeq.errors import DomainError
 class TestPiecewiseConstant:
     def test_rates_split_at_horizon(self):
         fam = PiecewiseConstantFamily(2.0, 3)
+        k, p, q = fam.rates_through(9)
+        d = [fam.d0] + fam.d_values(np.arange(1, 10)).tolist()
         for i in range(10):
-            assert fam.k(i) == 2.0
-            assert fam.p(i) == (1.0 if i <= 3 else 0.0)
-            assert fam.q(i) == (0.0 if i <= 3 else 1.0)
+            assert k[i] == 2.0
+            assert p[i] == (1.0 if i <= 3 else 0.0)
+            assert q[i] == (0.0 if i <= 3 else 1.0)
             # p + q = 1 everywhere, so d_i = 1/k for every i
-            assert fam.d(i) == 0.5
+            assert d[i] == 0.5
 
     def test_z_is_reciprocal_uptake(self):
         fam = PiecewiseConstantFamily(4.0, 1)
@@ -38,10 +40,13 @@ class TestPiecewiseConstant:
     @given(st.floats(0.1, 10.0), st.integers(0, 12))
     def test_weights_beyond_horizon(self, k, N):
         fam = PiecewiseConstantFamily(k, N)
-        assert fam.rho(N) == pytest.approx(1.0 / k)
-        assert fam.rho(N + 1) == 0.0
-        assert fam.g(N) == 0.0
-        assert fam.g(N + 1) == pytest.approx(1.0 / k)
+        idx = np.arange(1, N + 2)
+        rho = [fam.p0 / fam.k0] + fam.rho_values(idx).tolist()
+        g = [fam.q0 / fam.k0] + fam.g_values(idx).tolist()
+        assert rho[N] == pytest.approx(1.0 / k)
+        assert rho[N + 1] == 0.0
+        assert g[N] == 0.0
+        assert g[N + 1] == pytest.approx(1.0 / k)
 
     def test_invalid_k(self):
         with pytest.raises(DomainError):
@@ -76,25 +81,28 @@ class TestPowerLaw:
 
     def test_d_values_match_scalar(self):
         fam = PowerLawFamily.from_ab(2.0, 0.0)
-        idx = np.arange(8)
-        vec = fam.d_values(idx)
-        assert vec.tolist() == [fam.d(int(i)) for i in idx]
+        k, p, q = fam.rates_through(7)
+        vec = [fam.d0] + fam.d_values(np.arange(1, 8)).tolist()
+        assert vec == ((p + q) / k).tolist()
         # q_exp = 2, others 0: d_i = (1 + i^2) / 1
-        assert vec.tolist() == [1.0, 2.0, 5.0, 10.0, 17.0, 26.0, 37.0, 50.0]
+        assert vec == [1.0, 2.0, 5.0, 10.0, 17.0, 26.0, 37.0, 50.0]
 
     def test_tail_infimum_is_next_index(self):
         # d_i increasing, so the infimum beyond n sits at i = n + 1
         fam = PowerLawFamily.from_ab(2.0, 0.0)
+        d = fam.d_values(np.arange(1, 6))
         for n in range(5):
-            assert fam.d_inf_beyond(n) == fam.d(n + 1)
+            assert fam.d_inf_beyond(n) == d[n]
 
 
 class TestTabulated:
     def test_constant_extension(self):
         fam = TabulatedFamily(k=(2.0, 1.0), p=(1.0, 0.5), q=(0.0, 0.1))
-        assert fam.k(0) == 2.0
-        assert fam.k(1) == fam.k(7) == 1.0
-        assert fam.d(7) == fam.d(1) == pytest.approx(0.6)
+        idx = np.array([1, 7])
+        assert fam.k0 == 2.0
+        assert fam.rates(idx)[0].tolist() == [1.0, 1.0]
+        d1, d7 = fam.d_values(idx)
+        assert d7 == d1 == pytest.approx(0.6)
 
     def test_non_monotone_table_warns(self):
         with pytest.warns(UserWarning, match="non-increasing"):
@@ -119,9 +127,40 @@ def test_describe_round_trips(fam):
     doc = fam.describe()
     clone = family_from_config(json.loads(json.dumps(doc)))
     assert clone.describe() == doc
-    for i in range(6):
-        assert clone.d(i) == fam.d(i)
-        assert clone.k(i) == fam.k(i)
+    idx = np.arange(1, 6)
+    assert clone.d0 == fam.d0
+    assert clone.d_values(idx).tolist() == fam.d_values(idx).tolist()
+    assert clone.rates_through(5)[0].tolist() == fam.rates_through(5)[0].tolist()
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        PiecewiseConstantFamily(1.5, 2),
+        PowerLawFamily.from_ab(2.0, 0.0),
+        TabulatedFamily(k=(2.0, 1.0, 0.8), p=(1.0, 0.5, 0.3), q=(0.0, 0.1, 0.4)),
+        PowerLawFamily(p_exp=0.3, q_exp=1.1, k_exp=0.4, k0=2.0, p0=0.5, q0=0.25),
+    ],
+    ids=["piecewise", "power_law", "tabulated", "power_law_index0"],
+)
+def test_rate_accessors_agree(fam):
+    """rates, the exact-form ratios and the cohort-0 attributes tell one story."""
+    n = 300
+    k, p, q = fam.rates_through(n)
+    assert (k[0], p[0], q[0]) == (fam.k0, fam.p0, fam.q0)
+    assert fam.d0 == (fam.p0 + fam.q0) / fam.k0
+    idx = np.arange(1, n + 1)
+    k, p, q = k[1:], p[1:], q[1:]
+    for part, whole in zip(fam.rates(idx), (k, p, q)):
+        assert part.tolist() == whole.tolist()
+    d, rho, g = fam.d_values(idx), fam.rho_values(idx), fam.g_values(idx)
+    assert np.all(np.abs(d - (rho + g)) <= 2.0 * np.spacing(d))
+    # The exact forms raise i to a = q_exp + k_exp and b = k_exp - p_exp,
+    # exponents rounded once more than the rates' own, which moves i^a by
+    # up to |a| ln(i) half-ulps; the quotients add a few roundings.
+    spread = 4.0 + (abs(getattr(fam, "a", 0.0)) + abs(getattr(fam, "b", 0.0))) * np.log(idx)
+    for exact, ratio in ((d, (p + q) / k), (rho, p / k), (g, q / k)):
+        assert np.all(np.abs(exact - ratio) <= spread * np.spacing(exact))
 
 
 def test_load_family_reads_json(tmp_path):
@@ -151,8 +190,9 @@ def test_ratio_sups_cover_weight_growth(n):
     fam = PiecewiseConstantFamily(1.0, 4)
     m_sup = fam.m_ratio_sup(n)
     iq_sup = fam.iq_ratio_sup(n)
+    g = dict(zip(range(n + 1, n + 31), fam.g_values(np.arange(n + 1, n + 31))))
     for i in range(n + 1, n + 30):
         assert 1.0 <= m_sup  # mass weights are constant
-        gi, gi1 = fam.g(i), fam.g(i + 1)
+        gi, gi1 = g[i], g[i + 1]
         if gi > 0.0:
             assert (i + 1) * gi1 / (i * gi) <= iq_sup * (1 + 1e-12)

@@ -1,7 +1,5 @@
 """Regime classification and threshold estimation for power-law rate families."""
 
-import math
-
 import pytest
 
 from quartzeq.coefficients import PowerLawFamily
@@ -15,10 +13,8 @@ from quartzeq.powerlaw import (
     Regime,
     classify_regime,
     count_equilibria_probe,
-    estimate_m,
     estimate_m_with_error,
     existence_verdict,
-    second_difference_probe,
 )
 from quartzeq.series import F_equilibrium
 
@@ -74,10 +70,6 @@ class TestThresholdEstimate:
         assert 0.0 < est.m < 2.0
         assert err > 0.0  # extrapolation to infinity cannot be exact
 
-    def test_estimate_m_shorthand(self):
-        est = estimate_m(THRESHOLD_FAMILY)
-        assert est.m == pytest.approx(0.3198813413702965, abs=1e-10)
-
 
 class TestExistence:
     def test_below_threshold_exists(self):
@@ -118,10 +110,3 @@ def test_count_probe_empty_above_supremum():
     count, roots = count_equilibria_probe(THRESHOLD_FAMILY, 0.5, 1.0)
     assert count == 0 and roots == ()
 
-
-def test_second_difference_probe_reports_interior_points():
-    pts = second_difference_probe(THRESHOLD_FAMILY, [1.0, 2.0, 4.0])
-    assert len(pts) == 1
-    x, value = pts[0]
-    assert x == 2.0
-    assert math.isfinite(value)

@@ -119,8 +119,8 @@ def test_tail_certificate_sound(fam, x):
 def test_triangle_f_times_denominator_is_h(fam, x):
     f = F_equilibrium(fam, x, cross_check=False)
     h = H_series(fam, x)
-    budget = f.tail_bound * (x + fam.d(0)) + h.tail_bound + 1e-12 * (abs(h.value) + 1.0)
-    assert abs(f.value * (x + fam.d(0)) - h.value) <= budget
+    budget = f.tail_bound * (x + fam.d0) + h.tail_bound + 1e-12 * (abs(h.value) + 1.0)
+    assert abs(f.value * (x + fam.d0) - h.value) <= budget
 
 
 def _encloses(bv, exact):

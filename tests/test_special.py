@@ -9,7 +9,6 @@ import scipy.special as sps
 
 from quartzeq.errors import DomainError
 from quartzeq.special import (
-    DEFAULT_TABLE,
     EULER_GAMMA,
     bernoulli,
     bernoulli_fraction,
@@ -75,7 +74,7 @@ class TestBernoulli:
 
     def test_table_range_guard(self):
         with pytest.raises(DomainError):
-            DEFAULT_TABLE.bernoulli_fraction(61)
+            bernoulli_fraction(61)
 
 
 def test_harmonic_numbers():
@@ -119,10 +118,3 @@ class TestIncompleteGamma:
         # Gamma(1, x) = exp(-x)
         assert incomplete_gamma_upper(1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-13)
 
-
-def test_default_table_delegates():
-    assert DEFAULT_TABLE.zeta(2.0) == zeta(2.0)
-    assert DEFAULT_TABLE.gamma(1.5) == gamma(1.5)
-    assert DEFAULT_TABLE.harmonic(3) == harmonic(3)
-    assert DEFAULT_TABLE.bernoulli(2) == pytest.approx(1.0 / 6.0)
-    assert DEFAULT_TABLE.lgamma(4.0) == pytest.approx(math.log(6.0))
