@@ -14,13 +14,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
-    assert len(DEMOS) == 4
+    assert DEMOS  # an empty glob would let every demo check pass vacuously
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
     src = str(Path(quartzeq.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src, MPLBACKEND="Agg")
+    env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
