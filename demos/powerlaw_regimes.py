@@ -9,6 +9,7 @@ bound from families with a finite inflow threshold m = sup F.
 """
 
 from quartzeq import (
+    F_equilibrium,
     PowerLawFamily,
     classify_regime,
     count_equilibria_probe,
@@ -38,7 +39,13 @@ count, roots = count_equilibria_probe(fam, 0.2, 1.0)
 print(f"\nalpha = 0.2 crossings: {count} at x = {roots[0]:.6f} and x = {roots[1]:.6f}")
 
 # --- at the critical line the supremum moves to infinity ------------------
+# On b = a - 1 the d-identity gives H(x) = x - sum_i i^(a-1) Q_i: F < 1 at
+# every x, and the subtracted sum is o(x), so F -> 1.  m = 1 exactly, with
+# no F evaluations, and it is never attained.
 strict = PowerLawFamily.from_ab(2.0, 1.0)
-est, err, _ = estimate_m_with_error(strict)
-print(f"\n(2, 1): m = {est.m:.6f} +/- {err:.1e}, attained at: {est.attained_at}")
-print("the error bar is honest: extrapolating a limit cannot be exact")
+est, err, evals = estimate_m_with_error(strict)
+print(f"\n(2, 1): m = {est.m} +/- {err}, attained at: {est.attained_at} ({evals} evaluations)")
+for x in (1e2, 1e4, 1e6):
+    print(f"        F({x:.0e}) = {F_equilibrium(strict, x).value:.6f}")
+for alpha in (0.995, 1.0):
+    print(f"alpha = {alpha:<6} -> {existence_verdict(strict, alpha, 1.0)}")

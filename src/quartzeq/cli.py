@@ -190,14 +190,17 @@ def _cmd_roots(args) -> int:
 
 
 def _verdict_doc(verdict, extra: dict) -> dict:
+    at_infinity = verdict.m_attained_at == SUPREMUM_AT_INFINITY
     doc = {
         "regime": verdict.regime.value,
         "a": verdict.a,
         "b": verdict.b,
         "m_estimate": verdict.m_estimate,
         "m_error_bar": verdict.m_error_bar,
-        "m_attained_at": verdict.m_attained_at,
+        "m_attained_at": None if at_infinity else verdict.m_attained_at,
     }
+    if at_infinity:
+        doc["attained"] = SUPREMUM_AT_INFINITY
     doc.update(extra)
     return doc
 
@@ -227,15 +230,11 @@ def _cmd_threshold(args) -> int:
     if verdict.regime is Regime.ALWAYS_EXISTS:
         # F is unbounded here: there is no finite supremum to estimate
         extra["note"] = "F grows without bound; every inflow admits an equilibrium"
-    else:
+    elif verdict.regime is Regime.THRESHOLD_WEAK:
         est, err, evals = estimate_m_with_error(fam, x_max=args.x_max,
                                                 grid=args.grid)
-        attained = est.attained_at
-        verdict = dataclasses.replace(
-            verdict, m_estimate=est.m, m_error_bar=err,
-            m_attained_at=attained if isinstance(attained, float) else None)
-        if attained == SUPREMUM_AT_INFINITY:
-            extra["attained"] = SUPREMUM_AT_INFINITY
+        verdict = dataclasses.replace(verdict, m_estimate=est.m, m_error_bar=err,
+                                      m_attained_at=est.attained_at)
         extra["f_evaluations"] = evals
     if args.alpha is not None:
         # answered from the verdict above and its m estimate: no second scan

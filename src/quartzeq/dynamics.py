@@ -112,14 +112,21 @@ class _Arrays:
         self.i_max = i_max
 
 
-def _rhs_vector(arr: _Arrays, alpha: float, r: float, x: float,
-                M: np.ndarray) -> tuple[float, np.ndarray, float]:
+def _rhs_vector(arr: _Arrays, alpha: float, r: float, x, M: np.ndarray):
+    """(dx, dM, dflux) at one state, or at a stack of states.
+
+    M is one cohort vector with a scalar x, or a C-contiguous stack of
+    them (one row per state) with x holding one value per row.  Each row
+    is summed as a contiguous vector, so a stack gives bit for bit the
+    values of its rows taken one at a time.
+    """
     kM = arr.k * M
-    dx = alpha - x * float(np.sum(kM)) + float(np.sum(arr.iq * M))
+    dx = alpha - x * np.sum(kM, axis=-1) + np.sum(arr.iq * M, axis=-1)
+    xc = np.asarray(x)[..., None]
     dM = np.empty_like(M)
-    dM[0] = r - x * kM[0] - arr.pq[0] * M[0]
-    dM[1:] = x * kM[:-1] - x * kM[1:] - arr.pq[1:] * M[1:]
-    dflux = (arr.i_max + 1) * x * kM[-1]
+    dM[..., 0] = r - x * kM[..., 0] - arr.pq[0] * M[..., 0]
+    dM[..., 1:] = xc * kM[..., :-1] - xc * kM[..., 1:] - arr.pq[1:] * M[..., 1:]
+    dflux = (arr.i_max + 1) * x * kM[..., -1]
     return dx, dM, dflux
 
 
@@ -134,7 +141,7 @@ def rhs(fam: CoefficientFamily, alpha: float, r: float,
     _check_rates(alpha, r)
     arr = _Arrays(fam, state.i_max)
     dx, dM, dflux = _rhs_vector(arr, alpha, r, state.x, state.M)
-    return SystemState(t=1.0, x=dx, M=dM, flux_log=dflux)
+    return SystemState(t=1.0, x=float(dx), M=dM, flux_log=float(dflux))
 
 
 def _check_rates(alpha: float, r: float) -> None:
@@ -155,8 +162,8 @@ def conservation_residual(fam: CoefficientFamily, alpha: float, r: float,
     _check_rates(alpha, r)
     arr = _Arrays(fam, state.i_max)
     dx, dM, dflux = _rhs_vector(arr, alpha, r, state.x, state.M)
-    lhs = dx + float(np.arange(len(dM)) @ dM)
-    rhs_val = alpha - float(np.sum(arr.ip * state.M)) - dflux
+    lhs = float(dx) + float(np.arange(len(dM)) @ dM)
+    rhs_val = alpha - float(np.sum(arr.ip * state.M)) - float(dflux)
     return abs(lhs - rhs_val)
 
 
@@ -230,10 +237,9 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
         )
 
     n_steps = ys.shape[1]
-    norms = np.empty(n_steps)
-    for j in range(n_steps):
-        dx, dM, _ = _rhs_vector(arr, alpha, r, ys[0, j], ys[1:1 + n_m, j])
-        norms[j] = max(abs(dx), float(np.max(np.abs(dM))))
+    dx, dM, _ = _rhs_vector(arr, alpha, r, ys[0],
+                            np.ascontiguousarray(ys[1:1 + n_m].T))
+    norms = np.maximum(np.abs(dx), np.max(np.abs(dM), axis=1))
     tail = min(CONVERGENCE_STEPS, n_steps)
     converged = bool(np.all(norms[-tail:] <= CONVERGENCE_THRESHOLD))
 
@@ -272,7 +278,7 @@ def equilibrium_residual(fam: CoefficientFamily, alpha: float, r: float,
     state = SystemState(t=0.0, x=profile.x, M=np.asarray(profile.M, dtype=float))
     arr = _Arrays(fam, n)
     dx, dM, _ = _rhs_vector(arr, alpha, r, state.x, state.M)
-    norm = max(abs(dx), float(np.max(np.abs(dM))))
+    norm = max(abs(float(dx)), float(np.max(np.abs(dM))))
 
     x = profile.x
     rb = x / (x + fam.d_inf_beyond(n)) if x > 0 else 0.0

@@ -35,6 +35,15 @@ __all__ = [
 
 NEAR_THRESHOLD_BAND = 10.0  # multiples of tol, relative to the peak value
 
+# Below this u = (N+1) log1p(1/kx), F_piecewise sums series instead of
+# the closed form, whose two terms cancel by a factor of about 4/u there.
+_SERIES_BELOW_U = 0.25
+# Taylor coefficients, highest order first, of (expm1(u) - u)/u^2 for
+# u <= 1/4 and of (atanh(s) - s)/s^3 in t = s^2 for s = w/(2+w) <= 1/16
+# (w <= e^(1/8) - 1); the omitted terms are below 3e-18 of the leading one.
+_EXPM1_MINUS_U = tuple(1.0 / math.factorial(j + 2) for j in reversed(range(12)))
+_ATANH_MINUS_S = tuple(1.0 / (2 * j + 3) for j in reversed(range(7)))
+
 
 def _check_kN(k: float, N: int, *, min_N: int = 0) -> None:
     if not (math.isfinite(k) and k > 0.0):
@@ -48,9 +57,18 @@ def _check_kN(k: float, N: int, *, min_N: int = 0) -> None:
 def F_piecewise(k: float, N: int, x: float) -> float:
     """Equilibrium function of the piecewise family, stable for any kx.
 
-    Uses kx * (1 - y^{N+1}) - (N+1) y^{N+1} with y^{N+1} evaluated as
-    exp(-(N+1) log1p(1/(kx))), which stays fully accurate both as
-    kx -> 0 (F ~ kx for N >= 1) and kx -> oo (F ~ N(N+1)/(2kx)).
+    Uses kx (1 - y^{N+1}) - (N+1) y^{N+1} with y^{N+1} = e^{-u},
+    u = (N+1) log1p(w), w = 1/(kx).  As kx grows those two terms cancel
+    (F ~ N(N+1)/(2kx) is far below either), so for u <= 1/4 the same
+    value is computed as
+
+        e^{-u} kx [(expm1(u) - u) + (N+1) (log1p(w) - w)]
+
+    with both brackets from fixed-length series (log1p(w) - w as
+    2 (atanh(s) - s) - w s, s = w/(2+w)).  The brackets cancel by at most
+    a factor (N+2)/N, and the closed form kept above u = 1/4 by at most
+    about 16, so F stays within about 5e-15 relative of the exact value
+    for every kx and N.
     """
     _check_kN(k, N)
     if not (math.isfinite(x) and x >= 0.0):
@@ -59,9 +77,19 @@ def F_piecewise(k: float, N: int, x: float) -> float:
         # N = 0 is identically zero; the closed form would leave -1 ulp noise
         return 0.0
     kx = k * x
-    u = (N + 1) * math.log1p(1.0 / kx)
-    y_pow = math.exp(-u)  # y^{N+1}
-    return kx * (-math.expm1(-u)) - (N + 1) * y_pow
+    w = 1.0 / kx
+    u = (N + 1) * math.log1p(w)
+    if u > _SERIES_BELOW_U:
+        return kx * (-math.expm1(-u)) - (N + 1) * math.exp(-u)
+    s = w / (2.0 + w)
+    t = s * s
+    pe = pa = 0.0
+    for c in _EXPM1_MINUS_U:
+        pe = pe * u + c
+    for c in _ATANH_MINUS_S:
+        pa = pa * t + c
+    # kx is applied before the squares so that nothing underflows for huge kx
+    return math.exp(-u) * (kx * u * u * pe + (N + 1) * (kx * s) * (2.0 * t * pa - w))
 
 
 def F_piecewise_y(N: int, y: float) -> float:

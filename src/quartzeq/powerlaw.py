@@ -6,20 +6,23 @@ large-x growth of the equilibrium function: F grows like
 x^{(b-(a-1))/(a+1)} up to constants.  Three regimes follow:
 
     b > a-1   F unbounded: an equilibrium exists for every inflow ratio
-    b = a-1   F bounded, sup m approached (possibly only at infinity):
-              equilibrium iff alpha/r < m
+    b = a-1   F < 1 everywhere and F -> 1: m = 1 exactly, never attained,
+              so an equilibrium exists iff alpha/r < 1
     b < a-1   F peaks and decays to 0: equilibrium iff alpha/r <= m
 
-The regime is a pure function of (a, b); m has no closed form and is
-estimated numerically (log grid plus golden-section refinement), so
-existence answers near the threshold are reported as indeterminate
-rather than as a guess.
+On b = a-1, i rho_i = i^a and d_i = i^a + i^(a-1), so the d-identity
+sum_i d_i Q_i = x gives H = x - sum_i i^(a-1) Q_i < x, a sum that is o(x).
+
+The regime is a pure function of (a, b).  Below the line m has no closed
+form and is estimated numerically (log grid plus golden-section
+refinement), so existence answers inside its error bar are reported as
+indeterminate rather than as a guess.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -65,7 +68,11 @@ def _check_params(fam: PowerLawFamily) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RegimeVerdict:
-    """Regime classification, optionally carrying a numerical m estimate."""
+    """Regime classification, carrying m where it is known.
+
+    ThresholdStrict verdicts carry the exact m = 1 from classify_regime;
+    ThresholdWeak ones carry m only once an estimate is attached.
+    """
 
     regime: Regime
     a: float
@@ -77,8 +84,10 @@ class RegimeVerdict:
     def existence(self, alpha_over_r: float) -> str:
         """Ternary existence answer: exists / not_exists / at_threshold.
 
-        Threshold regimes compare against the attached m estimate and
-        return at_threshold inside its error bar (honest indeterminacy).
+        Threshold regimes compare against the attached m and return
+        at_threshold inside a nonzero error bar (honest indeterminacy).
+        With an exact m the comparison decides: a supremum approached
+        only at infinity admits no equilibrium at alpha/r = m.
         """
         if not (math.isfinite(alpha_over_r) and alpha_over_r > 0.0):
             raise DomainError(f"alpha/r must be positive, got {alpha_over_r}")
@@ -89,8 +98,8 @@ class RegimeVerdict:
                 "threshold regime verdict carries no m estimate; "
                 "build it via existence_verdict or attach estimate_m_with_error output"
             )
-        band = self.m_error_bar if self.m_error_bar is not None else 0.0
-        if abs(alpha_over_r - self.m_estimate) <= band:
+        band = self.m_error_bar or 0.0
+        if band > 0.0 and abs(alpha_over_r - self.m_estimate) <= band:
             return AT_THRESHOLD
         if self.regime is Regime.THRESHOLD_STRICT:
             return EXISTS if alpha_over_r < self.m_estimate else NOT_EXISTS
@@ -102,18 +111,17 @@ def classify_regime(params: PowerLawFamily) -> RegimeVerdict:
 
     The boundary b = a-1 is detected with absolute tolerance 1e-12 on
     b - (a-1): exponents are user inputs, so exact equality is
-    meaningful.  Families with b <= -2 are rejected (the equilibrium
-    function degenerates below any polynomial growth there).
+    meaningful.  On that line the verdict carries the exact m = 1, the
+    supremum at infinity (module docstring).  Families with b <= -2 are
+    rejected (the equilibrium function degenerates below any polynomial
+    growth there).
     """
     a, b = _check_params(params)
     gap = b - (a - 1.0)
     if abs(gap) <= BOUNDARY_TOL:
-        regime = Regime.THRESHOLD_STRICT
-    elif gap > 0:
-        regime = Regime.ALWAYS_EXISTS
-    else:
-        regime = Regime.THRESHOLD_WEAK
-    return RegimeVerdict(regime, a, b)
+        return RegimeVerdict(Regime.THRESHOLD_STRICT, a, b, m_estimate=1.0,
+                             m_error_bar=0.0, m_attained_at=SUPREMUM_AT_INFINITY)
+    return RegimeVerdict(Regime.ALWAYS_EXISTS if gap > 0 else Regime.THRESHOLD_WEAK, a, b)
 
 
 class MEstimate(NamedTuple):
@@ -156,20 +164,16 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
                           term_cap: int = 10**6) -> tuple[MEstimate, float, int]:
     """(MEstimate, error bar, number of F evaluations) for sup F.
 
-    The estimate is m with its maximizer, or "supremum at infinity": a
-    log-grid sweep up to x_max plus golden-section refinement around the
-    best cell.  In the ThresholdStrict regime, when the best value sits
-    at the grid edge with F still rising, the supremum is approached
-    only as x -> oo and the boundary value is reported with the flag; in
-    the ThresholdWeak regime the same situation means x_max is too small
+    On the critical line b = a-1 the answer is exact and takes no F
+    evaluations: m = 1, approached only as x -> oo, with error bar 0
+    (module docstring).  Below it the estimate is m with its maximizer:
+    a log-grid sweep up to x_max plus golden-section refinement around
+    the best cell.  A maximum at the grid edge means x_max is too small
     and is an error (F must eventually decay there).
 
     The error bar is the F spread over the final search bracket plus the
-    series tail bound at the maximizer; for a supremum reported at the
-    grid edge it is the gap to the previous octave, which dominates the
-    truncation-in-x error.
+    series tail bound at the maximizer.
     """
-    a, b = _check_params(params)
     verdict = classify_regime(params)
     if verdict.regime is Regime.ALWAYS_EXISTS:
         raise DomainError(
@@ -179,6 +183,8 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
         raise DomainError(f"need x_max > x_min > 0, got {x_max}, {x_min}")
     if grid < 8:
         raise DomainError(f"grid must be >= 8 points, got {grid}")
+    if verdict.regime is Regime.THRESHOLD_STRICT:
+        return MEstimate(verdict.m_estimate, verdict.m_attained_at), verdict.m_error_bar, 0
 
     evals = 0
 
@@ -190,21 +196,12 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
     xs = np.geomspace(x_min, x_max, grid)
     vals = [f(float(x)) for x in xs]
     j = int(np.argmax(vals))
-
-    edge = j >= grid - 1
-    still_rising = vals[-1] >= vals[-2]
-    if edge or (verdict.regime is Regime.THRESHOLD_STRICT and still_rising):
-        if verdict.regime is Regime.THRESHOLD_WEAK:
-            raise ConvergenceError(
-                f"F still increasing at x_max={x_max} in ThresholdWeak regime; "
-                "the interior maximum lies beyond the grid, raise x_max",
-                series="estimate_m", x=x_max,
-            )
-        m = vals[-1]
-        err = abs(vals[-1] - vals[-2]) + F_equilibrium(
-            params, float(xs[-1]), cross_check=False
-        ).tail_bound
-        return MEstimate(m, SUPREMUM_AT_INFINITY), err, evals
+    if j >= grid - 1:
+        raise ConvergenceError(
+            f"F still increasing at x_max={x_max} in ThresholdWeak regime; "
+            "the interior maximum lies beyond the grid, raise x_max",
+            series="estimate_m", x=x_max,
+        )
 
     lo = float(xs[max(j - 1, 0)])
     hi = float(xs[min(j + 1, grid - 1)])
@@ -231,19 +228,17 @@ def existence_verdict(params: PowerLawFamily, alpha: float, r: float, *,
                       x_max: float = 1e6, grid: int = 200) -> str:
     """Ternary equilibrium-existence answer for inflow alpha, supply r.
 
-    AlwaysExists regime answers without any numerics; threshold regimes
-    estimate m first and answer at_threshold within its error bar.
+    AlwaysExists and ThresholdStrict answer without any numerics (the
+    latter against the exact m = 1); ThresholdWeak estimates m first and
+    answers at_threshold within its error bar.
     """
     phi = _inflow_ratio(alpha, r)
     verdict = classify_regime(params)
-    if verdict.regime is Regime.ALWAYS_EXISTS:
-        return EXISTS
-    est, err, _ = estimate_m_with_error(params, x_max, grid)
-    full = RegimeVerdict(
-        verdict.regime, verdict.a, verdict.b,
-        m_estimate=est.m, m_error_bar=err, m_attained_at=est.attained_at,
-    )
-    return full.existence(phi)
+    if verdict.regime is Regime.THRESHOLD_WEAK:
+        est, err, _ = estimate_m_with_error(params, x_max, grid)
+        verdict = replace(verdict, m_estimate=est.m, m_error_bar=err,
+                          m_attained_at=est.attained_at)
+    return verdict.existence(phi)
 
 
 def count_equilibria_probe(params: PowerLawFamily, alpha: float, r: float, *,
@@ -256,10 +251,8 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float, r: float, *,
     grid cell merge, roots outside [x_min, x_max] are missed).  No
     uniqueness theorem backs this in the power-law case.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0 and math.isfinite(r) and r > 0.0):
-        raise DomainError("alpha and r must be positive")
+    phi = _inflow_ratio(alpha, r)
     _check_params(params)
-    phi = alpha / r
     xs = np.geomspace(x_min, x_max, grid)
     vals = [_F(params, float(x), 10**6) - phi for x in xs]
     roots = []

@@ -105,6 +105,21 @@ class TestClassifyThreshold:
         check(doc, "verdict.schema.json")
         assert doc["m_attained_at"] is None
         assert doc["attained"] == "supremum at infinity"
+        assert doc["m_estimate"] == 1.0
+        assert "f_evaluations" not in doc
+
+    @pytest.mark.parametrize(
+        "alpha,existence",
+        [("0.995", "exists"), ("1.0", "not_exists"), ("1.02", "not_exists")],
+    )
+    def test_strict_threshold_is_one(self, alpha, existence):
+        # F(1e6) = 0.99069 for (2, 1), but the supremum is exactly 1
+        code, out, _ = run(["threshold", "--a", "2", "--b", "1", "--alpha", alpha])
+        assert code == 0
+        doc = json.loads(out)
+        check(doc, "verdict.schema.json")
+        assert (doc["m_estimate"], doc["m_error_bar"]) == (1.0, 0.0)
+        assert doc["existence"] == existence
 
     def test_threshold_existence_reuses_the_m_scan(self, monkeypatch):
         # answering --alpha must not repeat the F scan behind m
@@ -183,8 +198,7 @@ class TestEquilibrium:
     def test_piecewise_f_at_large_kx(self):
         # F is exact after N terms; its check must not need the slowly
         # converging sum k_i M_i.  The reference is F = y (1 - y) in exact
-        # rationals: the float closed form F_piecewise cancels about 5
-        # digits at kx = 1e5.
+        # rationals.
         code, out, _ = run(
             ["equilibrium", "--family", "piecewise", "--k", "1", "--N", "1", "--x", "1e5"]
         )

@@ -29,6 +29,24 @@ def test_rhs_at_empty_state():
     assert not d.M[1:].any()
 
 
+def test_stacked_rhs_matches_one_state_at_a_time():
+    # integrate evaluates every accepted step's rhs norm on one stack of states
+    from quartzeq.coefficients import PowerLawFamily
+    from quartzeq.dynamics import _Arrays, _rhs_vector
+
+    rng = np.random.default_rng(7)
+    for fam in (PiecewiseConstantFamily(0.7, 4),
+                PowerLawFamily(p_exp=0.3, q_exp=1.1, k_exp=0.4, k0=2.0, p0=0.5, q0=0.25)):
+        arr = _Arrays(fam, 40)
+        ys = rng.random((42, 300)) * np.geomspace(1e-12, 3.0, 300)
+        xs, stack = ys[0], np.ascontiguousarray(ys[1:].T)
+        dx, dM, dflux = _rhs_vector(arr, 0.3, 1.0, xs, stack)
+        for j in range(ys.shape[1]):
+            dx_j, dM_j, dflux_j = _rhs_vector(arr, 0.3, 1.0, float(xs[j]), ys[1:, j])
+            assert dx[j] == dx_j and dflux[j] == dflux_j
+            assert np.array_equal(dM[j], dM_j)
+
+
 def test_zero_supply_zero_state_is_fixed():
     summary = integrate(FAM, 0.0, 0.0, initial_state(10), 50.0)
     assert summary.converged

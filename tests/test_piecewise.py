@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -53,6 +54,27 @@ def test_small_x_not_catastrophic():
             q *= x / (x + 1.0 / k)
             h += i * (1.0 / k) * q
         assert F_piecewise(k, N, x) == pytest.approx(h / (x + 1.0 / k), rel=1e-14)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 20, 300, 5000])
+def test_closed_form_against_50_digit_reference(N):
+    # kx (1 - y^{N+1}) - (N+1) y^{N+1} cancels as kx grows: evaluated as
+    # written its relative error grows like eps kx / N.  Points cluster
+    # around the switch to series at u = (N+1) log1p(1/kx) = 1/4, where the
+    # closed form that is kept above it is least accurate.
+    kxs = list(np.geomspace(1e-3, 1e12, 76))
+    kxs += [1.0 / math.expm1(u / (N + 1)) for u in np.linspace(0.1, 0.6, 51)]
+    with mpmath.workdps(50):
+        for k in (1.0, 0.3):
+            for v in kxs:
+                x = float(v) / k
+                kx = mpmath.mpf(k * x)  # rounded as F_piecewise rounds it
+                y = kx / (kx + 1)
+                exact = kx * (1 - y ** (N + 1)) - (N + 1) * y ** (N + 1)
+                got = F_piecewise(k, N, x)
+                assert abs(got - exact) <= 1e-14 * exact, (k, x, got, exact)
+    # far out F = N(N+1)/(2kx) (1 + O(N/kx)), with nothing left to underflow
+    assert F_piecewise(1.0, N, 1e200) == pytest.approx(N * (N + 1) / 2e200, rel=1e-14)
 
 
 class TestStationaryPoint:
