@@ -22,7 +22,7 @@ fam = PiecewiseConstantFamily(1.0, 1)
 alpha = 0.2
 summary = integrate(fam, alpha, 1.0, initial_state(60), 2000.0)
 roots = solve_roots(1.0, 1, 1.0, alpha).roots
-print(f"alpha = {alpha}: converged = {summary.converged} after {summary.n_steps} steps")
+print(f"alpha = {alpha}: converged = {summary.converged} over {summary.n_steps} samples")
 print(f"final x        = {summary.final.x:.15f}")
 print(f"analytic roots = {roots[0]:.15f}, {roots[1]:.15f}")
 print(f"gap to stable branch: {abs(summary.final.x - roots[0]):.2e}")

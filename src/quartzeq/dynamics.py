@@ -18,15 +18,18 @@ is auditable.  With it the truncated system satisfies the exact balance
 which doubles as an integration audit (it holds to a few ulp at any
 state, equilibrium or not).
 
-Integration is adaptive explicit Runge-Kutta (scipy's RK45) with
-per-step local error control; convergence to equilibrium is declared
-when the instantaneous rhs norm stays at or below 1e-10 over the last
-100 accepted steps.
+Integration is LSODA (scipy's odeint), which switches between Adams
+and BDF by measured stiffness, with the analytic arrowhead Jacobian.
+The trajectory is sampled on an even grid of 201 times whose spacing is
+also the step cap; convergence to equilibrium is declared when the
+instantaneous rhs norm stays at or below 1e-10 over the last 100
+samples, the final half of the run.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,13 +124,34 @@ def _rhs_vector(arr: _Arrays, alpha: float, r: float, x, M: np.ndarray):
     values of its rows taken one at a time.
     """
     kM = arr.k * M
-    dx = alpha - x * np.sum(kM, axis=-1) + np.sum(arr.iq * M, axis=-1)
+    dx = alpha - x * kM.sum(axis=-1) + (arr.iq * M).sum(axis=-1)
     xc = np.asarray(x)[..., None]
     dM = np.empty_like(M)
     dM[..., 0] = r - x * kM[..., 0] - arr.pq[0] * M[..., 0]
     dM[..., 1:] = xc * kM[..., :-1] - xc * kM[..., 1:] - arr.pq[1:] * M[..., 1:]
     dflux = (arr.i_max + 1) * x * kM[..., -1]
     return dx, dM, dflux
+
+
+def _jacobian(arr: _Arrays, x: float, M: np.ndarray) -> np.ndarray:
+    """d(dx, dM, dflux)/d(x, M, flux) at one state.
+
+    Arrowhead: a dense x row and column around a lower-bidiagonal cohort
+    block; the flux tally feeds back into nothing, so its column is zero.
+    """
+    n_m = len(M)
+    kM = arr.k * M
+    J = np.zeros((n_m + 2, n_m + 2))
+    J[0, 0] = -np.sum(kM)
+    J[0, 1:1 + n_m] = arr.iq - x * arr.k
+    J[1, 0] = -kM[0]
+    J[2:1 + n_m, 0] = kM[:-1] - kM[1:]
+    cohorts = np.arange(1, 1 + n_m)
+    J[cohorts, cohorts] = -x * arr.k - arr.pq
+    J[cohorts[1:], cohorts[:-1]] = x * arr.k[:-1]
+    J[-1, 0] = (arr.i_max + 1) * kM[-1]
+    J[-1, n_m] = (arr.i_max + 1) * x * arr.k[-1]
+    return J
 
 
 def rhs(fam: CoefficientFamily, alpha: float, r: float,
@@ -169,13 +193,13 @@ def conservation_residual(fam: CoefficientFamily, alpha: float, r: float,
 
 @dataclass(frozen=True)
 class TrajectorySummary:
-    """Integration outcome plus the accepted-step time series."""
+    """Integration outcome plus the time series sampled on the step-cap grid."""
 
     final: SystemState
     converged: bool
     rhs_norm_final: float
     max_negativity: float  # most negative component seen (0.0 if none)
-    n_steps: int
+    n_steps: int  # samples, 2 * CONVERGENCE_STEPS + 1
     t: np.ndarray
     x_series: np.ndarray
     cells_series: np.ndarray
@@ -188,17 +212,20 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
               tol: float = 1e-12) -> TrajectorySummary:
     """Integrate to t_end; flag convergence to an equilibrium if reached.
 
-    Convergence means the rhs norm (over x and the cohorts; the flux
-    tally always grows and is excluded) stayed <= 1e-10 on the last 100
-    accepted steps.  Near an equilibrium that norm measures the
-    integrator's own global error, so tol must sit well below the
-    threshold; the default leaves two orders of headroom.  Components
-    below -1e-12, or a step-size underflow (stiffness), raise
+    The trajectory is sampled on 2 * CONVERGENCE_STEPS + 1 evenly spaced
+    times from the initial time to t_end, the largest step the integrator
+    may take.  Convergence means the rhs norm (over x and the cohorts;
+    the flux tally always grows and is excluded) stayed <= 1e-10 on the
+    last 100 samples, i.e. over the final half of the run.  Near an
+    equilibrium that norm measures the integrator's own global error, so
+    tol must sit well below the threshold; the default leaves two orders
+    of headroom.  A sampled component below -1e-12, or any solver failure
+    (excess work, repeated error or convergence failures), raises
     IntegrationError.
     """
     # imported here: it is most of the package's import time, and only
     # integration needs it
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import ODEintWarning, odeint
 
     _check_rates(alpha, r)
     if not (math.isfinite(t_end) and t_end > initial.t):
@@ -212,52 +239,60 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
         dx, dM, dflux = _rhs_vector(arr, alpha, r, y[0], y[1:1 + n_m])
         return np.concatenate(([dx], dM, [dflux]))
 
-    y0 = np.concatenate(([initial.x], initial.M, [initial.flux_log]))
-    # Cap the step so the convergence window (last 100 accepted steps)
-    # spans at most the final half of the run; otherwise steps balloon
-    # near an equilibrium and the window reaches back into the transient.
-    max_step = (t_end - initial.t) / (2.0 * CONVERGENCE_STEPS)
-    sol = solve_ivp(
-        f, (initial.t, t_end), y0, method="RK45",
-        rtol=tol, atol=max(tol * 1e-3, 1e-14), max_step=max_step,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise IntegrationError(
-            f"integration stopped at t={sol.t[-1] if len(sol.t) else initial.t}: "
-            f"{sol.message} (stiffness diagnostic: adaptive step underflow)"
-        )
+    def jac(t, y):
+        return _jacobian(arr, y[0], y[1:1 + n_m])
 
-    ys = sol.y  # shape (2 + n_m, n_steps)
-    min_component = float(np.min(ys[: 1 + n_m, :]))
+    y0 = np.concatenate(([initial.x], initial.M, [initial.flux_log]))
+    # Sample and cap the step on one grid whose final half is exactly the
+    # convergence window (last 100 samples); without the cap, steps
+    # balloon near an equilibrium and the window reaches back into the
+    # transient.
+    max_step = (t_end - initial.t) / (2.0 * CONVERGENCE_STEPS)
+    t = np.linspace(initial.t, t_end, 2 * CONVERGENCE_STEPS + 1)
+    # odeint (LSODA in compiled code) switches between Adams and BDF by
+    # measured stiffness; unlike solve_ivp's and ode's LSODA it keeps no
+    # work array alive after the call.  Its default cap of 500 steps per
+    # sample interval fails long transients, so the steps go uncapped.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)
+        ys, info = odeint(
+            f, y0, t, Dfun=jac, tfirst=True, full_output=True,
+            rtol=tol, atol=max(tol * 1e-3, 1e-14), hmax=max_step,
+            mxstep=np.iinfo(np.int32).max,
+        )
+    if info["message"] != "Integration successful.":
+        # entries past the failed interval are unset; it is the first
+        # whose reached time falls short of its sample time
+        reached = info["tcur"]
+        t_stop = float(reached[np.argmax(reached < t[1:])])
+        raise IntegrationError(f"integration stopped at t={t_stop}: {info['message']}")
+
+    min_component = float(np.min(ys[:, : 1 + n_m]))
     if min_component < NEGATIVITY_TOLERANCE:
         raise IntegrationError(
             f"state component fell to {min_component}, below the "
             f"{NEGATIVITY_TOLERANCE} nonnegativity tolerance"
         )
 
-    n_steps = ys.shape[1]
-    dx, dM, _ = _rhs_vector(arr, alpha, r, ys[0],
-                            np.ascontiguousarray(ys[1:1 + n_m].T))
+    Ms = np.ascontiguousarray(ys[:, 1:1 + n_m])
+    dx, dM, _ = _rhs_vector(arr, alpha, r, ys[:, 0], Ms)
     norms = np.maximum(np.abs(dx), np.max(np.abs(dM), axis=1))
-    tail = min(CONVERGENCE_STEPS, n_steps)
-    converged = bool(np.all(norms[-tail:] <= CONVERGENCE_THRESHOLD))
+    converged = bool(np.all(norms[-CONVERGENCE_STEPS:] <= CONVERGENCE_THRESHOLD))
 
     final = SystemState(
-        t=float(sol.t[-1]), x=float(ys[0, -1]),
-        M=ys[1:1 + n_m, -1].copy(), flux_log=float(ys[-1, -1]),
+        t=float(t[-1]), x=float(ys[-1, 0]),
+        M=ys[-1, 1:1 + n_m].copy(), flux_log=float(ys[-1, -1]),
     )
-    idx = np.arange(n_m)
     return TrajectorySummary(
         final=final,
         converged=converged,
         rhs_norm_final=float(norms[-1]),
         max_negativity=min(min_component, 0.0),
-        n_steps=n_steps,
-        t=sol.t.copy(),
-        x_series=ys[0, :].copy(),
-        cells_series=np.sum(ys[1:1 + n_m, :], axis=0),
-        load_series=idx @ ys[1:1 + n_m, :],
+        n_steps=len(t),
+        t=t,
+        x_series=ys[:, 0].copy(),
+        cells_series=np.sum(Ms, axis=1),
+        load_series=Ms @ np.arange(n_m),
         rhs_norm_series=norms,
     )
 

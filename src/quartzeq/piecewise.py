@@ -73,6 +73,11 @@ def F_piecewise(k: float, N: int, x: float) -> float:
     _check_kN(k, N)
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"x must be finite and >= 0, got {x}")
+    return _F_piecewise(k, N, x)
+
+
+def _F_piecewise(k: float, N: int, x: float) -> float:
+    """F_piecewise without argument checks: finite k > 0, integer N >= 0, finite x >= 0."""
     if x == 0.0 or N == 0:
         # N = 0 is identically zero; the closed form would leave -1 ulp noise
         return 0.0
@@ -210,12 +215,13 @@ def solve_roots(k: float, N: int, r: float, alpha: float, *,
                           x_star, f_max, a_star, False)
 
     def g(x: float) -> float:
-        return F_piecewise(k, N, x) - phi
+        return _F_piecewise(k, N, x) - phi
 
     left = _bisect_to_adjacent(g, 0.0, x_star, -phi)
     hi = 2.0 * x_star
     doublings = 0
-    while g(hi) >= 0.0:
+    # the checked F here: its x check stops a bracket that overflows to inf
+    while F_piecewise(k, N, hi) - phi >= 0.0:
         hi *= 2.0
         doublings += 1
         if doublings > 2000:

@@ -1,12 +1,18 @@
 """Truncated-system integration: fixed points, balance identity, truncation audit."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from quartzeq.coefficients import PiecewiseConstantFamily
+from quartzeq.coefficients import PiecewiseConstantFamily, PowerLawFamily
 from quartzeq.dynamics import (
+    SystemState,
+    _Arrays,
+    _jacobian,
+    _rhs_vector,
     conservation_residual,
     equilibrium_residual,
     initial_state,
@@ -14,7 +20,7 @@ from quartzeq.dynamics import (
     rhs,
     state_from_profile,
 )
-from quartzeq.errors import DomainError
+from quartzeq.errors import DomainError, IntegrationError
 from quartzeq.piecewise import solve_roots
 from quartzeq.series import cohort_profile
 
@@ -30,10 +36,7 @@ def test_rhs_at_empty_state():
 
 
 def test_stacked_rhs_matches_one_state_at_a_time():
-    # integrate evaluates every accepted step's rhs norm on one stack of states
-    from quartzeq.coefficients import PowerLawFamily
-    from quartzeq.dynamics import _Arrays, _rhs_vector
-
+    # integrate evaluates every sample's rhs norm on one stack of states
     rng = np.random.default_rng(7)
     for fam in (PiecewiseConstantFamily(0.7, 4),
                 PowerLawFamily(p_exp=0.3, q_exp=1.1, k_exp=0.4, k0=2.0, p0=0.5, q0=0.25)):
@@ -45,6 +48,96 @@ def test_stacked_rhs_matches_one_state_at_a_time():
             dx_j, dM_j, dflux_j = _rhs_vector(arr, 0.3, 1.0, float(xs[j]), ys[1:, j])
             assert dx[j] == dx_j and dflux[j] == dflux_j
             assert np.array_equal(dM[j], dM_j)
+
+
+def _full_rhs(arr, y):
+    dx, dM, dflux = _rhs_vector(arr, 0.3, 1.0, y[0], y[1:-1])
+    return np.concatenate(([dx], dM, [dflux]))
+
+
+@pytest.mark.parametrize("fam", [
+    PiecewiseConstantFamily(0.7, 4),
+    PowerLawFamily(p_exp=0.3, q_exp=1.1, k_exp=0.4, k0=2.0, p0=0.5, q0=0.25),
+])
+def test_jacobian_matches_central_differences(fam):
+    # the rhs is quadratic, so central differences are exact up to rounding
+    # at any step; a large one keeps that rounding small
+    arr = _Arrays(fam, 40)
+    rng = np.random.default_rng(3)
+    h = 0.25
+    for _ in range(5):
+        y = rng.random(43) * np.geomspace(3.0, 1e-6, 43)
+        J = _jacobian(arr, y[0], y[1:-1])
+        fd = np.empty_like(J)
+        for j in range(len(y)):
+            e = np.zeros_like(y)
+            e[j] = h
+            fd[:, j] = (_full_rhs(arr, y + e) - _full_rhs(arr, y - e)) / (2.0 * h)
+        assert np.abs(J - fd).max() <= 1e-10 * np.abs(J).max()
+
+
+def test_samples_are_the_max_step_grid():
+    # a run started at t = 5; a stiff run that settles by t_end but whose
+    # norm still exceeds the threshold early in the window; a supercritical run
+    cases = [
+        (FAM, 0.2, SystemState(t=5.0, x=0.0, M=np.zeros(31)), 505.0, True),
+        (PowerLawFamily.from_ab(1.355, -0.385), 0.153, initial_state(16), 200.0, False),
+        (FAM, 0.3, initial_state(60), 300.0, False),
+    ]
+    norms = []
+    for fam, alpha, start, t_end, converged in cases:
+        summary = integrate(fam, alpha, 1.0, start, t_end)
+        assert np.array_equal(summary.t, np.linspace(start.t, t_end, 201))
+        assert summary.n_steps == 201
+        assert summary.final.t == t_end
+        assert summary.converged == bool(np.all(summary.rhs_norm_series[-100:] <= 1e-10))
+        assert summary.converged == converged
+        norms.append(summary.rhs_norm_series)
+    assert norms[1][101] > 1e-10 >= norms[1][-1]
+
+
+def test_solver_failure_raises_without_warning(monkeypatch):
+    import scipy.integrate
+
+    def failing_odeint(func, y0, t, **kwargs):
+        # fails in the fourth interval; odeint leaves later entries unset
+        warnings.warn("Repeated convergence failures.", scipy.integrate.ODEintWarning)
+        tcur = np.full(len(t) - 1, 1e296)
+        tcur[:3] = t[1:4]
+        tcur[3] = 0.1875
+        info = {"message": "Repeated convergence failures (perhaps bad Jacobian or tolerances).",
+                "tcur": tcur}
+        return np.zeros((len(t), len(y0))), info
+
+    monkeypatch.setattr(scipy.integrate, "odeint", failing_odeint)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match=r"t=0\.1875: Repeated convergence"):
+            integrate(FAM, 0.2, 1.0, initial_state(5), 10.0)
+
+
+def test_long_horizon_is_not_step_capped():
+    # each sample interval spans 100 time units; odeint's default cap of
+    # 500 steps per interval fails this run in its first interval
+    summary = integrate(FAM, 0.2, 1.0, initial_state(200), 20000.0)
+    assert summary.converged
+    assert summary.final.x == pytest.approx(GOLDEN_LO, abs=1e-8)
+
+
+def test_integrate_retains_no_memory():
+    # scipy's solve_ivp and ode LSODA keep their work array alive after
+    # each call: this loop grows by about 540 KB through solve_ivp
+    for _ in range(3):
+        integrate(FAM, 0.2, 1.0, initial_state(40), 10.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            integrate(FAM, 0.2, 1.0, initial_state(40), 10.0)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 20 * 1024
 
 
 def test_zero_supply_zero_state_is_fixed():

@@ -147,9 +147,41 @@ class TestSolveRoots:
             for root in rep.roots:
                 assert F_piecewise(k, N, root) == pytest.approx(alpha / r, rel=1e-9)
 
+    def test_unchecked_bisection_gives_identical_reports(self, monkeypatch):
+        # over criterion 3's sweep, every x the root search evaluates passes
+        # F_piecewise's checks, and the reports do not depend on them
+        from quartzeq import piecewise
+
+        rng = np.random.default_rng(3 + 3)
+        cases = [(1.0, 1, phi) for phi in (0.2, 0.25, 0.3)]
+        for _ in range(50):
+            k = float(10.0 ** rng.uniform(-0.7, 0.7))
+            N = int(rng.integers(1, 9))
+            fm = stationary_point(k, N)[2]
+            cases += [(k, N, mult * fm) for mult in (0.5, 0.9, 0.999, 1.001, 1.5)]
+        fast = [solve_roots(k, N, 1.0, phi) for k, N, phi in cases]
+        unchecked = piecewise._F_piecewise
+
+        def checked_F(k, N, x):
+            piecewise._check_kN(k, N)
+            if not (math.isfinite(x) and x >= 0.0):
+                raise DomainError(f"x must be finite and >= 0, got {x}")
+            return unchecked(k, N, x)
+
+        monkeypatch.setattr(piecewise, "_F_piecewise", checked_F)
+        checked = [solve_roots(k, N, 1.0, phi) for k, N, phi in cases]
+        assert fast == checked
+        assert sum(rep.count == 2 for rep in fast) == 151
+
     def test_n0_rejected(self):
         with pytest.raises(DomainError):
             solve_roots(1.0, 0, 1.0, 0.1)
+
+    def test_overflowing_bracket_rejected(self):
+        # F(x) ~ 1/x stays above 1e-310 for every finite x: the bracket
+        # doubles to inf, which the checked evaluation refuses
+        with pytest.raises(DomainError, match="got inf"):
+            solve_roots(1.0, 1, 1.0, 1e-310)
 
     def test_near_threshold_band_scales_with_tol(self):
         # inside the 10*tol band the count is resolution-limited: report tangent
