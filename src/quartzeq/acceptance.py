@@ -30,7 +30,7 @@ from .coefficients import (
 from .dynamics import conservation_residual, initial_state, integrate
 from .piecewise import F_piecewise, alpha_star, solve_roots, stationary_point
 from .powerlaw import Regime, classify_regime
-from .series import H_series, audit_G_identity, audit_d_identity, sum_iqM, sum_kM
+from .series import F_values, H_series, audit_G_identity, audit_d_identity, sum_iqM, sum_kM
 from .asymptotics import (
     K_direct,
     R_expansion,
@@ -202,10 +202,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
             chk.expect(v.regime == want, f"regime({a},{a - 1 + db:.1f}) = {v.regime}")
 
     def f_grid(a, b, xs):
-        from .series import F_equilibrium
-        fam = PowerLawFamily.from_ab(a=a, b=b)
-        return np.array([F_equilibrium(fam, float(x), tol=1e-11,
-                                       cross_check=False).value for x in xs])
+        return F_values(PowerLawFamily.from_ab(a=a, b=b), xs, tol=1e-11)
 
     # (1,1): b > a-1, F unbounded: factor >10 growth across the grid
     xs = np.geomspace(1.0, 1e5, 30)

@@ -147,16 +147,16 @@ def R_sum_direct(a: float, A: float, v: float, *,
     p = a + 1.0
 
     def factors(idx):
-        # j^p - (j-1)^p without cancellation; log1p(-1) = -inf gives 1 at j = 1
+        # (j-1)^p - j^p without cancellation; log1p(-1) = -inf gives -1 at j = 1
         with np.errstate(divide="ignore"):
-            step = -(idx ** p) * np.expm1(p * np.log1p(-1.0 / idx))
-        return np.exp(-v * step)
+            neg_step = idx ** p * np.expm1(p * np.log1p(-1.0 / idx))
+        return lambda v: np.exp(v * neg_step)
 
     def stop(n):
-        return ((n + 1.0) / n) ** max(A, 0.0) * math.exp(-v * p * n**a)
+        return lambda v: ((n + 1.0) / n) ** max(A, 0.0) * math.exp(-v * p * n**a)
 
-    walk = blocked_sum(factors, (lambda idx: idx ** float(A),), stop, cap=term_cap,
-                       tol=tol, name="R_sum", x=v)
+    walk = blocked_sum(factors, (lambda idx: idx ** float(A),), stop, [v],
+                       cap=term_cap, tol=tol, name="R_sum")[0]
     return certified(walk)
 
 
@@ -288,15 +288,17 @@ def K_direct(a: float, b: float, x: float, *, tol: float = 1e-12,
         raise DomainError(f"start must be >= 0, got {start}")
 
     def factors(idx):
-        return x / (x + idx ** float(a))
+        d = idx ** float(a)
+        return lambda x: x / (x + d)
 
     def stop(n):
-        return ((n + 1.0) / n) ** max(b + 1.0, 0.0) * x / (x + (n + 1.0) ** a)
+        c, d = ((n + 1.0) / n) ** max(b + 1.0, 0.0), (n + 1.0) ** a
+        return lambda x: c * x / (x + d)
 
-    q = blocked_sum(factors, (), None, cap=start).q_n
-    walk = blocked_sum(factors, (lambda idx: idx ** (b + 1.0),), stop,
-                       cap=start + term_cap, tol=tol, name="K_direct", x=x,
-                       start=start, q=q)
+    q = blocked_sum(factors, (), None, [x], cap=start)[0].q_n if start else 1.0
+    walk = blocked_sum(factors, (lambda idx: idx ** (b + 1.0),), stop, [x],
+                       cap=start + term_cap, tol=tol, name="K_direct",
+                       start=start, q=q)[0]
     return certified(walk, start=start)
 
 

@@ -16,6 +16,7 @@ according to alpha/r versus the peak value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
@@ -218,17 +219,16 @@ def solve_roots(k: float, N: int, r: float, alpha: float, *,
         return _F_piecewise(k, N, x) - phi
 
     left = _bisect_to_adjacent(g, 0.0, x_star, -phi)
-    hi = 2.0 * x_star
-    doublings = 0
-    # the checked F here: its x check stops a bracket that overflows to inf
-    while F_piecewise(k, N, hi) - phi >= 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 2000:
+    # F decreases past x_star: F(x_top) >= alpha/r leaves no right root up to x_top
+    x_top = 0.5 * sys.float_info.max / max(k, 1.0)
+    hi = min(2.0 * x_star, x_top)
+    while g(hi) >= 0.0:
+        if hi == x_top:
             raise ConvergenceError(
-                f"right-root bracket did not close by x={hi}",
-                series="piecewise_roots", x=hi,
+                f"F stays above alpha/r={phi!r} at every finite x up to {x_top!r}",
+                series="piecewise_roots", x=x_top,
             )
+        hi = min(2.0 * hi, x_top)
     right = _bisect_to_adjacent(g, x_star, hi, g(x_star))
     return RootReport(k, N, r, alpha, 2, (left, right), "two_roots",
                       x_star, f_max, a_star, False)

@@ -14,9 +14,10 @@ On b = a-1, i rho_i = i^a and d_i = i^a + i^(a-1), so the d-identity
 sum_i d_i Q_i = x gives H = x - sum_i i^(a-1) Q_i < x, a sum that is o(x).
 
 The regime is a pure function of (a, b).  Below the line m has no closed
-form and is estimated numerically (log grid plus golden-section
-refinement), so existence answers inside its error bar are reported as
-indeterminate rather than as a guess.
+form and is estimated numerically (a log grid evaluated in one batched
+series walk, then golden-section refinement one x at a time), so
+existence answers inside its error bar are reported as indeterminate
+rather than as a guess.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .coefficients import PowerLawFamily
 from .errors import ConvergenceError, DomainError
-from .series import F_equilibrium
+from .series import F_equilibrium, F_values
 
 __all__ = [
     "Regime",
@@ -132,10 +133,13 @@ class MEstimate(NamedTuple):
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+# scans tolerate looser certification; the cohort-balance check is
+# exercised separately by the series tests
+_SCAN_TOL = 1e-11
+
+
 def _F(fam: PowerLawFamily, x: float, term_cap: int) -> float:
-    # scans tolerate looser certification; the cohort-balance check is
-    # exercised separately by the series tests
-    return F_equilibrium(fam, x, tol=1e-11, term_cap=term_cap, cross_check=False).value
+    return F_equilibrium(fam, x, tol=_SCAN_TOL, term_cap=term_cap, cross_check=False).value
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float, float]:
@@ -167,9 +171,10 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
     On the critical line b = a-1 the answer is exact and takes no F
     evaluations: m = 1, approached only as x -> oo, with error bar 0
     (module docstring).  Below it the estimate is m with its maximizer:
-    a log-grid sweep up to x_max plus golden-section refinement around
-    the best cell.  A maximum at the grid edge means x_max is too small
-    and is an error (F must eventually decay there).
+    a log-grid sweep up to x_max, all grid points in one series.F_values
+    walk (bit for bit the one-x values), plus golden-section refinement
+    around the best cell.  A maximum at the grid edge means x_max is too
+    small and is an error (F must eventually decay there).
 
     The error bar is the F spread over the final search bracket plus the
     series tail bound at the maximizer.
@@ -186,15 +191,15 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
     if verdict.regime is Regime.THRESHOLD_STRICT:
         return MEstimate(verdict.m_estimate, verdict.m_attained_at), verdict.m_error_bar, 0
 
-    evals = 0
+    xs = np.geomspace(x_min, x_max, grid)
+    vals = F_values(params, xs, tol=_SCAN_TOL, term_cap=term_cap)
+    evals = grid
 
     def f(x: float) -> float:
         nonlocal evals
         evals += 1
         return _F(params, x, term_cap)
 
-    xs = np.geomspace(x_min, x_max, grid)
-    vals = [f(float(x)) for x in xs]
     j = int(np.argmax(vals))
     if j >= grid - 1:
         raise ConvergenceError(
@@ -254,7 +259,7 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float, r: float, *,
     phi = _inflow_ratio(alpha, r)
     _check_params(params)
     xs = np.geomspace(x_min, x_max, grid)
-    vals = [_F(params, float(x), 10**6) - phi for x in xs]
+    vals = (F_values(params, xs, tol=_SCAN_TOL, term_cap=10**6) - phi).tolist()
     roots = []
     for i in range(len(xs) - 1):
         lo_v, hi_v = vals[i], vals[i + 1]

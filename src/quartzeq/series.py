@@ -16,7 +16,11 @@ and the equilibrium function itself is F(x) = H(x) / (x + d_0).
 
 One kernel, blocked_sum, walks the Q_i in blocks once and accumulates
 every requested weight in that pass; the audits, tail_product and the
-direct sums of the asymptotics module call it too.
+direct sums of the asymptotics module call it too.  One walk can carry
+many x, one row each: a block's d_i and weights are computed once for all
+rows, each row keeps its own sums and stop test and retires on its own, so
+every row's result is bit for bit that of a walk over its x alone.
+F_values evaluates F over a grid that way.
 
 Truncation control: past an index n where the certified step-ratio bound
     s_n = [sup_{i>=n} w_{i+1}/w_i] * x / (x + inf_{i>n} d_i)
@@ -71,6 +75,7 @@ DEFAULT_TERM_CAP = 10**6
 _EPS = sys.float_info.epsilon
 _UNDERFLOW_FLOOR = 2.3e-308  # just above the smallest normal double
 _TINY = 2.0**-1074  # spacing of the subnormal doubles
+_CHUNK = 2**14  # elements in one (rows x block) temporary of blocked_sum
 
 
 @dataclass(frozen=True)
@@ -117,45 +122,87 @@ class _Walk(NamedTuple):
     q_n: float  # the running product at n
 
 
-def blocked_sum(factors, weights, stop, *, cap: int, tol: float = 0.0,
-                name: str = "series", x: float | None = None,
-                start: int = 0, q: float = 1.0) -> _Walk:
+def blocked_sum(factors, weights, stop, xs, *, cap: int, tol: float = 0.0,
+                name: str = "series", start: int = 0, q: float = 1.0) -> list[_Walk]:
     """The certified summation kernel shared by every series in the package.
 
-    Walks Q_i = q * prod_{j=start+1..i} factors(j) over i = start+1, ... in
-    blocks of 64 doubling to 8192 indices, and adds sum w(i) Q_i to one
-    compensated sum per weight, all in the same pass (None is the unit
-    weight).  With stop=None the walk ends after index cap.  Otherwise
-    stop(n) bounds sup_{i>=n} T_{i+1}/T_i for the terms T_i of the first
+    Walks Q_i = q * prod_{j=start+1..i} f_j(x) over i = start+1, ... for
+    every x in xs (one row each) in blocks of 64 doubling to 8192 indices,
+    and adds sum w(i) Q_i to one compensated sum per weight and row (None
+    is the unit weight).  factors(idx) does a block's per-index work once
+    and returns the map from x (a 0-d array, or a column for many rows) to
+    the factors.  Rows share the cumulative product in chunks of at most
+    2^14 elements.
+
+    With stop=None every row ends after index cap.  Otherwise stop(n) maps x
+    to a bound s on sup_{i>=n} T_{i+1}/T_i for the terms T_i of the first
     weight's series: 0 when every later term vanishes, >= 1 or inf while no
-    bound is known.  The walk ends at the first block boundary where the
-    geometric tail T_n s / (1 - s) is at most tol or Q has underflowed, and
-    raises ConvergenceError when it reaches index cap first.
+    bound is known.  A row retires at the first block boundary where its
+    tail T_n s / (1 - s) is at most tol or its Q has underflowed, exactly
+    as a walk over its x alone would.  Returns one _Walk per x in xs; a row
+    still live at index cap raises ConvergenceError, for the first such x.
     """
-    accs = [NeumaierSum() for _ in weights]
-    n, block = start, 64
-    while n < cap:
-        hi = min(n + block, cap)
-        idx = np.arange(n + 1, hi + 1)
-        qvals = q * np.cumprod(factors(idx))
-        terms = [qvals if w is None else w(idx) * qvals for w in weights]
-        for acc, t in zip(accs, terms):
-            acc.add(float(t.sum()))
-        q, n = float(qvals[-1]), hi
-        s = math.inf if stop is None else stop(n)
+    walks: list[_Walk | None] = [None] * len(xs)
+    # a row: [index in xs, x, x as a 0-d array, running product, sums]
+    live = [[i, x, np.array(x, dtype=float), q, [NeumaierSum() for _ in weights]]
+            for i, x in enumerate(xs)]
+
+    def settle(row, row_sums, q, t) -> bool:
+        """Add one block to a row: True if the row retires at index hi."""
+        i, x, _, _, accs = row
+        for acc, v in zip(accs, row_sums):
+            acc.add(v)
+        row[3] = q
+        s = bound(x) if bound else math.inf
         if s < 1.0:
             # once Q has underflowed, the true tail is below any usable tol
-            exact = s == 0.0 or q < _UNDERFLOW_FLOOR
-            tail = 0.0 if exact else float(terms[0][-1]) * s / (1.0 - s)
+            tail = 0.0 if s == 0.0 or q < _UNDERFLOW_FLOOR else t * s / (1.0 - s)
             if tail <= tol:
-                return _Walk(tuple(a.value for a in accs), tail, n, q)
+                walks[i] = _Walk(tuple(acc.value for acc in accs), tail, hi, q)
+                return True
+        return False
+
+    n, block = start, 64
+    while live and n < cap:
+        hi = min(n + block, cap)
+        idx = np.arange(n + 1, hi + 1)
+        fmap = factors(idx)
+        ws = [None if w is None else w(idx) for w in weights]
+        bound = None if stop is None else stop(hi)
+        chunk, retired = _CHUNK // block, False
+        for rows in ([live] if len(live) <= chunk else
+                     [live[a:a + chunk] for a in range(0, len(live), chunk)]):
+            lone = len(rows) == 1
+            if lone:  # 1-D with a 0-d x: cheaper than a one-row column
+                _, _, x_c, q_c, _ = rows[0]
+            else:
+                x_c = np.array([row[1] for row in rows], dtype=float)[:, None]
+                q_c = np.array([row[3] for row in rows])[:, None]
+            qvals = fmap(x_c).cumprod(-1)
+            if not lone or q_c != 1.0:  # a walk starts at q = 1, and 1.0 * Q is Q
+                qvals = q_c * qvals
+            terms = [qvals if w is None else w * qvals for w in ws]
+            if lone:
+                retired |= settle(rows[0], [float(np.add.reduce(t)) for t in terms],
+                                  float(qvals[-1]), float(terms[0][-1]) if bound else 0.0)
+                continue
+            sums = list(zip(*[np.add.reduce(t, 1).tolist() for t in terms]))
+            t_n = terms[0][:, -1].tolist() if bound else [0.0] * len(rows)
+            for row, row_sums, q, t in zip(rows, sums or [()] * len(rows),
+                                           qvals[:, -1].tolist(), t_n):
+                retired |= settle(row, row_sums, q, t)
+        if retired:
+            live = [row for row in live if walks[row[0]] is None]
+        n = hi
         block = min(block * 2, 8192)
-    if stop is None:
-        return _Walk(tuple(a.value for a in accs), 0.0, n, q)
-    raise ConvergenceError(
-        f"{name} did not reach tol={tol} within {cap - start} terms at x={x}",
-        series=name, x=x, terms_used=cap - start,
-    )
+    if live and stop is not None:
+        raise ConvergenceError(
+            f"{name} did not reach tol={tol} within {cap - start} terms at x={live[0][1]}",
+            series=name, x=live[0][1], terms_used=cap - start,
+        )
+    for i, _, _, q, accs in live:
+        walks[i] = _Walk(tuple(acc.value for acc in accs), 0.0, n, q)
+    return walks
 
 
 def certified(walk: _Walk, pref: float = 1.0, head: float = 0.0,
@@ -173,13 +220,16 @@ def certified(walk: _Walk, pref: float = 1.0, head: float = 0.0,
     return BoundedValue(value, tail, walk.n - start)
 
 
-def _q_factors(fam: CoefficientFamily, x: float):
-    return lambda idx: x / (x + fam.d_values(idx))
+def _q_factors(fam: CoefficientFamily):
+    def block(idx):
+        d = fam.d_values(idx)
+        return lambda x: x / (x + d)
+    return block
 
 
-def _q_walk(fam, x, which, tol, term_cap, name) -> _Walk:
-    """Sums of w_i Q_i for the weights named in ``which``, in one pass that
-    stops when the first one's tail meets tol."""
+def _q_walk(fam, xs, which, tol, term_cap, name) -> list[_Walk]:
+    """Per x in xs, sums of w_i Q_i for the weights named in ``which``, in
+    one pass that stops when the first one's tail meets tol."""
     series = {  # name: (w_i, sup_{i>=n} w_{i+1}/w_i)
         "ones": (None, lambda n: 1.0),
         "iq": (lambda idx: idx * fam.g_values(idx), fam.iq_ratio_sup),
@@ -190,11 +240,12 @@ def _q_walk(fam, x, which, tol, term_cap, name) -> _Walk:
     def stop(n):
         sup = ratio_sup(n)
         if not 0.0 < sup < math.inf:
-            return sup
-        return sup * x / (x + fam.d_inf_beyond(n))
+            return lambda x: sup
+        d = fam.d_inf_beyond(n)
+        return lambda x: sup * x / (x + d)
 
-    return blocked_sum(_q_factors(fam, x), [series[w][0] for w in which], stop,
-                       cap=term_cap, tol=tol, name=name, x=x)
+    return blocked_sum(_q_factors(fam), [series[w][0] for w in which], stop, xs,
+                       cap=term_cap, tol=tol, name=name)
 
 
 def _check_x(x: float) -> None:
@@ -216,7 +267,7 @@ def sum_kM(fam: CoefficientFamily, x: float, r: float = 1.0, *,
         return BoundedValue(r * fam.k0 / (fam.p0 + fam.q0), 0.0, 1)
     pref = r / (x + fam.d0)
     core_tol = tol / pref if pref > 0 else tol
-    walk = _q_walk(fam, x, ("ones",), core_tol, term_cap, "sum_kM")
+    walk = _q_walk(fam, [x], ("ones",), core_tol, term_cap, "sum_kM")[0]
     return certified(walk, pref, head=1.0, start=-1)  # Q_0 = 1 counts as a term
 
 
@@ -229,7 +280,7 @@ def sum_iqM(fam: CoefficientFamily, x: float, r: float = 1.0, *,
         return BoundedValue(0.0, 0.0, 1)
     pref = r / (x + fam.d0)
     core_tol = tol / pref if pref > 0 else tol
-    return certified(_q_walk(fam, x, ("iq",), core_tol, term_cap, "sum_iqM"), pref)
+    return certified(_q_walk(fam, [x], ("iq",), core_tol, term_cap, "sum_iqM")[0], pref)
 
 
 def H_series(fam: CoefficientFamily, x: float, *,
@@ -238,7 +289,7 @@ def H_series(fam: CoefficientFamily, x: float, *,
     _check_x(x)
     if x == 0.0:
         return BoundedValue(0.0, 0.0, 0)
-    return certified(_q_walk(fam, x, ("irho",), tol, term_cap, "H_series"))
+    return certified(_q_walk(fam, [x], ("irho",), tol, term_cap, "H_series")[0])
 
 
 def F_equilibrium(fam: CoefficientFamily, x: float, *,
@@ -266,7 +317,7 @@ def F_equilibrium(fam: CoefficientFamily, x: float, *,
     if x == 0.0:
         return BoundedValue(0.0, 0.0, 0)
     which = ("irho", "ones", "iq") if cross_check else ("irho",)
-    walk = _q_walk(fam, x, which, tol, term_cap, "H_series")
+    walk = _q_walk(fam, [x], which, tol, term_cap, "H_series")[0]
     if cross_check:
         _check_balance(fam, x, walk)
     h = certified(walk)
@@ -274,6 +325,23 @@ def F_equilibrium(fam: CoefficientFamily, x: float, *,
     value = h.value / denom
     tail = h.tail_bound / denom + 4.0 * _EPS * abs(value)
     return BoundedValue(value, tail, h.terms_used)
+
+
+def F_values(fam: CoefficientFamily, xs, *, tol: float = DEFAULT_TOL,
+             term_cap: int = DEFAULT_TERM_CAP) -> np.ndarray:
+    """F at every x in xs from one walk: entry k is, bit for bit,
+    F_equilibrium(fam, xs[k], tol=tol, term_cap=term_cap, cross_check=False).value.
+
+    Every x is checked before any is walked; a ConvergenceError is the scalar
+    call's at the first x in xs that fails.
+    """
+    xs = [float(x) for x in xs]
+    for x in xs:
+        _check_x(x)
+    walks = iter(_q_walk(fam, [x for x in xs if x > 0.0], ("irho",), tol, term_cap,
+                         "H_series"))
+    return np.array([certified(next(walks)).value / (x + fam.d0) if x > 0.0 else 0.0
+                     for x in xs])
 
 
 def _check_balance(fam: CoefficientFamily, x: float, walk: _Walk) -> None:
@@ -346,7 +414,7 @@ def tail_product(fam: CoefficientFamily, x: float, n: int) -> float:
     _check_x(x)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    return blocked_sum(_q_factors(fam, x), (), None, cap=n).q_n
+    return blocked_sum(_q_factors(fam), (), None, [x], cap=n)[0].q_n
 
 
 def audit_G_identity(fam: CoefficientFamily, x: float, n_terms: int) -> tuple[float, float]:
@@ -361,9 +429,9 @@ def audit_G_identity(fam: CoefficientFamily, x: float, n_terms: int) -> tuple[fl
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     if x == 0.0:
         return 0.0, 0.0
-    walk = blocked_sum(_q_factors(fam, x),
+    walk = blocked_sum(_q_factors(fam),
                        (lambda idx: (idx * fam.d_values(idx) - x) / x,),
-                       None, cap=n_terms)
+                       None, [x], cap=n_terms)[0]
     s = walk.sums[0]
     return s, abs(1.0 - s - (n_terms + 1) * walk.q_n)
 
@@ -378,7 +446,7 @@ def audit_d_identity(fam: CoefficientFamily, x: float, n_terms: int) -> tuple[fl
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     if x == 0.0:
         return 0.0, 0.0
-    walk = blocked_sum(_q_factors(fam, x), (fam.d_values,), None, cap=n_terms)
+    walk = blocked_sum(_q_factors(fam), (fam.d_values,), None, [x], cap=n_terms)[0]
     s = walk.sums[0]
     return s, abs(s + x * walk.q_n - x)
 

@@ -122,24 +122,30 @@ class TestClassifyThreshold:
         assert doc["existence"] == existence
 
     def test_threshold_existence_reuses_the_m_scan(self, monkeypatch):
-        # answering --alpha must not repeat the F scan behind m
+        # answering --alpha must not repeat the F scan behind m: neither
+        # the grid (F_values) nor the golden-section refinement
         from quartzeq import powerlaw
 
         calls = []
-        real = powerlaw.F_equilibrium
+        real, real_values = powerlaw.F_equilibrium, powerlaw.F_values
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return real(*args, **kwargs)
 
+        def counted_values(fam, xs, **kwargs):
+            calls.extend(xs)
+            return real_values(fam, xs, **kwargs)
+
         monkeypatch.setattr(powerlaw, "F_equilibrium", counted)
+        monkeypatch.setattr(powerlaw, "F_values", counted_values)
         base = ["threshold", "--a", "2", "--b", "0"]
         assert run(base)[0] == 0
         alone = len(calls)
         calls.clear()
         code, out, _ = run(base + ["--alpha", "0.2"])
         assert code == 0 and json.loads(out)["existence"] == "exists"
-        assert alone > 0 and len(calls) == alone
+        assert alone > 200 and len(calls) == alone
 
     @pytest.mark.parametrize(
         "a,b,alpha,r,message",

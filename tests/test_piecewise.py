@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quartzeq.coefficients import PiecewiseConstantFamily
-from quartzeq.errors import DomainError
+from quartzeq.errors import ConvergenceError, DomainError
 from quartzeq.piecewise import (
     F_piecewise,
     F_piecewise_y,
@@ -178,10 +178,12 @@ class TestSolveRoots:
             solve_roots(1.0, 0, 1.0, 0.1)
 
     def test_overflowing_bracket_rejected(self):
-        # F(x) ~ 1/x stays above 1e-310 for every finite x: the bracket
-        # doubles to inf, which the checked evaluation refuses
-        with pytest.raises(DomainError, match="got inf"):
-            solve_roots(1.0, 1, 1.0, 1e-310)
+        # F(x) ~ 1/(kx) stays above 1e-310 wherever kx is finite: the bracket
+        # stops doubling before it overflows and names alpha/r, not an x
+        for k in (1.0, 3.0):
+            with pytest.raises(ConvergenceError,
+                               match=r"^F stays above alpha/r=1e-310 at every finite x up to "):
+                solve_roots(k, 1, 1.0, 1e-310)
 
     def test_near_threshold_band_scales_with_tol(self):
         # inside the 10*tol band the count is resolution-limited: report tangent

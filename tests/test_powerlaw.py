@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,75 @@ class TestThresholdEstimate:
     def test_strict_case_keeps_argument_checks(self):
         with pytest.raises(DomainError):
             estimate_m_with_error(PowerLawFamily.from_ab(2.0, 1.0), grid=4)
+
+
+# (a, b, m, attained_at, error bar, F evaluations) of the ThresholdWeak
+# families in the verdict benchmark, as the one-x-at-a-time grid scan
+# computed them on an x86_64 host with AVX-512.  Without AVX-512 numpy's
+# power and exp round differently, which moves m by an ulp and attained_at
+# by up to 5e-8 relative (checked with NPY_DISABLE_CPU_FEATURES).
+_M_PINS = [
+    # seed 1
+    (1.4224859878427019, 0.03341936779488014,
+     0.4731583721316437, 16.199767844105992, 2.1234497366313383e-14, 259),
+    (2.0484044444136886, 0.3418840321032023,
+     0.3801103709839797, 8.410472392949087, 1.699131373307149e-14, 259),
+    (2.660339946165241, 1.1143968543306104,
+     0.44117798751698595, 15.996158036839555, 2.014734990027849e-14, 259),
+    (0.7924208125850241, -1.0755904304240314,
+     0.3116170107379294, 4.029660275519569, 1.3894086358675813e-14, 259),
+    # seed 2
+    (0.7865100932656006, -1.088941991568803,
+     0.3101919730017786, 3.9840786215161588, 1.3941824272912954e-14, 259),
+    (2.6668374365291974, 1.1223646258157234,
+     0.44180994596830137, 16.110524554166886, 1.9786836434589953e-14, 259),
+    (1.4265146647128666, 0.03959447013491946,
+     0.4743492981411127, 16.384821632910704, 2.1453918559060657e-14, 259),
+    (2.0765750033874797, 0.36944996758639026,
+     0.38063219628497136, 8.486341524423816, 1.712550973409372e-14, 259),
+    # seed 3
+    (2.6957686577148654, 1.1524193855972453,
+     0.44277562791919584, 16.34462986603354, 1.9885232479275133e-14, 259),
+    (2.072225347328354, 0.3660479757876116,
+     0.38076868106457773, 8.489965990682807, 1.7076059724655656e-14, 259),
+    (1.4364866821899578, 0.057649896909489906,
+     0.4787174361818017, 17.062921946782986, 2.148136940246744e-14, 259),
+    (0.7930048042102985, -1.0775616648086785,
+     0.31120558571044454, 4.017837105389259, 1.3875815417138985e-14, 259),
+    # holdout seed 20190129
+    (1.4306987700337177, 0.047031633022664054,
+     0.4761023648075263, 16.653848182530524, 2.1365236904437094e-14, 259),
+    (0.8140014447891992, -1.0475809319459526,
+     0.313369354368757, 4.095439355599945, 1.4082928350978331e-14, 259),
+    (2.0737961589272884, 0.3666875845745996,
+     0.38057003973285886, 8.478070062135835, 1.7011727126219742e-14, 259),
+    (2.701005574369645, 1.1643737042195248,
+     0.44518672798510234, 16.73729883068278, 1.999230683158892e-14, 259),
+    # THRESHOLD_FAMILY
+    (2.0, 0.0,
+     0.3198813413702965, 5.0831323274282685, 1.4372118667185084e-14, 259),
+]
+
+
+def _scalar_F_values(fam, xs, *, tol, term_cap):
+    return np.array([F_equilibrium(fam, float(x), tol=tol, term_cap=term_cap,
+                                   cross_check=False).value for x in xs])
+
+
+@pytest.mark.parametrize("a,b,m,attained_at,err,evals", _M_PINS)
+def test_m_estimate_is_pinned(a, b, m, attained_at, err, evals, monkeypatch):
+    from quartzeq import powerlaw
+
+    fam = PowerLawFamily.from_ab(a, b)
+    got = estimate_m_with_error(fam)
+    # bit for bit what a grid of scalar walks gives on this host
+    monkeypatch.setattr(powerlaw, "F_values", _scalar_F_values)
+    assert got == estimate_m_with_error(fam)
+    est, got_err, got_evals = got
+    assert got_evals == evals
+    assert abs(est.m - m) <= err
+    assert est.attained_at == pytest.approx(attained_at, rel=1e-6)
+    assert got_err == pytest.approx(err, rel=0.05)
 
 
 class TestExistence:

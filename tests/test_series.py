@@ -7,6 +7,7 @@ sum directly, so a much tighter re-summation stands in for it.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -22,6 +23,7 @@ from quartzeq.coefficients import (
 from quartzeq.errors import ConsistencyError, ConvergenceError, DomainError
 from quartzeq.series import (
     F_equilibrium,
+    F_values,
     GridSpec,
     H_series,
     audit_d_identity,
@@ -284,3 +286,94 @@ def test_tabulated_family_summable():
     bv = F_equilibrium(fam, 2.0)
     assert bv.value > 0.0
     assert bv.tail_bound <= 1e-12 * max(1.0, abs(bv.value)) * 10
+
+
+# F_values walks many x at once; each entry must be the scalar walk's value
+_scan_families = st.one_of(
+    families,
+    st.builds(
+        lambda ks, ps, qs, last_q: TabulatedFamily(
+            k=sorted(ks, reverse=True), p=sorted(ps, reverse=True) + [0.0],
+            q=qs + [last_q]),
+        st.lists(st.floats(0.2, 5.0), min_size=3, max_size=3),
+        st.lists(st.floats(0.1, 2.0), min_size=2, max_size=2),
+        st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2),
+        st.floats(0.1, 2.0),
+    ),
+)
+
+
+@st.composite
+def _scan_points(draw):
+    """Unsorted x in [1e-3, 1e6] with zeros and repeats."""
+    base = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e6)),
+                         min_size=1, max_size=10))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=4))
+    return draw(st.permutations(base + repeats))
+
+
+def _scalar_F(fam, x, **kwargs):
+    return F_equilibrium(fam, x, tol=1e-11, cross_check=False, **kwargs).value
+
+
+class TestFValues:
+    @settings(max_examples=40, deadline=None)
+    @given(_scan_families, _scan_points())
+    def test_equals_scalar_walks(self, fam, points):
+        try:
+            want = [_scalar_F(fam, x) for x in points]
+        except ConvergenceError as scalar:
+            # small a at large x: the same error, at the first x that fails
+            with pytest.raises(ConvergenceError) as batch:
+                F_values(fam, points, tol=1e-11)
+            assert str(batch.value) == str(scalar)
+            return
+        got = F_values(fam, points, tol=1e-11)
+        assert got.dtype == np.float64
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("a,b", [(0.5, -0.8), (2.0, 0.0)])
+    def test_m_scan_grid_equals_scalar_walks(self, a, b):
+        # 200 rows retire over many blocks and share them in several chunks
+        fam = PowerLawFamily.from_ab(a, b)
+        points = np.geomspace(1e-3, 1e6, 200)
+        got = F_values(fam, points, tol=1e-11)
+        assert got.tolist() == [_scalar_F(fam, float(x)) for x in points]
+
+    def test_empty_grid(self):
+        got = F_values(PowerLawFamily.from_ab(2.0, 0.0), [])
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_x_raises_the_scalar_error(self, bad):
+        fam = PowerLawFamily.from_ab(0.5, -0.5)
+        with pytest.raises(DomainError) as scalar:
+            _scalar_F(fam, bad)
+        # checked before any walk: an earlier x that would not converge loses
+        with pytest.raises(DomainError) as batch:
+            F_values(fam, [1.0, 1e6, bad, 2.0], term_cap=200)
+        assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("points", [[1e-3, 1e5, 0.0, 1e6, 1e-2], [1e-2, 1e6, 1e5]])
+    def test_term_cap_raises_at_the_first_failing_x(self, points):
+        fam = PowerLawFamily.from_ab(0.5, -0.5)
+        first_failing = next(x for x in points if x >= 1e5)
+        with pytest.raises(ConvergenceError) as scalar:
+            _scalar_F(fam, first_failing, term_cap=200)
+        with pytest.raises(ConvergenceError) as batch:
+            F_values(fam, points, tol=1e-11, term_cap=200)
+        assert str(batch.value) == str(scalar.value)
+        assert batch.value.diagnostic() == scalar.value.diagnostic()
+
+    def test_m_scan_memory_is_bounded(self):
+        # live rows go through the cumulative product in chunks of 2^14
+        # elements, so the 200-point m scan holds well under a megabyte
+        fam = PowerLawFamily.from_ab(0.5, -0.8)
+        points = np.geomspace(1e-3, 1e6, 200)
+        tracemalloc.start()
+        try:
+            F_values(fam, points, tol=1e-11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
