@@ -28,8 +28,6 @@ from .coefficients import (
     TabulatedFamily,
     family_from_config,
     load_family,
-    infimum_d,
-    ratio_bound,
 )
 from .series import (
     BoundedValue,
@@ -104,8 +102,7 @@ __all__ = [
     "QuartzeqError", "DomainError", "ConvergenceError", "ConsistencyError",
     "IntegrationError",
     "CoefficientFamily", "PiecewiseConstantFamily", "PowerLawFamily",
-    "TabulatedFamily", "family_from_config", "load_family", "infimum_d",
-    "ratio_bound",
+    "TabulatedFamily", "family_from_config", "load_family",
     "BoundedValue", "EquilibriumProfile", "GridSpec", "GridRow",
     "sum_kM", "sum_iqM", "H_series", "F_equilibrium", "cohort_profile",
     "tail_product", "audit_G_identity", "audit_d_identity", "grid_evaluate",

@@ -41,7 +41,6 @@ from .special import (
     bernoulli_fraction,
     gamma,
     harmonic,
-    reg_lower_gamma,
     zeta,
 )
 
@@ -488,11 +487,15 @@ def h10_closed_form(x: float) -> float:
 
         H(x) = x - P(x+2, x) * exp(x + lgamma(x+2) - (x+1) log x),
 
-    P the regularized lower incomplete gamma function.
+    P the regularized lower incomplete gamma function, read from
+    scipy.special.gammainc (imported here, so that importing quartzeq
+    loads no scipy module).
     """
+    from scipy.special import gammainc
+
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be finite and positive, got {x}")
-    p = reg_lower_gamma(x + 2.0, x)
+    p = float(gammainc(x + 2.0, x))
     return x - p * math.exp(x + math.lgamma(x + 2.0) - (x + 1.0) * math.log(x))
 
 
@@ -538,7 +541,6 @@ class TailEnvelope:
     amplitude: float
     rate: float
     exponent: float
-    n_points: int
 
     def bound(self, x: float) -> float:
         if not (math.isfinite(x) and x > 0.0):
@@ -570,7 +572,7 @@ def fit_tail_envelope(a: float, b: float, xs, *,
         ),
     )
     amplitude = 2.0 * max(t * math.exp(rate * u) for t, u in zip(tails, us))
-    return TailEnvelope(amplitude, rate, s, len(xs))
+    return TailEnvelope(amplitude, rate, s)
 
 
 def tail_cutoff_check(a: float, b: float, x: float, *,

@@ -26,7 +26,6 @@ import sys
 from . import acceptance
 from .coefficients import (
     CoefficientFamily,
-    PiecewiseConstantFamily,
     PowerLawFamily,
     family_from_config,
     load_family,
@@ -70,14 +69,7 @@ class RunConfig:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "verb": self.verb,
-            "family": self.family,
-            "numerics": self.numerics,
-            "out": self.out,
-            "format": self.format,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
 
 def _json_dump(doc: dict) -> str:
@@ -132,12 +124,6 @@ def _resolve_family(args) -> tuple[CoefficientFamily, dict]:
             )
         return fam, dict(fam.describe())
     raise DomainError(f"unknown family kind {kind!r}; use --family-config for tables")
-
-
-def _power_law_from_ab(args) -> PowerLawFamily:
-    if args.a is None or args.b is None:
-        raise DomainError("this verb requires --a and --b")
-    return PowerLawFamily.from_ab(a=args.a, b=args.b)
 
 
 # ---------------------------------------------------------------- verbs
@@ -206,7 +192,7 @@ def _verdict_doc(verdict, extra: dict) -> dict:
 
 
 def _cmd_classify(args) -> int:
-    fam = _power_law_from_ab(args)
+    fam = PowerLawFamily.from_ab(a=args.a, b=args.b)
     numerics = {"a": args.a, "b": args.b}
     config = RunConfig("classify", dict(fam.describe()), numerics,
                        args.out, args.format or "json", args.seed)
@@ -218,7 +204,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    fam = _power_law_from_ab(args)
+    fam = PowerLawFamily.from_ab(a=args.a, b=args.b)
     numerics = {"a": args.a, "b": args.b, "x_max": args.x_max, "grid": args.grid}
     if args.alpha is not None:
         numerics["alpha"] = args.alpha
@@ -246,8 +232,6 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_asym(args) -> int:
-    if args.a is None or args.b is None:
-        raise DomainError("asym requires --a and --b")
     numerics = {"a": args.a, "b": args.b, "depth": args.depth}
     if args.compare_grid:
         numerics["compare_grid"] = args.compare_grid
@@ -387,9 +371,10 @@ def _add_family_flags(sub) -> None:
     sub.add_argument("--k-exp", type=float, help="uptake exponent")
 
 
-def _add_common_flags(sub) -> None:
+def _add_common_flags(sub, formats: tuple[str, ...]) -> None:
+    """Flags every verb takes; --format lists only what the verb writes."""
     sub.add_argument("--out", metavar="PATH", help="output path (default stdout)")
-    sub.add_argument("--format", choices=["json", "csv"])
+    sub.add_argument("--format", choices=formats)
     sub.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sub.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP)
@@ -409,23 +394,11 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     )
     parser.add_argument("--config", metavar="FILE",
                         help="JSON file of flag defaults (explicit flags win)")
-    subparsers: list[argparse.ArgumentParser] = []
-    subs_action = parser.add_subparsers(dest="verb", required=True)
-
-    class _Subs:
-        # records each subparser so config-file defaults can be applied
-        # per verb (subparsers parse into a fresh namespace, so seeding
-        # the outer namespace would be silently discarded)
-        def add_parser(self, *a, **kw):
-            sub = subs_action.add_parser(*a, **kw)
-            subparsers.append(sub)
-            return sub
-
-    subs = _Subs()
+    subs = parser.add_subparsers(dest="verb", required=True)
 
     eq = subs.add_parser("equilibrium", help="evaluate F/H/kM/iqM with bounds")
     _add_family_flags(eq)
-    _add_common_flags(eq)
+    _add_common_flags(eq, ("json", "csv"))
     eq.add_argument("--quantity", choices=["F", "H", "kM", "iqM"], default="F")
     eq.add_argument("--r", type=float, default=1.0)
     eq.add_argument("--x", type=float, help="single evaluation point")
@@ -436,7 +409,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     eq.set_defaults(func=_cmd_equilibrium)
 
     rt = subs.add_parser("roots", help="piecewise equilibrium roots")
-    _add_common_flags(rt)
+    _add_common_flags(rt, ("json",))
     rt.add_argument("--family", choices=["piecewise"], default="piecewise")
     rt.add_argument("--k", type=float)
     rt.add_argument("--N", type=int)
@@ -445,13 +418,13 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     rt.set_defaults(func=_cmd_roots)
 
     cl = subs.add_parser("classify", help="power-law regime from (a, b)")
-    _add_common_flags(cl)
+    _add_common_flags(cl, ("json",))
     cl.add_argument("--a", type=float, required=True)
     cl.add_argument("--b", type=float, required=True)
     cl.set_defaults(func=_cmd_classify)
 
     th = subs.add_parser("threshold", help="estimate the inflow threshold m")
-    _add_common_flags(th)
+    _add_common_flags(th, ("json",))
     th.add_argument("--a", type=float, required=True)
     th.add_argument("--b", type=float, required=True)
     th.add_argument("--x-max", type=float, default=1e6)
@@ -461,7 +434,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     th.set_defaults(func=_cmd_threshold)
 
     asym = subs.add_parser("asym", help="large-x expansion of the K series")
-    _add_common_flags(asym)
+    _add_common_flags(asym, ("json", "csv"))
     asym.add_argument("--a", type=float, required=True)
     asym.add_argument("--b", type=float, required=True)
     asym.add_argument("--depth", type=int, default=2)
@@ -471,14 +444,14 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
     audit = subs.add_parser("identity-audit", help="telescoping identity residuals")
     _add_family_flags(audit)
-    _add_common_flags(audit)
+    _add_common_flags(audit, ("json",))
     audit.add_argument("--x", type=float)
     audit.add_argument("--n-terms", type=int, default=200)
     audit.set_defaults(func=_cmd_identity_audit)
 
     sim = subs.add_parser("simulate", help="integrate the truncated system")
     _add_family_flags(sim)
-    _add_common_flags(sim)
+    _add_common_flags(sim, ("csv",))
     sim.add_argument("--alpha", type=float)
     sim.add_argument("--r", type=float)
     sim.add_argument("--imax", type=int, default=200)
@@ -489,13 +462,15 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     sim.set_defaults(func=_cmd_simulate)
 
     rep = subs.add_parser("reproduce", help="run the acceptance checks")
-    _add_common_flags(rep)
+    _add_common_flags(rep, ("text", "json"))
     rep.add_argument("--criterion", type=int, action="append",
                      metavar="N", help="run only criterion N (repeatable)")
     rep.set_defaults(func=_cmd_reproduce)
 
     if config_defaults:
-        for sub in subparsers:
+        # per verb: each subparser parses into a fresh namespace, so
+        # seeding the outer namespace would be silently discarded
+        for sub in subs.choices.values():
             known = {action.dest for action in sub._actions}
             sub.set_defaults(**{key: val for key, val in config_defaults.items()
                                 if key in known})

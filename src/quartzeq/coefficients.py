@@ -7,7 +7,10 @@ Derived quantities used throughout the package:
     d_i   = (p_i + q_i) / k_i        (per-cohort decay-to-uptake ratio)
     rho_i = p_i / k_i
     g_i   = q_i / k_i
-    z     = inf_i d_i  > 0           (standing hypothesis)
+
+Standing hypothesis: z = inf_i d_i > 0.  The series certify their tails
+through ``d_inf_beyond(n)``, the infimum of d_i over i > n, so
+min(d0, d_inf_beyond(0)) is z.
 
 Accessor contract: ``rates(idx)`` returns the arrays (k, p, q) and
 ``d_values``, ``rho_values`` and ``g_values`` the derived ratios in their
@@ -34,7 +37,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +49,6 @@ __all__ = [
     "TabulatedFamily",
     "family_from_config",
     "load_family",
-    "infimum_d",
-    "ratio_bound",
 ]
 
 
@@ -85,17 +85,6 @@ class CoefficientFamily:
         return tuple(np.concatenate(([h], t)) for h, t in zip(head, tail))
 
     # -- tail-certification hooks -----------------------------------------
-
-    @cached_property
-    def z(self) -> float:
-        """inf_{i>=0} d_i; positive for every valid family."""
-        value = self._infimum_d()
-        if not value > 0.0:
-            raise DomainError(f"infimum of d is {value}; z > 0 is required")
-        return value
-
-    def _infimum_d(self) -> float:
-        raise NotImplementedError
 
     def d_inf_beyond(self, n: int) -> float:
         """inf of d_i over i > n (i >= 1); used for certified step ratios."""
@@ -157,9 +146,6 @@ class PiecewiseConstantFamily(CoefficientFamily):
     def rho_values(self, idx):
         return np.where(idx <= self.N, 1.0 / self.k_value, 0.0)
 
-    def _infimum_d(self):
-        return 1.0 / self.k_value
-
     def d_inf_beyond(self, n):
         return 1.0 / self.k_value
 
@@ -189,9 +175,18 @@ def _power_law_inf_from(a: float, b: float, m: int) -> float:
         # 1 + i^b strictly decreasing; infimum is the limit
         return 1.0
     # interior minimum of t^a + t^b at t* = (-b/a)^(1/(a-b))
-    t_star = (-b / a) ** (1.0 / (a - b))
+    try:
+        t_star = (-b / a) ** (1.0 / (a - b))
+    except OverflowError:
+        t_star = math.inf
     if t_star <= m:
         return float(m) ** a + float(m) ** b
+    if t_star == math.inf:
+        # t* lies past the float range (a tiny): the real minimum, taken
+        # through logs, bounds the infimum over integers from below
+        log_ratio = math.log(-b) - math.log(a)
+        return (math.exp(log_ratio * (a / (a - b)))
+                + math.exp(log_ratio * (b / (a - b))))
     candidates = {m, int(math.floor(t_star)), int(math.ceil(t_star))}
     return min(float(c) ** a + float(c) ** b for c in candidates if c >= m)
 
@@ -258,9 +253,6 @@ class PowerLawFamily(CoefficientFamily):
 
     def rho_values(self, idx):
         return idx.astype(float) ** self.b
-
-    def _infimum_d(self):
-        return min(self.d0, _power_law_inf_from(self.a, self.b, 1))
 
     def d_inf_beyond(self, n):
         return _power_law_inf_from(self.a, self.b, max(n + 1, 1))
@@ -354,9 +346,6 @@ class TabulatedFamily(CoefficientFamily):
 
     def rho_values(self, idx):
         return self._rho_arr[self._clipped(idx)]
-
-    def _infimum_d(self):
-        return min(self._d)
 
     def d_inf_beyond(self, n):
         j = min(n + 1, len(self._d) - 1)
@@ -457,29 +446,3 @@ def load_family(path) -> CoefficientFamily:
     """Read a JSON family config from disk."""
     with open(path) as fh:
         return family_from_config(json.load(fh))
-
-
-_PROBE_LIMIT = 512
-
-
-def infimum_d(family: CoefficientFamily) -> float:
-    """z = inf_i d_i, exact by per-kind analysis.
-
-    A numeric sweep over d_0..d_512 cross-checks the analytic value
-    (cheap; it has caught sign mistakes in development).
-    """
-    z = family.z
-    probe = family.d_values(np.arange(1, _PROBE_LIMIT + 1))
-    probed = min(family.d0, float(np.min(probe)))
-    if probed < z * (1.0 - 1e-12):
-        raise AssertionError(
-            f"analytic infimum {z} exceeds probed minimum {probed}"
-        )
-    return z
-
-
-def ratio_bound(family: CoefficientFamily, x: float) -> float:
-    """Uniform geometric ratio x / (x + z) < 1 for the equilibrium series."""
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"x must be finite and >= 0, got {x}")
-    return x / (x + family.z)

@@ -15,13 +15,11 @@ class ConvergenceError(QuartzeqError, RuntimeError):
     Carries enough context to diagnose the failure from a CLI exit.
     """
 
-    def __init__(self, message, *, series=None, x=None, terms_used=None,
-                 achieved_bound=None):
+    def __init__(self, message, *, series=None, x=None, terms_used=None):
         super().__init__(message)
         self.series = series
         self.x = x
         self.terms_used = terms_used
-        self.achieved_bound = achieved_bound
 
     def diagnostic(self):
         d = {"error": "convergence", "message": str(self)}
@@ -31,8 +29,6 @@ class ConvergenceError(QuartzeqError, RuntimeError):
             d["x"] = self.x
         if self.terms_used is not None:
             d["terms_used"] = self.terms_used
-        if self.achieved_bound is not None:
-            d["achieved_bound"] = self.achieved_bound
         return d
 
 

@@ -136,19 +136,20 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # scans tolerate looser certification; the cohort-balance check is
 # exercised separately by the series tests
 _SCAN_TOL = 1e-11
+_M_X_MIN = 1e-3  # left end of the m scan's log grid
 
 
-def _F(fam: PowerLawFamily, x: float, term_cap: int) -> float:
-    return F_equilibrium(fam, x, tol=_SCAN_TOL, term_cap=term_cap, cross_check=False).value
+def _F(fam: PowerLawFamily, x: float) -> float:
+    return F_equilibrium(fam, x, tol=_SCAN_TOL, cross_check=False).value
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float, float]:
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float, float]:
     """(argmax, max, bracket width) of a unimodal f on [lo, hi], log scale."""
     t_lo, t_hi = math.log(lo), math.log(hi)
     t1 = t_hi - _GOLDEN * (t_hi - t_lo)
     t2 = t_lo + _GOLDEN * (t_hi - t_lo)
     f1, f2 = f(math.exp(t1)), f(math.exp(t2))
-    for _ in range(iters):
+    for _ in range(60):
         if t_hi - t_lo < 1e-12:
             break
         if f1 < f2:
@@ -164,17 +165,17 @@ def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float,
 
 
 def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
-                          grid: int = 200, *, x_min: float = 1e-3,
-                          term_cap: int = 10**6) -> tuple[MEstimate, float, int]:
+                          grid: int = 200) -> tuple[MEstimate, float, int]:
     """(MEstimate, error bar, number of F evaluations) for sup F.
 
     On the critical line b = a-1 the answer is exact and takes no F
     evaluations: m = 1, approached only as x -> oo, with error bar 0
     (module docstring).  Below it the estimate is m with its maximizer:
-    a log-grid sweep up to x_max, all grid points in one series.F_values
-    walk (bit for bit the one-x values), plus golden-section refinement
-    around the best cell.  A maximum at the grid edge means x_max is too
-    small and is an error (F must eventually decay there).
+    a log-grid sweep over [1e-3, x_max], all grid points in one
+    series.F_values walk (bit for bit the one-x values), plus
+    golden-section refinement around the best cell.  A maximum at the
+    grid edge means x_max is too small and is an error (F must
+    eventually decay there).
 
     The error bar is the F spread over the final search bracket plus the
     series tail bound at the maximizer.
@@ -184,21 +185,21 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
         raise DomainError(
             "no finite m in the AlwaysExists regime (F is unbounded)"
         )
-    if not (math.isfinite(x_max) and x_max > x_min > 0.0):
-        raise DomainError(f"need x_max > x_min > 0, got {x_max}, {x_min}")
+    if not (math.isfinite(x_max) and x_max > _M_X_MIN):
+        raise DomainError(f"need x_max > {_M_X_MIN}, got {x_max}")
     if grid < 8:
         raise DomainError(f"grid must be >= 8 points, got {grid}")
     if verdict.regime is Regime.THRESHOLD_STRICT:
         return MEstimate(verdict.m_estimate, verdict.m_attained_at), verdict.m_error_bar, 0
 
-    xs = np.geomspace(x_min, x_max, grid)
-    vals = F_values(params, xs, tol=_SCAN_TOL, term_cap=term_cap)
+    xs = np.geomspace(_M_X_MIN, x_max, grid)
+    vals = F_values(params, xs, tol=_SCAN_TOL)
     evals = grid
 
     def f(x: float) -> float:
         nonlocal evals
         evals += 1
-        return _F(params, x, term_cap)
+        return _F(params, x)
 
     j = int(np.argmax(vals))
     if j >= grid - 1:
@@ -229,8 +230,7 @@ def _inflow_ratio(alpha: float, r: float) -> float:
     return alpha / r
 
 
-def existence_verdict(params: PowerLawFamily, alpha: float, r: float, *,
-                      x_max: float = 1e6, grid: int = 200) -> str:
+def existence_verdict(params: PowerLawFamily, alpha: float, r: float) -> str:
     """Ternary equilibrium-existence answer for inflow alpha, supply r.
 
     AlwaysExists and ThresholdStrict answer without any numerics (the
@@ -240,26 +240,26 @@ def existence_verdict(params: PowerLawFamily, alpha: float, r: float, *,
     phi = _inflow_ratio(alpha, r)
     verdict = classify_regime(params)
     if verdict.regime is Regime.THRESHOLD_WEAK:
-        est, err, _ = estimate_m_with_error(params, x_max, grid)
+        est, err, _ = estimate_m_with_error(params)
         verdict = replace(verdict, m_estimate=est.m, m_error_bar=err,
                           m_attained_at=est.attained_at)
     return verdict.existence(phi)
 
 
-def count_equilibria_probe(params: PowerLawFamily, alpha: float, r: float, *,
-                           x_min: float = 1e-4, x_max: float = 1e6,
-                           grid: int = 400) -> tuple[int, tuple[float, ...]]:
+def count_equilibria_probe(params: PowerLawFamily, alpha: float,
+                           r: float) -> tuple[int, tuple[float, ...]]:
     """Heuristic equilibrium count: sign changes of F - alpha/r on a log grid.
 
-    Each sign change is refined by bisection, so every returned root is
-    genuine; the COUNT is only as good as the grid (roots closer than one
-    grid cell merge, roots outside [x_min, x_max] are missed).  No
-    uniqueness theorem backs this in the power-law case.
+    The grid has 400 points over [1e-4, 1e6].  Each sign change is refined
+    by bisection, so every returned root is genuine; the COUNT is only as
+    good as the grid (roots closer than one grid cell merge, roots outside
+    the grid are missed).  No uniqueness theorem backs this in the
+    power-law case.
     """
     phi = _inflow_ratio(alpha, r)
     _check_params(params)
-    xs = np.geomspace(x_min, x_max, grid)
-    vals = (F_values(params, xs, tol=_SCAN_TOL, term_cap=10**6) - phi).tolist()
+    xs = np.geomspace(1e-4, 1e6, 400)
+    vals = (F_values(params, xs, tol=_SCAN_TOL) - phi).tolist()
     roots = []
     for i in range(len(xs) - 1):
         lo_v, hi_v = vals[i], vals[i + 1]
@@ -273,7 +273,7 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float, r: float, *,
             mid = math.sqrt(lo_x * hi_x)
             if mid <= lo_x or mid >= hi_x:
                 break
-            mv = _F(params, mid, 10**6) - phi
+            mv = _F(params, mid) - phi
             if mv == 0.0:
                 lo_x = hi_x = mid
                 break

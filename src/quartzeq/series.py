@@ -108,11 +108,6 @@ class EquilibriumProfile:
     r: float
     M: np.ndarray
     tail_mass_bound: float
-    requested_n: int
-
-    @property
-    def n(self) -> int:
-        return len(self.M) - 1
 
 
 class _Walk(NamedTuple):
@@ -406,7 +401,7 @@ def cohort_profile(fam: CoefficientFamily, x: float, r: float, n: int) -> Equili
     else:
         s = fam.m_ratio_sup(n_kept) * x / (x + fam.d_inf_beyond(n_kept))
         tail = last * s / (1.0 - s) if s < 1.0 else math.inf
-    return EquilibriumProfile(x=x, r=r, M=arr, tail_mass_bound=tail, requested_n=n)
+    return EquilibriumProfile(x=x, r=r, M=arr, tail_mass_bound=tail)
 
 
 def tail_product(fam: CoefficientFamily, x: float, n: int) -> float:

@@ -3,8 +3,8 @@
 Everything here is classical: the Riemann zeta function on the real axis
 (alternating-series acceleration for s > 0, the functional equation for
 s < 0), Euler's gamma via the C library, exact Bernoulli numbers from the
-defining recurrence, harmonic numbers, and the regularized incomplete
-gamma functions in the usual series / continued-fraction split.
+defining recurrence, and harmonic numbers.  The incomplete gamma function
+comes from scipy.special (see asymptotics.h10_closed_form).
 """
 
 from __future__ import annotations
@@ -13,18 +13,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "EULER_GAMMA",
     "zeta",
     "gamma",
     "harmonic",
-    "bernoulli",
     "bernoulli_fraction",
-    "reg_lower_gamma",
-    "reg_upper_gamma",
-    "incomplete_gamma_upper",
 ]
 
 EULER_GAMMA = 0.5772156649015329
@@ -125,99 +121,9 @@ def bernoulli_fraction(n: int, n_max: int = 60) -> Fraction:
     return _bernoulli_list(n_max)[n]
 
 
-def bernoulli(n: int) -> float:
-    return float(bernoulli_fraction(n))
-
-
 @lru_cache(maxsize=8192)
 def harmonic(k: int) -> float:
     """H_k = sum_{j<=k} 1/j, H_0 = 0."""
     if k < 0:
         raise DomainError(f"harmonic index must be >= 0, got {k}")
     return math.fsum(1.0 / j for j in range(1, k + 1))
-
-
-# the power series near s ~ x needs ~sqrt(s) iterations before its terms
-# start decaying, so the cap scales to large shape parameters
-_IG_MAX_ITER = 20000
-_IG_EPS = 1e-15
-
-
-def _lower_series(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) by series, x < s + 1."""
-    term = 1.0 / s
-    total = term
-    ap = s
-    for _ in range(_IG_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _IG_EPS:
-            return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise ConvergenceError(
-        f"incomplete gamma series did not converge for s={s}, x={x}",
-        series="incomplete_gamma_series", x=x, terms_used=_IG_MAX_ITER,
-    )
-
-
-def _upper_continued_fraction(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) by Lentz CF, x >= s + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _IG_MAX_ITER + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _IG_EPS:
-            return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise ConvergenceError(
-        f"incomplete gamma continued fraction did not converge for s={s}, x={x}",
-        series="incomplete_gamma_cf", x=x, terms_used=_IG_MAX_ITER,
-    )
-
-
-def reg_lower_gamma(s: float, x: float) -> float:
-    """P(s, x) = gamma_lower(s, x) / Gamma(s) for s > 0, x >= 0."""
-    if not (s > 0.0 and math.isfinite(s)):
-        raise DomainError(f"reg_lower_gamma requires s > 0, got {s}")
-    if not (x >= 0.0 and math.isfinite(x)):
-        raise DomainError(f"reg_lower_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return _lower_series(s, x)
-    return 1.0 - _upper_continued_fraction(s, x)
-
-
-def reg_upper_gamma(s: float, x: float) -> float:
-    """Q(s, x) = Gamma(s, x) / Gamma(s)."""
-    if not (s > 0.0 and math.isfinite(s)):
-        raise DomainError(f"reg_upper_gamma requires s > 0, got {s}")
-    if not (x >= 0.0 and math.isfinite(x)):
-        raise DomainError(f"reg_upper_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return 1.0 - _lower_series(s, x)
-    return _upper_continued_fraction(s, x)
-
-
-def incomplete_gamma_upper(s: float, x: float) -> float:
-    """Unregularized Gamma(s, x); overflow-safe only while Gamma(s) is."""
-    if s > 170.0:
-        raise DomainError(
-            f"Gamma({s}) overflows; use reg_upper_gamma with explicit scaling"
-        )
-    return reg_upper_gamma(s, x) * gamma(s)
-

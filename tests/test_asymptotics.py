@@ -5,8 +5,8 @@ regression points straight at the kernel that drifted.
 """
 
 import math
-from fractions import Fraction
 
+import mpmath
 import pytest
 
 from quartzeq.accumulate import NeumaierSum
@@ -184,6 +184,16 @@ def test_h10_closed_form_matches_series():
     for x in (1.0, 5.0, 10.0, 20.0):
         direct = H_series(fam, x)
         assert h10_closed_form(x) == pytest.approx(direct.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.01, 1.0, 5.0, 20.0, 100.0, 1e3, 1e4])
+def test_h10_closed_form_against_mpmath(x):
+    # the same closed form at 30 digits: x - P(x+2, x) Gamma(x+2) e^x / x^(x+1)
+    with mpmath.workdps(30):
+        xm = mpmath.mpf(x)
+        p = mpmath.gammainc(xm + 2, 0, xm, regularized=True)
+        ref = xm - p * mpmath.exp(xm + mpmath.loggamma(xm + 2) - (xm + 1) * mpmath.log(xm))
+        assert abs((h10_closed_form(x) - ref) / ref) <= 1e-13
 
 
 class TestCutoff:

@@ -328,3 +328,30 @@ def test_unknown_verb_exits_argparse():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibrium", "--x", "1", "--format", "text"],
+        ["roots", "--k", "1", "--N", "1", "--alpha", "0.2", "--r", "1", "--format", "csv"],
+        ["classify", "--a", "2", "--b", "0", "--format", "csv"],
+        ["threshold", "--a", "2", "--b", "0", "--format", "csv"],
+        ["asym", "--a", "1", "--b", "-1", "--format", "text"],
+        ["identity-audit", "--x", "1", "--format", "csv"],
+        ["simulate", "--alpha", "0.2", "--r", "1", "--imax", "5", "--t-end", "1",
+         "--format", "json"],
+        ["reproduce", "--criterion", "8", "--format", "csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_format_the_verb_cannot_write_is_rejected(argv):
+    # --format lists only what each verb writes, so the echoed format is
+    # always the written one
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            cli.main(argv)
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert "invalid choice" in err.getvalue()

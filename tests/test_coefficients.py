@@ -1,21 +1,18 @@
 """Coefficient family contracts: derived rates, tail infima, config round-trips."""
 
 import json
-import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quartzeq.coefficients import (
     PiecewiseConstantFamily,
     PowerLawFamily,
     TabulatedFamily,
     family_from_config,
-    infimum_d,
     load_family,
-    ratio_bound,
 )
 from quartzeq.errors import DomainError
 
@@ -34,8 +31,7 @@ class TestPiecewiseConstant:
 
     def test_z_is_reciprocal_uptake(self):
         fam = PiecewiseConstantFamily(4.0, 1)
-        assert fam.z == 0.25
-        assert infimum_d(fam) == 0.25
+        assert min(fam.d0, fam.d_inf_beyond(0)) == 0.25
 
     @given(st.floats(0.1, 10.0), st.integers(0, 12))
     def test_weights_beyond_horizon(self, k, N):
@@ -177,11 +173,42 @@ def test_family_from_config_unknown_kind():
 
 
 def test_ratio_bound_strictly_below_one():
+    # the series' step ratio x / (x + inf_{i>n} d_i), at n = 0
     fam = PowerLawFamily.from_ab(1.0, 0.0)
-    for x in (0.0, 1e-6, 1.0, 1e8):
-        rb = ratio_bound(fam, x)
-        assert 0.0 <= rb < 1.0
-    assert ratio_bound(fam, 0.0) == 0.0
+    d = fam.d_inf_beyond(0)
+    ratios = [x / (x + d) for x in (0.0, 1e-6, 1.0, 1e8)]
+    assert all(0.0 <= rb < 1.0 for rb in ratios)
+    assert ratios[0] == 0.0
+
+
+_tables = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n),
+    st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n),
+    st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n),
+))
+
+_any_family = st.one_of(
+    st.builds(PiecewiseConstantFamily, st.floats(0.01, 100.0), st.integers(0, 50)),
+    st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 5.0))
+    .map(lambda a_gap: PowerLawFamily.from_ab(a_gap[0], a_gap[0] - a_gap[1])),
+    # non-increasing k and p, so the table raises no monotonicity warning
+    _tables.map(lambda kpq: TabulatedFamily(sorted(kpq[0], reverse=True),
+                                            sorted(kpq[1], reverse=True), kpq[2])),
+)
+
+
+@given(_any_family, st.integers(0, 2000))
+# tiny a puts the interior minimum t* of t^a + t^b past the float range
+@example(PowerLawFamily.from_ab(5e-324, -2.2e-313), 844)
+@example(PowerLawFamily.from_ab(3e-149, -0.25), 0)
+def test_tail_infimum_below_the_next_512_d(fam, n):
+    """d_inf_beyond(n) is a lower bound on every d_i with i > n.
+
+    The power-law infimum raises i to a and b with Python's pow, d_values
+    with numpy's, and the two may round apart by an ulp each.
+    """
+    probed = float(np.min(fam.d_values(np.arange(n + 1, n + 513))))
+    assert fam.d_inf_beyond(n) <= probed + 4.0 * np.spacing(probed)
 
 
 @given(st.integers(0, 20))

@@ -146,9 +146,9 @@ _M_PINS = [
 ]
 
 
-def _scalar_F_values(fam, xs, *, tol, term_cap):
-    return np.array([F_equilibrium(fam, float(x), tol=tol, term_cap=term_cap,
-                                   cross_check=False).value for x in xs])
+def _scalar_F_values(fam, xs, *, tol):
+    return np.array([F_equilibrium(fam, float(x), tol=tol, cross_check=False).value
+                     for x in xs])
 
 
 @pytest.mark.parametrize("a,b,m,attained_at,err,evals", _M_PINS)

@@ -1,22 +1,17 @@
-"""Special-function kernels against closed forms, mpmath, and scipy."""
+"""Special-function kernels against closed forms and mpmath."""
 
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
-import scipy.special as sps
 
 from quartzeq.errors import DomainError
 from quartzeq.special import (
     EULER_GAMMA,
-    bernoulli,
     bernoulli_fraction,
     gamma,
     harmonic,
-    incomplete_gamma_upper,
-    reg_lower_gamma,
-    reg_upper_gamma,
     zeta,
 )
 
@@ -70,7 +65,6 @@ class TestBernoulli:
     def test_odd_vanish(self):
         for n in range(3, 21, 2):
             assert bernoulli_fraction(n) == 0
-            assert bernoulli(n) == 0.0
 
     def test_table_range_guard(self):
         with pytest.raises(DomainError):
@@ -85,36 +79,3 @@ def test_harmonic_numbers():
 
 def test_euler_gamma_constant():
     assert EULER_GAMMA == pytest.approx(float(mpmath.euler), abs=1e-16)
-
-
-class TestIncompleteGamma:
-    @pytest.mark.parametrize(
-        "s,x",
-        [
-            (0.5, 0.25),
-            (1.0, 1.0),
-            (2.5, 0.1),
-            (2.5, 10.0),
-            (10.0, 9.5),
-            (50.0, 55.0),
-        ],
-    )
-    def test_against_scipy(self, s, x):
-        assert reg_lower_gamma(s, x) == pytest.approx(sps.gammainc(s, x), rel=1e-12)
-        assert reg_upper_gamma(s, x) == pytest.approx(sps.gammaincc(s, x), rel=1e-12)
-
-    def test_large_diagonal_transition(self):
-        # s ~ x ~ 1e4 sits on the series/continued-fraction crossover where
-        # both expansions converge slowly; ~6e-12 relative is the measured
-        # envelope there, well inside what the closed-form caller needs
-        s, x = 10002.0, 10000.0
-        assert reg_lower_gamma(s, x) == pytest.approx(sps.gammainc(s, x), rel=5e-9)
-
-    def test_complementarity(self):
-        for s, x in ((0.7, 0.3), (3.0, 2.0), (12.0, 15.0)):
-            assert reg_lower_gamma(s, x) + reg_upper_gamma(s, x) == pytest.approx(1.0, abs=1e-14)
-
-    def test_unnormalised_upper(self):
-        # Gamma(1, x) = exp(-x)
-        assert incomplete_gamma_upper(1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-13)
-
