@@ -145,17 +145,16 @@ def R_sum_direct(a: float, A: float, v: float, *,
         raise DomainError(f"v must be finite and positive, got {v}")
     p = a + 1.0
 
-    def factors(idx):
+    def block(idx):
         # (j-1)^p - j^p without cancellation; log1p(-1) = -inf gives -1 at j = 1
         with np.errstate(divide="ignore"):
             neg_step = idx ** p * np.expm1(p * np.log1p(-1.0 / idx))
-        return lambda v: np.exp(v * neg_step)
+        return (lambda v: np.exp(v * neg_step)), (idx ** float(A),)
 
     def stop(n):
         return lambda v: ((n + 1.0) / n) ** max(A, 0.0) * math.exp(-v * p * n**a)
 
-    walk = blocked_sum(factors, (lambda idx: idx ** float(A),), stop, [v],
-                       cap=term_cap, tol=tol, name="R_sum")[0]
+    walk = blocked_sum(block, stop, [v], cap=term_cap, tol=tol, name="R_sum")[0]
     return certified(walk)
 
 
@@ -286,18 +285,18 @@ def K_direct(a: float, b: float, x: float, *, tol: float = 1e-12,
     if start < 0:
         raise DomainError(f"start must be >= 0, got {start}")
 
-    def factors(idx):
+    def block(idx):
         d = idx ** float(a)
-        return lambda x: x / (x + d)
+        return (lambda x: x / (x + d)), (idx ** (b + 1.0),)
 
     def stop(n):
         c, d = ((n + 1.0) / n) ** max(b + 1.0, 0.0), (n + 1.0) ** a
         return lambda x: c * x / (x + d)
 
-    q = blocked_sum(factors, (), None, [x], cap=start)[0].q_n if start else 1.0
-    walk = blocked_sum(factors, (lambda idx: idx ** (b + 1.0),), stop, [x],
-                       cap=start + term_cap, tol=tol, name="K_direct",
-                       start=start, q=q)[0]
+    # the prefix walk reads only the product q_n of its blocks
+    q = blocked_sum(block, None, [x], cap=start)[0].q_n if start else 1.0
+    walk = blocked_sum(block, stop, [x], cap=start + term_cap, tol=tol,
+                       name="K_direct", start=start, q=q)[0]
     return certified(walk, start=start)
 
 

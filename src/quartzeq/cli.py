@@ -11,7 +11,8 @@ byte-identical across runs on one platform.
 Exit codes: 0 success (and, for `reproduce`, all checks passed);
 1 failed checks; 2 usage errors; 3 numeric failures (unreached
 tolerance, term cap, integration breakdown) with a structured JSON
-diagnostic on stderr.
+diagnostic on stderr; 141 (128 + SIGPIPE) when the reader closes stdout
+early, silently, as a shell reports for any command in such a pipe.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import sys
 
 from . import acceptance
@@ -55,6 +57,7 @@ __all__ = ["main", "RunConfig"]
 _EXIT_CHECK_FAILED = 1
 _EXIT_USAGE = 2
 _EXIT_NUMERIC = 3
+_EXIT_BROKEN_PIPE = 141
 
 
 @dataclasses.dataclass(frozen=True)
@@ -471,9 +474,11 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         # per verb: each subparser parses into a fresh namespace, so
         # seeding the outer namespace would be silently discarded
         for sub in subs.choices.values():
-            known = {action.dest for action in sub._actions}
-            sub.set_defaults(**{key: val for key, val in config_defaults.items()
-                                if key in known})
+            actions = {action.dest: action for action in sub._actions}
+            applied = {key: val for key, val in config_defaults.items() if key in actions}
+            # argparse checks choices on flags only; main checks what config sets
+            sub.set_defaults(**applied, config_choices={
+                key: actions[key].choices for key in applied if actions[key].choices})
     return parser
 
 
@@ -499,7 +504,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         parser = build_parser(_load_defaults(argv))
         args = parser.parse_args(argv)
-        return args.func(args)
+        for key, choices in getattr(args, "config_choices", {}).items():
+            if getattr(args, key) not in choices:
+                raise DomainError(f"config value {key}={getattr(args, key)!r} for "
+                                  f"{args.verb} is not one of {list(choices)}")
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader is gone: devnull keeps the exit flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_BROKEN_PIPE
     except (ConvergenceError, ConsistencyError, IntegrationError) as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "diagnostic"):

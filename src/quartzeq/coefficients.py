@@ -13,8 +13,9 @@ through ``d_inf_beyond(n)``, the infimum of d_i over i > n, so
 min(d0, d_inf_beyond(0)) is z.
 
 Accessor contract: ``rates(idx)`` returns the arrays (k, p, q) and
-``d_values``, ``rho_values`` and ``g_values`` the derived ratios in their
-per-kind exact form, all vectorised over index arrays with i >= 1.
+``ratios(idx)`` the derived arrays (d, rho, g) in their per-kind exact
+form, both vectorised over index arrays with i >= 1; ``d_values(idx)`` is
+the first of the ratios.  A series block reads ``ratios`` once.
 Cohort 0 is read from the attributes ``k0, p0, q0`` (with ``d0`` derived
 from them); ``rates_through(n)`` joins the two over 0..n.
 
@@ -69,14 +70,12 @@ class CoefficientFamily:
         """(k_i, p_i, q_i) at each index."""
         raise NotImplementedError
 
+    def ratios(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(d_i, rho_i, g_i) at each index, in the family's exact form."""
+        raise NotImplementedError
+
     def d_values(self, idx: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def g_values(self, idx: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def rho_values(self, idx: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.ratios(idx)[0]
 
     def rates_through(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(k, p, q) arrays over cohorts 0..n."""
@@ -137,14 +136,9 @@ class PiecewiseConstantFamily(CoefficientFamily):
         return (np.full(idx.shape, self.k_value), np.where(removal, 1.0, 0.0),
                 np.where(removal, 0.0, 1.0))
 
-    def d_values(self, idx):
-        return np.full(idx.shape, 1.0 / self.k_value)
-
-    def g_values(self, idx):
-        return np.where(idx <= self.N, 0.0, 1.0 / self.k_value)
-
-    def rho_values(self, idx):
-        return np.where(idx <= self.N, 1.0 / self.k_value, 0.0)
+    def ratios(self, idx):
+        removal, d = idx <= self.N, 1.0 / self.k_value
+        return np.full(idx.shape, d), np.where(removal, d, 0.0), np.where(removal, 0.0, d)
 
     def d_inf_beyond(self, n):
         return 1.0 / self.k_value
@@ -244,15 +238,10 @@ class PowerLawFamily(CoefficientFamily):
         fi = idx.astype(float)
         return fi ** -self.k_exp, fi ** -self.p_exp, fi ** self.q_exp
 
-    def d_values(self, idx):
+    def ratios(self, idx):
         fi = idx.astype(float)
-        return fi ** self.a + fi ** self.b
-
-    def g_values(self, idx):
-        return idx.astype(float) ** self.a
-
-    def rho_values(self, idx):
-        return idx.astype(float) ** self.b
+        ia, ib = fi ** self.a, fi ** self.b
+        return ia + ib, ib, ia
 
     def d_inf_beyond(self, n):
         return _power_law_inf_from(self.a, self.b, max(n + 1, 1))
@@ -313,14 +302,12 @@ class TabulatedFamily(CoefficientFamily):
         self._d = tuple((pi + qi) / ki for ki, pi, qi in zip(k, p, q))
         self._g = tuple(qi / ki for ki, qi in zip(k, q))
         self._rho = tuple(pi / ki for ki, pi in zip(k, p))
+        self._drg = np.array([self._d, self._rho, self._g])
         # suffix minima of d, including the constant tail
         suffix = [self._d[-1]] * len(self._d)
         for i in range(len(self._d) - 2, -1, -1):
             suffix[i] = min(self._d[i], suffix[i + 1])
         self._d_suffix_min = tuple(suffix)
-        self._d_arr = np.array(self._d)
-        self._g_arr = np.array(self._g)
-        self._rho_arr = np.array(self._rho)
         for name, arr in (("k", k), ("p", p)):
             if any(arr[i + 1] > arr[i] * (1.0 + 1e-12) for i in range(len(arr) - 1)):
                 warnings.warn(
@@ -338,14 +325,8 @@ class TabulatedFamily(CoefficientFamily):
     def rates(self, idx):
         return tuple(self._kpq[:, self._clipped(idx)])
 
-    def d_values(self, idx):
-        return self._d_arr[self._clipped(idx)]
-
-    def g_values(self, idx):
-        return self._g_arr[self._clipped(idx)]
-
-    def rho_values(self, idx):
-        return self._rho_arr[self._clipped(idx)]
+    def ratios(self, idx):
+        return tuple(self._drg[:, self._clipped(idx)])
 
     def d_inf_beyond(self, n):
         j = min(n + 1, len(self._d) - 1)

@@ -16,11 +16,13 @@ and the equilibrium function itself is F(x) = H(x) / (x + d_0).
 
 One kernel, blocked_sum, walks the Q_i in blocks once and accumulates
 every requested weight in that pass; the audits, tail_product and the
-direct sums of the asymptotics module call it too.  One walk can carry
-many x, one row each: a block's d_i and weights are computed once for all
-rows, each row keeps its own sums and stop test and retires on its own, so
-every row's result is bit for bit that of a walk over its x alone.
-F_values evaluates F over a grid that way.
+direct sums of the asymptotics module call it too.  Each block reads the
+family once: one ratios(idx) call gives the d_i of the factors and the
+rho_i and g_i of the weights.  One walk can carry many x, one row each: a
+block's factors and weights are computed once for all rows, each row keeps
+its own sums and stop test and retires on its own, so every row's result
+is bit for bit that of a walk over its x alone.  F_values evaluates F over
+a grid that way.
 
 Truncation control: past an index n where the certified step-ratio bound
     s_n = [sup_{i>=n} w_{i+1}/w_i] * x / (x + inf_{i>n} d_i)
@@ -117,17 +119,18 @@ class _Walk(NamedTuple):
     q_n: float  # the running product at n
 
 
-def blocked_sum(factors, weights, stop, xs, *, cap: int, tol: float = 0.0,
+def blocked_sum(block, stop, xs, *, cap: int, tol: float = 0.0,
                 name: str = "series", start: int = 0, q: float = 1.0) -> list[_Walk]:
     """The certified summation kernel shared by every series in the package.
 
     Walks Q_i = q * prod_{j=start+1..i} f_j(x) over i = start+1, ... for
     every x in xs (one row each) in blocks of 64 doubling to 8192 indices,
-    and adds sum w(i) Q_i to one compensated sum per weight and row (None
-    is the unit weight).  factors(idx) does a block's per-index work once
-    and returns the map from x (a 0-d array, or a column for many rows) to
-    the factors.  Rows share the cumulative product in chunks of at most
-    2^14 elements.
+    and adds sum w_i Q_i to one compensated sum per weight and row.
+    block(idx) does a block's per-index work once and returns (fmap,
+    weights): fmap maps x (a 0-d array, or a column for many rows) to the
+    factors, and weights holds one array over idx per sum (None is the
+    unit weight); the first block fixes the number of sums.  Rows share the
+    cumulative product in chunks of at most 2^14 elements.
 
     With stop=None every row ends after index cap.  Otherwise stop(n) maps x
     to a bound s on sup_{i>=n} T_{i+1}/T_i for the terms T_i of the first
@@ -139,8 +142,7 @@ def blocked_sum(factors, weights, stop, xs, *, cap: int, tol: float = 0.0,
     """
     walks: list[_Walk | None] = [None] * len(xs)
     # a row: [index in xs, x, x as a 0-d array, running product, sums]
-    live = [[i, x, np.array(x, dtype=float), q, [NeumaierSum() for _ in weights]]
-            for i, x in enumerate(xs)]
+    live = [[i, x, np.array(x, dtype=float), q, []] for i, x in enumerate(xs)]
 
     def settle(row, row_sums, q, t) -> bool:
         """Add one block to a row: True if the row retires at index hi."""
@@ -157,14 +159,16 @@ def blocked_sum(factors, weights, stop, xs, *, cap: int, tol: float = 0.0,
                 return True
         return False
 
-    n, block = start, 64
+    n, size = start, 64
     while live and n < cap:
-        hi = min(n + block, cap)
+        hi = min(n + size, cap)
         idx = np.arange(n + 1, hi + 1)
-        fmap = factors(idx)
-        ws = [None if w is None else w(idx) for w in weights]
+        fmap, ws = block(idx)
+        if n == start:
+            for row in live:
+                row[4] = [NeumaierSum() for _ in ws]
         bound = None if stop is None else stop(hi)
-        chunk, retired = _CHUNK // block, False
+        chunk, retired = _CHUNK // size, False
         for rows in ([live] if len(live) <= chunk else
                      [live[a:a + chunk] for a in range(0, len(live), chunk)]):
             lone = len(rows) == 1
@@ -189,7 +193,7 @@ def blocked_sum(factors, weights, stop, xs, *, cap: int, tol: float = 0.0,
         if retired:
             live = [row for row in live if walks[row[0]] is None]
         n = hi
-        block = min(block * 2, 8192)
+        size = min(size * 2, 8192)
     if live and stop is not None:
         raise ConvergenceError(
             f"{name} did not reach tol={tol} within {cap - start} terms at x={live[0][1]}",
@@ -215,22 +219,20 @@ def certified(walk: _Walk, pref: float = 1.0, head: float = 0.0,
     return BoundedValue(value, tail, walk.n - start)
 
 
-def _q_factors(fam: CoefficientFamily):
+def _q_block(fam: CoefficientFamily, weights):
+    """blocked_sum's block for Q_i: one ratios read gives d and weights(idx, d, rho, g)."""
     def block(idx):
-        d = fam.d_values(idx)
-        return lambda x: x / (x + d)
+        d, rho, g = fam.ratios(idx)
+        return (lambda x: x / (x + d)), weights(idx, d, rho, g)
     return block
 
 
 def _q_walk(fam, xs, which, tol, term_cap, name) -> list[_Walk]:
-    """Per x in xs, sums of w_i Q_i for the weights named in ``which``, in
-    one pass that stops when the first one's tail meets tol."""
-    series = {  # name: (w_i, sup_{i>=n} w_{i+1}/w_i)
-        "ones": (None, lambda n: 1.0),
-        "iq": (lambda idx: idx * fam.g_values(idx), fam.iq_ratio_sup),
-        "irho": (lambda idx: idx * fam.rho_values(idx), fam.irho_ratio_sup),
-    }
-    ratio_sup = series[which[0]][1]
+    """Per x in xs, sums of w_i Q_i for the weights named in ``which`` (1, i rho_i
+    or i g_i), in one pass that stops when the first one's tail meets tol."""
+    picks = [{"ones": None, "irho": 1, "iq": 2}[w] for w in which]  # in (d, rho, g)
+    ratio_sup = {"ones": lambda n: 1.0, "irho": fam.irho_ratio_sup,  # sup w_{i+1}/w_i
+                 "iq": fam.iq_ratio_sup}[which[0]]
 
     def stop(n):
         sup = ratio_sup(n)
@@ -239,8 +241,9 @@ def _q_walk(fam, xs, which, tol, term_cap, name) -> list[_Walk]:
         d = fam.d_inf_beyond(n)
         return lambda x: sup * x / (x + d)
 
-    return blocked_sum(_q_factors(fam), [series[w][0] for w in which], stop, xs,
-                       cap=term_cap, tol=tol, name=name)
+    block = _q_block(fam, lambda idx, *drg: [None if k is None else idx * drg[k]
+                                             for k in picks])
+    return blocked_sum(block, stop, xs, cap=term_cap, tol=tol, name=name)
 
 
 def _check_x(x: float) -> None:
@@ -304,7 +307,7 @@ def F_equilibrium(fam: CoefficientFamily, x: float, *,
     (the cohort equations multiplied by i and summed, exact at every
     finite n) must hold within its rounding envelope, or ConsistencyError
     is raised.  That verifies the summed products against d and that the
-    family's d_values equal rho_values + g_values.  It does not verify the
+    family's ratios have d = rho + g.  It does not verify the
     truncation bound of the omitted tail, which rests on the family's
     ratio certificate (irho_ratio_sup, d_inf_beyond).
     """
@@ -409,7 +412,7 @@ def tail_product(fam: CoefficientFamily, x: float, n: int) -> float:
     _check_x(x)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    return blocked_sum(_q_factors(fam), (), None, [x], cap=n)[0].q_n
+    return blocked_sum(_q_block(fam, lambda idx, d, rho, g: ()), None, [x], cap=n)[0].q_n
 
 
 def audit_G_identity(fam: CoefficientFamily, x: float, n_terms: int) -> tuple[float, float]:
@@ -424,8 +427,7 @@ def audit_G_identity(fam: CoefficientFamily, x: float, n_terms: int) -> tuple[fl
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     if x == 0.0:
         return 0.0, 0.0
-    walk = blocked_sum(_q_factors(fam),
-                       (lambda idx: (idx * fam.d_values(idx) - x) / x,),
+    walk = blocked_sum(_q_block(fam, lambda idx, d, rho, g: ((idx * d - x) / x,)),
                        None, [x], cap=n_terms)[0]
     s = walk.sums[0]
     return s, abs(1.0 - s - (n_terms + 1) * walk.q_n)
@@ -441,7 +443,8 @@ def audit_d_identity(fam: CoefficientFamily, x: float, n_terms: int) -> tuple[fl
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     if x == 0.0:
         return 0.0, 0.0
-    walk = blocked_sum(_q_factors(fam), (fam.d_values,), None, [x], cap=n_terms)[0]
+    walk = blocked_sum(_q_block(fam, lambda idx, d, rho, g: (d,)), None, [x],
+                       cap=n_terms)[0]
     s = walk.sums[0]
     return s, abs(s + x * walk.q_n - x)
 

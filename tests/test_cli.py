@@ -1,15 +1,20 @@
 """CLI surface: document schemas, exit codes, config echo, determinism.
 
-Everything runs in-process through cli.main(argv); no subprocesses, so
-the suite stays fast and failures keep their tracebacks.
+Everything runs in-process through cli.main(argv), so the suite stays
+fast and failures keep their tracebacks; only the closed-pipe test needs
+a subprocess, for a real stdout file descriptor.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -315,6 +320,36 @@ class TestConfigFile:
         code, _, err = run(["--config", "/nonexistent/cfg.json", "roots"])
         assert code == 2
         assert "usage error" in err
+
+    def test_config_value_outside_choices_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"format": "csv", "k": 1.0, "N": 1,
+                                   "alpha": 0.2, "r": 1.0}))
+        code, out, err = run(["--config", str(cfg), "roots"])
+        assert (code, out) == (2, "")
+        assert "usage error" in err and "format" in err
+        # an explicit flag replaces the config value, and another verb may
+        # accept it
+        assert run(["--config", str(cfg), "roots", "--format", "json"])[0] == 0
+        code, out, _ = run(["--config", str(cfg), "equilibrium", "--x", "1"])
+        assert code == 0 and out.startswith("# config: ")
+
+
+def test_closed_pipe_exits_141_silently():
+    # the reader is gone before the first write, as in `quartzeq ... | head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quartzeq.cli", "roots", "--k", "1", "--N", "1",
+             "--alpha", "0.2", "--r", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_byte_identical_reruns():

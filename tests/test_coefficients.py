@@ -36,9 +36,9 @@ class TestPiecewiseConstant:
     @given(st.floats(0.1, 10.0), st.integers(0, 12))
     def test_weights_beyond_horizon(self, k, N):
         fam = PiecewiseConstantFamily(k, N)
-        idx = np.arange(1, N + 2)
-        rho = [fam.p0 / fam.k0] + fam.rho_values(idx).tolist()
-        g = [fam.q0 / fam.k0] + fam.g_values(idx).tolist()
+        _, rho, g = fam.ratios(np.arange(1, N + 2))
+        rho = [fam.p0 / fam.k0] + rho.tolist()
+        g = [fam.q0 / fam.k0] + g.tolist()
         assert rho[N] == pytest.approx(1.0 / k)
         assert rho[N + 1] == 0.0
         assert g[N] == 0.0
@@ -149,7 +149,8 @@ def test_rate_accessors_agree(fam):
     k, p, q = k[1:], p[1:], q[1:]
     for part, whole in zip(fam.rates(idx), (k, p, q)):
         assert part.tolist() == whole.tolist()
-    d, rho, g = fam.d_values(idx), fam.rho_values(idx), fam.g_values(idx)
+    d, rho, g = fam.ratios(idx)
+    assert fam.d_values(idx).tolist() == d.tolist()
     assert np.all(np.abs(d - (rho + g)) <= 2.0 * np.spacing(d))
     # The exact forms raise i to a = q_exp + k_exp and b = k_exp - p_exp,
     # exponents rounded once more than the rates' own, which moves i^a by
@@ -217,7 +218,7 @@ def test_ratio_sups_cover_weight_growth(n):
     fam = PiecewiseConstantFamily(1.0, 4)
     m_sup = fam.m_ratio_sup(n)
     iq_sup = fam.iq_ratio_sup(n)
-    g = dict(zip(range(n + 1, n + 31), fam.g_values(np.arange(n + 1, n + 31))))
+    g = dict(zip(range(n + 1, n + 31), fam.ratios(np.arange(n + 1, n + 31))[2]))
     for i in range(n + 1, n + 30):
         assert 1.0 <= m_sup  # mass weights are constant
         gi, gi1 = g[i], g[i + 1]

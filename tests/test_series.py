@@ -190,8 +190,9 @@ def test_piecewise_f_checked_beyond_the_flux_series_reach(kx, N):
 class _SkewedD(PowerLawFamily):
     """d_i off from rho_i + g_i by one part in 1e9."""
 
-    def d_values(self, idx):
-        return super().d_values(idx) * (1.0 + 1e-9)
+    def ratios(self, idx):
+        d, rho, g = super().ratios(idx)
+        return d * (1.0 + 1e-9), rho, g
 
 
 @pytest.mark.parametrize("x", [1e-2, 1.0, 1e2, 1e4])
@@ -200,6 +201,37 @@ def test_balance_catches_d_off_rho_plus_g(x):
     F_equilibrium(fam, x, cross_check=False)
     with pytest.raises(ConsistencyError):
         F_equilibrium(fam, x)
+
+
+def _block_sizes(n):
+    """Index counts of the blocks of a walk over i = 1..n: 64 doubling to 8192."""
+    sizes, size = [], 64
+    while sum(sizes) < n:
+        sizes.append(min(size, n - sum(sizes)))
+        size = min(2 * size, 8192)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [PiecewiseConstantFamily(1.0, 300), PowerLawFamily.from_ab(1.5, -0.3)],
+    ids=["piecewise", "power_law"],
+)
+def test_one_ratios_read_per_block(fam, monkeypatch):
+    # each block reads d, rho and g together, for its factors and weights
+    reads = []
+    ratios = type(fam).ratios
+    monkeypatch.setattr(type(fam), "ratios",
+                        lambda self, idx: reads.append(len(idx)) or ratios(self, idx))
+    bv = F_equilibrium(fam, 1e5)
+    assert len(_block_sizes(bv.terms_used)) > 2
+    assert reads == _block_sizes(bv.terms_used)
+    for walk in (lambda: audit_G_identity(fam, 2.0, 1000),
+                 lambda: audit_d_identity(fam, 2.0, 1000),
+                 lambda: tail_product(fam, 2.0, 1000)):
+        reads.clear()
+        walk()
+        assert reads == _block_sizes(1000)
 
 
 def test_cross_check_accepts_whole_grid():
