@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import NeumaierSum
 from .coefficients import (
     CoefficientFamily,
     PiecewiseConstantFamily,
@@ -28,7 +27,8 @@ from .coefficients import (
     TabulatedFamily,
 )
 from .dynamics import conservation_residual, initial_state, integrate
-from .piecewise import F_piecewise, alpha_star, solve_roots, stationary_point
+from .piecewise import (F_piecewise, alpha_star, solve_roots, stationary_point,
+                        sum_iqM_closed, sum_kM_closed)
 from .powerlaw import Regime, classify_regime
 from .series import F_values, H_series, audit_G_identity, audit_d_identity, sum_iqM, sum_kM
 from .asymptotics import (
@@ -130,13 +130,10 @@ def criterion_2(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         fam = PiecewiseConstantFamily(k_value=k, N=N)
         for x in np.geomspace(1e-2, 1e2, 100) / k:
             skm = sum_kM(fam, x, r)
-            target = r * k
-            chk.expect(abs(skm.value - target) <= skm.tail_bound,
+            chk.expect(abs(skm.value - sum_kM_closed(k, N, x, r)) <= skm.tail_bound,
                        f"kM off at k={k:.3g} N={N} x={x:.3g}")
             siqm = sum_iqM(fam, x, r)
-            y = math.exp(-(N + 1) * math.log1p(1.0 / (k * x)))
-            target_q = r * y * (k * x + N + 1)
-            chk.expect(abs(siqm.value - target_q) <= siqm.tail_bound,
+            chk.expect(abs(siqm.value - sum_iqM_closed(k, N, x, r)) <= siqm.tail_bound,
                        f"iqM off at k={k:.3g} N={N} x={x:.3g}")
     return chk.summary()
 
@@ -304,10 +301,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
             chk.expect(got == acc, f"power_sum({a},{n}) = {got} != {acc}")
     for a in (0.5, 1.5):
         n = 10 ** 4
-        acc = NeumaierSum()
-        for j in range(1, n + 1):
-            acc.add(float(j) ** a)
-        direct = acc.value
+        direct = math.fsum(float(j) ** a for j in range(1, n + 1))
         got = power_sum(a, n, depth=3)
         rel = abs(got - direct) / direct
         chk.expect(rel <= 1e-12, f"rel {rel:.2e} at a={a}")

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .series import BoundedValue, blocked_sum, certified
+from .series import DEFAULT_TERM_CAP, DEFAULT_TOL, BoundedValue, blocked_sum, certified
 from .special import (
     EULER_GAMMA,
     bernoulli_fraction,
@@ -131,8 +131,8 @@ def _check_a(a: float) -> None:
         raise DomainError(f"a must be finite and >= 0, got {a}")
 
 
-def R_sum_direct(a: float, A: float, v: float, *,
-                 tol: float = 1e-12, term_cap: int = 10**6) -> BoundedValue:
+def R_sum_direct(a: float, A: float, v: float, *, tol: float = DEFAULT_TOL,
+                 term_cap: int = DEFAULT_TERM_CAP) -> BoundedValue:
     """sum_{i>=1} i^A exp(-v i^{a+1}) with a certified truncation bound.
 
     exp(-v i^{a+1}) is walked as the running product of the factors
@@ -158,12 +158,12 @@ def R_sum_direct(a: float, A: float, v: float, *,
     return certified(walk)
 
 
-def _pole_order(theta: float, *, tol: float = 1e-12) -> int | None:
-    """k0 >= 0 if theta is (numerically) the nonpositive integer -k0."""
+def _pole_order(theta: float) -> int | None:
+    """k0 >= 0 if theta is, within 1e-12, the nonpositive integer -k0."""
     if theta > 0.5:
         return None
     k0 = round(-theta)
-    if k0 >= 0 and abs(theta + k0) <= tol:
+    if k0 >= 0 and abs(theta + k0) <= 1e-12:
         return k0
     return None
 
@@ -272,13 +272,14 @@ def _check_bx(b: float, x: float) -> None:
         raise DomainError(f"x must be finite and positive, got {x}")
 
 
-def K_direct(a: float, b: float, x: float, *, tol: float = 1e-12,
-             term_cap: int = 10**6, start: int = 0) -> BoundedValue:
+def K_direct(a: float, b: float, x: float, *, tol: float = DEFAULT_TOL,
+             term_cap: int = DEFAULT_TERM_CAP, start: int = 0) -> BoundedValue:
     """sum_{i>start} i^{b+1} prod_{j=1..i} x/(x+j^a), certified.
 
-    This is H with d_j = j^a and rho_i = i^b.  With start > 0 the
-    product prefix over j <= start is included, so the result is the
-    exact tail of K beyond the start index.
+    This is H with d_j = j^a and rho_i = i^b.  With start > 0 it is the
+    exact tail of K beyond the start index, summed in the same one walk:
+    the weight is 0 up to start, and no ratio bound is claimed there.
+    term_cap counts the terms past start.
     """
     _check_a(a)
     _check_bx(b, x)
@@ -286,17 +287,19 @@ def K_direct(a: float, b: float, x: float, *, tol: float = 1e-12,
         raise DomainError(f"start must be >= 0, got {start}")
 
     def block(idx):
-        d = idx ** float(a)
-        return (lambda x: x / (x + d)), (idx ** (b + 1.0),)
+        d, w = idx ** float(a), idx ** (b + 1.0)
+        if idx[0] <= start:
+            w[idx <= start] = 0.0
+        return (lambda x: x / (x + d)), (w,)
 
     def stop(n):
+        if n <= start:  # the next weight may still jump from zero
+            return lambda x: math.inf
         c, d = ((n + 1.0) / n) ** max(b + 1.0, 0.0), (n + 1.0) ** a
         return lambda x: c * x / (x + d)
 
-    # the prefix walk reads only the product q_n of its blocks
-    q = blocked_sum(block, None, [x], cap=start)[0].q_n if start else 1.0
     walk = blocked_sum(block, stop, [x], cap=start + term_cap, tol=tol,
-                       name="K_direct", start=start, q=q)[0]
+                       name="K_direct")[0]
     return certified(walk, start=start)
 
 
@@ -506,22 +509,20 @@ def cutoff_index(a: float, x: float) -> int:
     return max(1, math.ceil(x ** (3.0 / (3.0 * a + 2.0))))
 
 
-def tail_beyond_cutoff(a: float, b: float, x: float, *,
-                       tol: float = 1e-12, term_cap: int = 10**6) -> BoundedValue:
+def tail_beyond_cutoff(a: float, b: float, x: float) -> BoundedValue:
     """Mass of the K series beyond the cutoff index, certified."""
-    return K_direct(a, b, x, tol=tol, term_cap=term_cap, start=cutoff_index(a, x))
+    return K_direct(a, b, x, start=cutoff_index(a, x))
 
 
-def relative_tail_beyond_cutoff(a: float, b: float, x: float, *,
-                                tol: float = 1e-12, term_cap: int = 10**6) -> float:
+def relative_tail_beyond_cutoff(a: float, b: float, x: float) -> float:
     """Upper bound on (beyond-cutoff mass) / K, the fraction the cutoff drops.
 
     The absolute beyond-cutoff mass grows with x (K itself grows
     polynomially); exponential smallness is a statement about this
     fraction, which is what the fitted envelopes bound.
     """
-    t = tail_beyond_cutoff(a, b, x, tol=tol, term_cap=term_cap)
-    k = K_direct(a, b, x, tol=tol, term_cap=term_cap)
+    t = tail_beyond_cutoff(a, b, x)
+    k = K_direct(a, b, x)
     return (t.value + t.tail_bound) / k.value
 
 
@@ -547,8 +548,7 @@ class TailEnvelope:
         return self.amplitude * math.exp(-self.rate * x**self.exponent)
 
 
-def fit_tail_envelope(a: float, b: float, xs, *,
-                      tol: float = 1e-12, term_cap: int = 10**6) -> TailEnvelope:
+def fit_tail_envelope(a: float, b: float, xs) -> TailEnvelope:
     """Fit a TailEnvelope to measured relative beyond-cutoff tails."""
     _check_a(a)
     xs = sorted(float(x) for x in xs)
@@ -557,7 +557,7 @@ def fit_tail_envelope(a: float, b: float, xs, *,
     s = 1.0 / (3.0 * a + 1.0)
     us, logs, tails = [], [], []
     for x in xs:
-        ratio = relative_tail_beyond_cutoff(a, b, x, tol=tol, term_cap=term_cap)
+        ratio = relative_tail_beyond_cutoff(a, b, x)
         if not ratio > 0.0:
             raise DomainError(f"relative tail underflowed at x={x}")
         us.append(x**s)
@@ -575,8 +575,7 @@ def fit_tail_envelope(a: float, b: float, xs, *,
 
 
 def tail_cutoff_check(a: float, b: float, x: float, *,
-                      envelope: TailEnvelope | None = None,
-                      tol: float = 1e-12, term_cap: int = 10**6) -> tuple[int, float]:
+                      envelope: TailEnvelope | None = None) -> tuple[int, float]:
     """(cutoff index, certified beyond-cutoff mass upper bound) at x.
 
     With an envelope, additionally asserts that the relative tail at x
@@ -584,10 +583,10 @@ def tail_cutoff_check(a: float, b: float, x: float, *,
     envelope fails to hold out of sample.
     """
     i0 = cutoff_index(a, x)
-    t = tail_beyond_cutoff(a, b, x, tol=tol, term_cap=term_cap)
+    t = tail_beyond_cutoff(a, b, x)
     t_hi = t.value + t.tail_bound
     if envelope is not None:
-        k = K_direct(a, b, x, tol=tol, term_cap=term_cap)
+        k = K_direct(a, b, x)
         ratio = t_hi / k.value
         if ratio > envelope.bound(x):
             raise ConsistencyError(

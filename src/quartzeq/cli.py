@@ -390,7 +390,7 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
-def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quartzeq",
         description="Equilibria of quartz-laden macrophage cohort models",
@@ -470,44 +470,54 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
                      metavar="N", help="run only criterion N (repeatable)")
     rep.set_defaults(func=_cmd_reproduce)
 
-    if config_defaults:
-        # per verb: each subparser parses into a fresh namespace, so
-        # seeding the outer namespace would be silently discarded
-        for sub in subs.choices.values():
-            actions = {action.dest: action for action in sub._actions}
-            applied = {key: val for key, val in config_defaults.items() if key in actions}
-            # argparse checks choices on flags only; main checks what config sets
-            sub.set_defaults(**applied, config_choices={
-                key: actions[key].choices for key in applied if actions[key].choices})
     return parser
 
 
-def _load_defaults(argv: list[str]) -> dict | None:
-    """Pre-scan for --config and load its flag defaults."""
-    for j, tok in enumerate(argv):
-        path = None
-        if tok == "--config" and j + 1 < len(argv):
-            path = argv[j + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-        if path:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise DomainError("config file must hold a JSON object")
-            return doc
-    return None
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with the --config file's values inserted after the verb as flags.
+
+    Each key that names a value flag of the verb (by its dest, as in
+    term_cap) becomes --flag=text, so argparse checks it like a typed flag;
+    a flag given explicitly after the verb replaces the key.  A list is
+    allowed only for the repeatable --criterion.
+    """
+    path, j = None, 0
+    while j < len(argv) and argv[j].startswith("-"):
+        if argv[j] == "--config" and j + 1 < len(argv):
+            path, j = argv[j + 1], j + 1
+        elif argv[j].startswith("--config="):
+            path = argv[j].split("=", 1)[1]
+        j += 1
+    verbs = next(act for act in parser._actions
+                 if isinstance(act, argparse._SubParsersAction)).choices
+    if not path or j == len(argv) or argv[j] not in verbs:
+        return argv
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DomainError("config file must hold a JSON object")
+    given = {tok.split("=", 1)[0] for tok in argv[j + 1:]}
+    inserted = []
+    for act in verbs[argv[j]]._actions:
+        if (act.dest not in doc or not act.option_strings or act.nargs == 0
+                or given & set(act.option_strings)):
+            continue
+        val = doc[act.dest]
+        for v in val if isinstance(val, list) and act.dest == "criterion" else [val]:
+            if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+                raise DomainError(
+                    f"config value {act.dest}={json.dumps(val)} for {argv[j]} must be "
+                    "a string or a number (a list of them for criterion)")
+            text = v if isinstance(v, str) else repr(v)
+            inserted.append(f"{act.option_strings[0]}={text}")
+    return argv[:j + 1] + inserted + argv[j + 1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = build_parser(_load_defaults(argv))
-        args = parser.parse_args(argv)
-        for key, choices in getattr(args, "config_choices", {}).items():
-            if getattr(args, key) not in choices:
-                raise DomainError(f"config value {key}={getattr(args, key)!r} for "
-                                  f"{args.verb} is not one of {list(choices)}")
+        parser = build_parser()
+        args = parser.parse_args(_with_config(parser, argv))
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

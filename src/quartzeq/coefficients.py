@@ -244,7 +244,9 @@ class PowerLawFamily(CoefficientFamily):
         return ia + ib, ib, ia
 
     def d_inf_beyond(self, n):
-        return _power_law_inf_from(self.a, self.b, max(n + 1, 1))
+        # d_values raises i with numpy's pow and _power_law_inf_from with
+        # Python's; they round up to 2 ulps apart, and 4 eps down covers that
+        return _power_law_inf_from(self.a, self.b, max(n + 1, 1)) * (1.0 - 2.0**-50)
 
     def iq_ratio_sup(self, n):
         # w_i = i^(1+a); the step factor decreases toward 1

@@ -14,9 +14,10 @@ Every series evaluated here is a nonnegative weighted sum of the Q_i:
 
 and the equilibrium function itself is F(x) = H(x) / (x + d_0).
 
-One kernel, blocked_sum, walks the Q_i in blocks once and accumulates
-every requested weight in that pass; the audits, tail_product and the
-direct sums of the asymptotics module call it too.  Each block reads the
+One kernel, blocked_sum, walks the Q_i in blocks once, from i = 1 and
+Q_0 = 1, and sums every requested weight in that pass: each sum is
+math.fsum of its block sums.  The audits, tail_product and the direct sums
+of the asymptotics module call it too.  Each block reads the
 family once: one ratios(idx) call gives the d_i of the factors and the
 rho_i and g_i of the weights.  One walk can carry many x, one row each: a
 block's factors and weights are computed once for all rows, each row keeps
@@ -51,7 +52,6 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .accumulate import NeumaierSum
 from .coefficients import CoefficientFamily
 from .errors import ConsistencyError, ConvergenceError, DomainError
 
@@ -113,60 +113,62 @@ class EquilibriumProfile:
 
 
 class _Walk(NamedTuple):
-    sums: tuple[float, ...]  # one compensated partial sum per weight
+    sums: tuple[float, ...]  # one partial sum per weight, math.fsum of its block sums
     trunc_tail: float  # truncation bound of the first weight's series
     n: int  # last index summed
     q_n: float  # the running product at n
 
 
 def blocked_sum(block, stop, xs, *, cap: int, tol: float = 0.0,
-                name: str = "series", start: int = 0, q: float = 1.0) -> list[_Walk]:
+                name: str = "series") -> list[_Walk]:
     """The certified summation kernel shared by every series in the package.
 
-    Walks Q_i = q * prod_{j=start+1..i} f_j(x) over i = start+1, ... for
-    every x in xs (one row each) in blocks of 64 doubling to 8192 indices,
-    and adds sum w_i Q_i to one compensated sum per weight and row.
-    block(idx) does a block's per-index work once and returns (fmap,
-    weights): fmap maps x (a 0-d array, or a column for many rows) to the
-    factors, and weights holds one array over idx per sum (None is the
-    unit weight); the first block fixes the number of sums.  Rows share the
-    cumulative product in chunks of at most 2^14 elements.
+    Walks Q_i = prod_{j=1..i} f_j(x) over i = 1, ..., from Q_0 = 1, for every
+    x in xs (one row each) in blocks of 64 doubling to 8192 indices, and sums
+    w_i Q_i for each weight and row: a row keeps its block sums per weight and
+    adds them with math.fsum when it retires.  block(idx) does a block's
+    per-index work once and returns (fmap, weights): fmap maps x (a 0-d
+    array, or a column for many rows) to the factors, and weights holds one
+    array over idx per sum (None is the unit weight); the first block fixes
+    the number of sums.  Rows share the cumulative product in chunks of at
+    most 2^14 elements.
 
     With stop=None every row ends after index cap.  Otherwise stop(n) maps x
     to a bound s on sup_{i>=n} T_{i+1}/T_i for the terms T_i of the first
     weight's series: 0 when every later term vanishes, >= 1 or inf while no
-    bound is known.  A row retires at the first block boundary where its
-    tail T_n s / (1 - s) is at most tol or its Q has underflowed, exactly
-    as a walk over its x alone would.  Returns one _Walk per x in xs; a row
-    still live at index cap raises ConvergenceError, for the first such x.
+    bound is known (as for a weight that can still jump from zero).  A row
+    retires at the first block boundary where its tail T_n s / (1 - s) is at
+    most tol or its Q has underflowed, exactly as a walk over its x alone
+    would.  Returns one _Walk per x in xs; a row still live at index cap
+    raises ConvergenceError, for the first such x.
     """
     walks: list[_Walk | None] = [None] * len(xs)
-    # a row: [index in xs, x, x as a 0-d array, running product, sums]
-    live = [[i, x, np.array(x, dtype=float), q, []] for i, x in enumerate(xs)]
+    # a row: [index in xs, x, x as a 0-d array, running product, block sums]
+    live = [[i, x, np.array(x, dtype=float), 1.0, []] for i, x in enumerate(xs)]
 
     def settle(row, row_sums, q, t) -> bool:
         """Add one block to a row: True if the row retires at index hi."""
-        i, x, _, _, accs = row
-        for acc, v in zip(accs, row_sums):
-            acc.add(v)
+        i, x, _, _, parts = row
+        for part, v in zip(parts, row_sums):
+            part.append(v)
         row[3] = q
         s = bound(x) if bound else math.inf
         if s < 1.0:
             # once Q has underflowed, the true tail is below any usable tol
             tail = 0.0 if s == 0.0 or q < _UNDERFLOW_FLOOR else t * s / (1.0 - s)
             if tail <= tol:
-                walks[i] = _Walk(tuple(acc.value for acc in accs), tail, hi, q)
+                walks[i] = _Walk(tuple(map(math.fsum, parts)), tail, hi, q)
                 return True
         return False
 
-    n, size = start, 64
+    n, size = 0, 64
     while live and n < cap:
         hi = min(n + size, cap)
         idx = np.arange(n + 1, hi + 1)
         fmap, ws = block(idx)
-        if n == start:
+        if n == 0:
             for row in live:
-                row[4] = [NeumaierSum() for _ in ws]
+                row[4] = [[] for _ in ws]
         bound = None if stop is None else stop(hi)
         chunk, retired = _CHUNK // size, False
         for rows in ([live] if len(live) <= chunk else
@@ -178,7 +180,7 @@ def blocked_sum(block, stop, xs, *, cap: int, tol: float = 0.0,
                 x_c = np.array([row[1] for row in rows], dtype=float)[:, None]
                 q_c = np.array([row[3] for row in rows])[:, None]
             qvals = fmap(x_c).cumprod(-1)
-            if not lone or q_c != 1.0:  # a walk starts at q = 1, and 1.0 * Q is Q
+            if n:  # the first block starts from Q_0 = 1
                 qvals = q_c * qvals
             terms = [qvals if w is None else w * qvals for w in ws]
             if lone:
@@ -196,11 +198,11 @@ def blocked_sum(block, stop, xs, *, cap: int, tol: float = 0.0,
         size = min(size * 2, 8192)
     if live and stop is not None:
         raise ConvergenceError(
-            f"{name} did not reach tol={tol} within {cap - start} terms at x={live[0][1]}",
-            series=name, x=live[0][1], terms_used=cap - start,
+            f"{name} did not reach tol={tol} within {cap} terms at x={live[0][1]}",
+            series=name, x=live[0][1], terms_used=cap,
         )
-    for i, _, _, q, accs in live:
-        walks[i] = _Walk(tuple(acc.value for acc in accs), 0.0, n, q)
+    for i, _, _, q, parts in live:
+        walks[i] = _Walk(tuple(map(math.fsum, parts)), 0.0, n, q)
     return walks
 
 

@@ -4,12 +4,12 @@ Every pinned coefficient below has a closed form written next to it, so a
 regression points straight at the kernel that drifted.
 """
 
+import functools
 import math
 
 import mpmath
 import pytest
 
-from quartzeq.accumulate import NeumaierSum
 from quartzeq.asymptotics import (
     AsymptoticExpansion,
     ExpansionTerm,
@@ -50,10 +50,8 @@ class TestPowerSum:
     @pytest.mark.parametrize("a", [0.5, 1.5])
     def test_fractional_matches_direct(self, a):
         n = 2000
-        acc = NeumaierSum()
-        for i in range(1, n + 1):
-            acc.add(float(i) ** a)
-        assert power_sum(a, n) == pytest.approx(acc.value, rel=1e-12)
+        direct = math.fsum(float(i) ** a for i in range(1, n + 1))
+        assert power_sum(a, n) == pytest.approx(direct, rel=1e-12)
 
     def test_depth_insensitive(self):
         assert power_sum(1.5, 500, depth=2) == pytest.approx(power_sum(1.5, 500, depth=6), rel=1e-9)
@@ -230,6 +228,37 @@ class TestCutoff:
         assert cutoff == cutoff_index(1.0, 1e3)
         t = tail_beyond_cutoff(1.0, -1.0, 1e3)
         assert bound >= t.value
+
+
+@functools.lru_cache(maxsize=None)
+def _k_terms_30_digits(a, b, x):
+    """The terms i^{b+1} prod_{j<=i} x/(x+j^a) of K at 30 digits, i = 1, 2, ...,
+    until the geometric bound on the rest is below 1e-40 of their sum."""
+    with mpmath.workdps(30):
+        a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+        q, terms, total = mpmath.mpf(1), [], 0
+        while True:
+            i = len(terms) + 1
+            q *= x / (x + i**a)
+            terms.append(i ** (b + 1) * q)
+            total += terms[-1]
+            # sup of the later term ratios
+            s = ((i + 1) / mpmath.mpf(i)) ** max(b + 1, 0) * x / (x + (i + 1) ** a)
+            if s < 1 and terms[-1] * s / (1 - s) < mpmath.mpf(10) ** -40 * total:
+                return tuple(terms)
+
+
+@pytest.mark.parametrize("start", [0, 1, 63, 64, 65, 500])
+@pytest.mark.parametrize("a,b,x", [(0.5, 0.0, 1e3), (1.0, -1.0, 1e5),
+                                   (1.5, -0.5, 1e5), (2.0, 1.0, 1e6)])
+def test_k_tail_beyond_start_contains_30_digit_sum(a, b, x, start):
+    # one walk from i = 1 with the weight zero through start; 63..65 put
+    # start on either side of the first block boundary
+    k = K_direct(a, b, x, start=start)
+    with mpmath.workdps(30):
+        ref = mpmath.fsum(_k_terms_30_digits(a, b, x)[start:])
+        assert ref > 0
+        assert abs(mpmath.mpf(k.value) - ref) <= k.tail_bound
 
 
 class TestExpansionContainer:

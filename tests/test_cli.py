@@ -31,6 +31,15 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_exit(argv):
+    """run() for argv that argparse rejects: (SystemExit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            cli.main(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
 def schema(name):
     return json.loads(resources.files("quartzeq.schemas").joinpath(name).read_text())
 
@@ -325,14 +334,51 @@ class TestConfigFile:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"format": "csv", "k": 1.0, "N": 1,
                                    "alpha": 0.2, "r": 1.0}))
-        code, out, err = run(["--config", str(cfg), "roots"])
+        # exactly what a bad --format on the command line gives
+        code, out, err = run_exit(["--config", str(cfg), "roots"])
         assert (code, out) == (2, "")
-        assert "usage error" in err and "format" in err
+        assert "invalid choice" in err and "--format" in err
         # an explicit flag replaces the config value, and another verb may
         # accept it
         assert run(["--config", str(cfg), "roots", "--format", "json"])[0] == 0
         code, out, _ = run(["--config", str(cfg), "equilibrium", "--x", "1"])
         assert code == 0 and out.startswith("# config: ")
+
+    def test_config_value_gets_the_flag_type(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"term_cap": 2.5}))
+        code, out, err = run_exit(["--config", str(cfg), "equilibrium", "--x", "1"])
+        assert (code, out) == (2, "")
+        assert "--term-cap: invalid int value: '2.5'" in err
+
+    def test_config_list_for_a_single_flag_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"x": [1, 2]}))
+        code, out, err = run(["--config", str(cfg), "equilibrium"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: config value x=[1, 2] for equilibrium")
+
+    def test_config_criterion_number_or_list(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"criterion": 3}))
+        code, out, _ = run(["--config", str(cfg), "reproduce", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["config"]["numerics"]["criteria"] == [3]
+        # a list repeats the flag; an explicit --criterion replaces the list
+        cfg.write_text(json.dumps({"criterion": [8, 1]}))
+        code, out, _ = run(["--config", str(cfg), "reproduce", "--format", "json"])
+        assert [r["number"] for r in json.loads(out)["results"]] == [8, 1]
+        code, out, _ = run(["--config", str(cfg), "reproduce", "--format", "json",
+                            "--criterion", "8"])
+        assert [r["number"] for r in json.loads(out)["results"]] == [8]
+
+    def test_config_satisfies_required_flags(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"a": 2, "b": 0}))
+        code, out, _ = run(["--config", str(cfg), "classify"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["a"], doc["b"], doc["regime"]) == (2.0, 0.0, "ThresholdWeak")
 
 
 def test_closed_pipe_exits_141_silently():

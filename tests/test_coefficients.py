@@ -84,11 +84,12 @@ class TestPowerLaw:
         assert vec == [1.0, 2.0, 5.0, 10.0, 17.0, 26.0, 37.0, 50.0]
 
     def test_tail_infimum_is_next_index(self):
-        # d_i increasing, so the infimum beyond n sits at i = n + 1
+        # d_i increasing, so the infimum beyond n sits at i = n + 1, rounded
+        # down by 4 eps to cover the pow rounding
         fam = PowerLawFamily.from_ab(2.0, 0.0)
         d = fam.d_values(np.arange(1, 6))
         for n in range(5):
-            assert fam.d_inf_beyond(n) == d[n]
+            assert fam.d_inf_beyond(n) == d[n] * (1.0 - 2.0**-50) < d[n]
 
 
 class TestTabulated:
@@ -202,14 +203,18 @@ _any_family = st.one_of(
 # tiny a puts the interior minimum t* of t^a + t^b past the float range
 @example(PowerLawFamily.from_ab(5e-324, -2.2e-313), 844)
 @example(PowerLawFamily.from_ab(3e-149, -0.25), 0)
+# numpy's AVX-512 pow rounds these d_i an ulp below Python's pow
+@example(PowerLawFamily.from_ab(2.69, 2.69), 1254)
+@example(PowerLawFamily.from_ab(1.79, 1.02), 297)
+@example(PowerLawFamily.from_ab(1.79, 1.02), 298)
 def test_tail_infimum_below_the_next_512_d(fam, n):
     """d_inf_beyond(n) is a lower bound on every d_i with i > n.
 
     The power-law infimum raises i to a and b with Python's pow, d_values
-    with numpy's, and the two may round apart by an ulp each.
+    with numpy's, so it is rounded down by more than the two round apart.
     """
     probed = float(np.min(fam.d_values(np.arange(n + 1, n + 513))))
-    assert fam.d_inf_beyond(n) <= probed + 4.0 * np.spacing(probed)
+    assert fam.d_inf_beyond(n) <= probed
 
 
 @given(st.integers(0, 20))
