@@ -20,6 +20,14 @@ state, equilibrium or not).
 
 Integration is LSODA (scipy's odeint), which switches between Adams
 and BDF by measured stiffness, with the analytic arrowhead Jacobian.
+The rhs and the Jacobian are evaluated by kernels that write into
+buffers they own, so the integrator's callbacks, called about a
+thousand times a run, allocate nothing.  Each integrate call makes its
+own kernels, and odeint copies what a callback returns before calling
+it again; the public functions make a kernel per call and return
+nothing it later overwrites.  One kernel evaluates one state or a stack
+of them with the same operations, so a stacked rhs is bit for bit the
+per-state one.
 The trajectory is sampled on an even grid of 201 times whose spacing is
 also the step cap; convergence to equilibrium is declared when the
 instantaneous rhs norm stays at or below 1e-10 over the last 100
@@ -115,43 +123,86 @@ class _Arrays:
         self.i_max = i_max
 
 
-def _rhs_vector(arr: _Arrays, alpha: float, r: float, x, M: np.ndarray):
-    """(dx, dM, dflux) at one state, or at a stack of states.
+def _rhs_kernel(arr: _Arrays, alpha: float, r: float, rows: int | None = None):
+    """The rhs kernel: a function (x, M) -> (dx, dM, dflux) into buffers it owns.
 
-    M is one cohort vector with a scalar x, or a C-contiguous stack of
-    them (one row per state) with x holding one value per row.  Each row
-    is summed as a contiguous vector, so a stack gives bit for bit the
-    values of its rows taken one at a time.
+    Made for one state (rows None) or for a C-contiguous stack of
+    ``rows`` states, with x holding one value per row.  A call fills and
+    returns one array laid out as (dx, dM_0..dM_imax, dflux) along its
+    last axis; the next call overwrites it.  Every expression keeps one
+    operand order and every sum is numpy's pairwise sum over one
+    contiguous row, so a stack gives bit for bit the values of its rows
+    taken one at a time.
     """
-    kM = arr.k * M
-    dx = alpha - x * kM.sum(axis=-1) + (arr.iq * M).sum(axis=-1)
-    xc = np.asarray(x)[..., None]
-    dM = np.empty_like(M)
-    dM[..., 0] = r - x * kM[..., 0] - arr.pq[0] * M[..., 0]
-    dM[..., 1:] = xc * kM[..., :-1] - xc * kM[..., 1:] - arr.pq[1:] * M[..., 1:]
-    dflux = (arr.i_max + 1) * x * kM[..., -1]
-    return dx, dM, dflux
+    n_m = arr.i_max + 1
+    lead = () if rows is None else (rows,)
+    k, iq, pq0, pq_rest, top = arr.k, arr.iq, arr.pq[0], arr.pq[1:], arr.i_max + 1
+    kM, xkM, prod = (np.empty(lead + (n_m,)) for _ in range(3))
+    out = np.empty(lead + (n_m + 2,))
+    # the first entry, the last entry and the rest of each state: a scalar
+    # or a column, and a vector or a stack
+    first = 0 if rows is None else (slice(None), 0)
+    last = -1 if rows is None else (slice(None), -1)
+    rest = slice(1, None) if rows is None else (slice(None), slice(1, None))
+    dM = out[..., 1:1 + n_m]
+    # the cohorts i >= 1 and their i - 1 neighbours
+    dM_rest, prod_rest = dM[..., 1:], prod[..., 1:]
+    xkM_prev, xkM_rest = xkM[..., :-1], xkM[..., 1:]
+    # x is a scalar or one value per row; on the transposes it scales
+    # every cohort of its own state in either case
+    kM_T, xkM_T = kM.T, xkM.T
+
+    def kernel(x, M: np.ndarray) -> np.ndarray:
+        np.multiply(k, M, kM)
+        np.multiply(iq, M, prod)
+        # dx = alpha - x sum k M + sum i q M
+        out[first] = alpha - x * np.add.reduce(kM, -1) + np.add.reduce(prod, -1)
+        # dM_0 = r - x k_0 M_0 - pq_0 M_0,
+        # dM_i = x k_{i-1} M_{i-1} - x k_i M_i - pq_i M_i
+        np.multiply(x, kM_T, xkM_T)
+        dM[first] = r - xkM[first] - pq0 * M[first]
+        np.multiply(pq_rest, M[rest], prod_rest)
+        np.subtract(xkM_prev, xkM_rest, dM_rest)
+        np.subtract(dM_rest, prod_rest, dM_rest)
+        # dflux = (i_max + 1) x k_imax M_imax
+        out[last] = top * x * kM[last]
+        return out
+
+    return kernel
 
 
-def _jacobian(arr: _Arrays, x: float, M: np.ndarray) -> np.ndarray:
-    """d(dx, dM, dflux)/d(x, M, flux) at one state.
+def _jacobian_kernel(arr: _Arrays):
+    """The Jacobian kernel: (x, M) -> d(dx, dM, dflux)/d(x, M, flux) into one matrix.
 
     Arrowhead: a dense x row and column around a lower-bidiagonal cohort
     block; the flux tally feeds back into nothing, so its column is zero.
+    A call writes only those entries, the rest staying zero from the
+    allocation, and returns the matrix the next call overwrites.
     """
-    n_m = len(M)
-    kM = arr.k * M
+    n_m = arr.i_max + 1
+    k, iq, pq, top = arr.k, arr.iq, arr.pq, arr.i_max + 1
+    kM = np.empty(n_m)
     J = np.zeros((n_m + 2, n_m + 2))
-    J[0, 0] = -np.sum(kM)
-    J[0, 1:1 + n_m] = arr.iq - x * arr.k
-    J[1, 0] = -kM[0]
-    J[2:1 + n_m, 0] = kM[:-1] - kM[1:]
-    cohorts = np.arange(1, 1 + n_m)
-    J[cohorts, cohorts] = -x * arr.k - arr.pq
-    J[cohorts[1:], cohorts[:-1]] = x * arr.k[:-1]
-    J[-1, 0] = (arr.i_max + 1) * kM[-1]
-    J[-1, n_m] = (arr.i_max + 1) * x * arr.k[-1]
-    return J
+    row0, col0 = J[0, 1:1 + n_m], J[2:1 + n_m, 0]
+    # writable views of the cohort block's diagonal and sub-diagonal
+    diag = np.einsum("ii->i", J[1:1 + n_m, 1:1 + n_m])
+    sub = np.einsum("ii->i", J[2:1 + n_m, 1:n_m])
+
+    def kernel(x, M: np.ndarray) -> np.ndarray:
+        np.multiply(k, M, kM)
+        J[0, 0] = -np.add.reduce(kM)
+        np.multiply(x, k, row0)
+        np.subtract(iq, row0, row0)
+        J[1, 0] = -kM[0]
+        np.subtract(kM[:-1], kM[1:], col0)
+        np.multiply(-x, k, diag)
+        np.subtract(diag, pq, diag)
+        np.multiply(x, k[:-1], sub)
+        J[-1, 0] = top * kM[-1]
+        J[-1, n_m] = top * x * k[-1]
+        return J
+
+    return kernel
 
 
 def rhs(fam: CoefficientFamily, alpha: float, r: float,
@@ -163,9 +214,8 @@ def rhs(fam: CoefficientFamily, alpha: float, r: float,
     lost through the absorbing top cohort.
     """
     _check_rates(alpha, r)
-    arr = _Arrays(fam, state.i_max)
-    dx, dM, dflux = _rhs_vector(arr, alpha, r, state.x, state.M)
-    return SystemState(t=1.0, x=float(dx), M=dM, flux_log=float(dflux))
+    d = _rhs_kernel(_Arrays(fam, state.i_max), alpha, r)(state.x, state.M)
+    return SystemState(t=1.0, x=float(d[0]), M=d[1:-1].copy(), flux_log=float(d[-1]))
 
 
 def _check_rates(alpha: float, r: float) -> None:
@@ -185,15 +235,22 @@ def conservation_residual(fam: CoefficientFamily, alpha: float, r: float,
     """
     _check_rates(alpha, r)
     arr = _Arrays(fam, state.i_max)
-    dx, dM, dflux = _rhs_vector(arr, alpha, r, state.x, state.M)
-    lhs = float(dx) + float(np.arange(len(dM)) @ dM)
-    rhs_val = alpha - float(np.sum(arr.ip * state.M)) - float(dflux)
+    d = _rhs_kernel(arr, alpha, r)(state.x, state.M)
+    dM = d[1:-1]
+    lhs = float(d[0]) + float(np.arange(len(dM)) @ dM)
+    rhs_val = alpha - float(np.sum(arr.ip * state.M)) - float(d[-1])
     return abs(lhs - rhs_val)
 
 
 @dataclass(frozen=True)
 class TrajectorySummary:
-    """Integration outcome plus the time series sampled on the step-cap grid."""
+    """Integration outcome plus the time series sampled on the step-cap grid.
+
+    solver_steps, rhs_evals and jac_evals are the integrator's own work
+    over the whole run (odeint's final nst, nfe and nje): its internal
+    steps, which are not the samples, and its calls of the right-hand
+    side and of the analytic Jacobian.
+    """
 
     final: SystemState
     converged: bool
@@ -205,6 +262,9 @@ class TrajectorySummary:
     cells_series: np.ndarray
     load_series: np.ndarray
     rhs_norm_series: np.ndarray
+    solver_steps: int
+    rhs_evals: int
+    jac_evals: int
 
 
 def integrate(fam: CoefficientFamily, alpha: float, r: float,
@@ -222,6 +282,12 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
     of headroom.  A sampled component below -1e-12, or any solver failure
     (excess work, repeated error or convergence failures), raises
     IntegrationError.
+
+    The rhs and Jacobian callbacks handed to the integrator allocate
+    nothing: each fills and returns a buffer made once for this call, and
+    odeint copies what a callback returns before it calls one again.  The
+    buffers are owned by this call alone, so concurrent or nested calls
+    share nothing.
     """
     # imported here: it is most of the package's import time, and only
     # integration needs it
@@ -234,13 +300,15 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
         raise DomainError(f"tol must lie in (0, 1e-4], got {tol}")
     arr = _Arrays(fam, initial.i_max)
     n_m = initial.i_max + 1
+    # odepack copies what f and jac return before it calls either again,
+    # so both may return the buffer their kernel refills on the next call
+    rhs_one, jacobian = _rhs_kernel(arr, alpha, r), _jacobian_kernel(arr)
 
     def f(t, y):
-        dx, dM, dflux = _rhs_vector(arr, alpha, r, y[0], y[1:1 + n_m])
-        return np.concatenate(([dx], dM, [dflux]))
+        return rhs_one(y[0], y[1:1 + n_m])
 
     def jac(t, y):
-        return _jacobian(arr, y[0], y[1:1 + n_m])
+        return jacobian(y[0], y[1:1 + n_m])
 
     y0 = np.concatenate(([initial.x], initial.M, [initial.flux_log]))
     # Sample and cap the step on one grid whose final half is exactly the
@@ -275,8 +343,8 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
         )
 
     Ms = np.ascontiguousarray(ys[:, 1:1 + n_m])
-    dx, dM, _ = _rhs_vector(arr, alpha, r, ys[:, 0], Ms)
-    norms = np.maximum(np.abs(dx), np.max(np.abs(dM), axis=1))
+    d = _rhs_kernel(arr, alpha, r, rows=len(t))(ys[:, 0], Ms)
+    norms = np.maximum(np.abs(d[:, 0]), np.max(np.abs(d[:, 1:1 + n_m]), axis=1))
     converged = bool(np.all(norms[-CONVERGENCE_STEPS:] <= CONVERGENCE_THRESHOLD))
 
     final = SystemState(
@@ -294,6 +362,9 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
         cells_series=np.sum(Ms, axis=1),
         load_series=Ms @ np.arange(n_m),
         rhs_norm_series=norms,
+        solver_steps=int(info["nst"][-1]),
+        rhs_evals=int(info["nfe"][-1]),
+        jac_evals=int(info["nje"][-1]),
     )
 
 
@@ -312,8 +383,8 @@ def equilibrium_residual(fam: CoefficientFamily, alpha: float, r: float,
         raise DomainError("profile too short; need cohorts through i_max >= 1")
     state = SystemState(t=0.0, x=profile.x, M=np.asarray(profile.M, dtype=float))
     arr = _Arrays(fam, n)
-    dx, dM, _ = _rhs_vector(arr, alpha, r, state.x, state.M)
-    norm = max(abs(float(dx)), float(np.max(np.abs(dM))))
+    d = _rhs_kernel(arr, alpha, r)(state.x, state.M)
+    norm = max(abs(float(d[0])), float(np.max(np.abs(d[1:-1]))))
 
     x = profile.x
     rb = x / (x + fam.d_inf_beyond(n)) if x > 0 else 0.0

@@ -3,16 +3,19 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quartzeq.coefficients import PiecewiseConstantFamily, PowerLawFamily
+from quartzeq import dynamics
+from quartzeq.coefficients import PiecewiseConstantFamily, PowerLawFamily, TabulatedFamily
 from quartzeq.dynamics import (
     SystemState,
     _Arrays,
-    _jacobian,
-    _rhs_vector,
+    _jacobian_kernel,
+    _rhs_kernel,
     conservation_residual,
     equilibrium_residual,
     initial_state,
@@ -43,16 +46,18 @@ def test_stacked_rhs_matches_one_state_at_a_time():
         arr = _Arrays(fam, 40)
         ys = rng.random((42, 300)) * np.geomspace(1e-12, 3.0, 300)
         xs, stack = ys[0], np.ascontiguousarray(ys[1:].T)
-        dx, dM, dflux = _rhs_vector(arr, 0.3, 1.0, xs, stack)
+        d = _rhs_kernel(arr, 0.3, 1.0, rows=300)(xs, stack)
+        dx, dM, dflux = d[:, 0], d[:, 1:-1], d[:, -1]
+        one_state = _rhs_kernel(arr, 0.3, 1.0)
         for j in range(ys.shape[1]):
-            dx_j, dM_j, dflux_j = _rhs_vector(arr, 0.3, 1.0, float(xs[j]), ys[1:, j])
+            d_j = one_state(float(xs[j]), ys[1:, j])
+            dx_j, dM_j, dflux_j = d_j[0], d_j[1:-1], d_j[-1]
             assert dx[j] == dx_j and dflux[j] == dflux_j
             assert np.array_equal(dM[j], dM_j)
 
 
 def _full_rhs(arr, y):
-    dx, dM, dflux = _rhs_vector(arr, 0.3, 1.0, y[0], y[1:-1])
-    return np.concatenate(([dx], dM, [dflux]))
+    return _rhs_kernel(arr, 0.3, 1.0)(y[0], y[1:-1]).copy()
 
 
 @pytest.mark.parametrize("fam", [
@@ -67,13 +72,162 @@ def test_jacobian_matches_central_differences(fam):
     h = 0.25
     for _ in range(5):
         y = rng.random(43) * np.geomspace(3.0, 1e-6, 43)
-        J = _jacobian(arr, y[0], y[1:-1])
+        J = _jacobian_kernel(arr)(y[0], y[1:-1])
         fd = np.empty_like(J)
         for j in range(len(y)):
             e = np.zeros_like(y)
             e[j] = h
             fd[:, j] = (_full_rhs(arr, y + e) - _full_rhs(arr, y - e)) / (2.0 * h)
         assert np.abs(J - fd).max() <= 1e-10 * np.abs(J).max()
+
+
+def _reference_rhs_kernel(arr, alpha, r, rows=None):
+    """The allocate-per-call rhs the buffered kernel replaced, as one array.
+
+    Same call shape as dynamics._rhs_kernel, so it can stand in for it.
+    """
+    def kernel(x, M):
+        kM = arr.k * M
+        dx = alpha - x * kM.sum(axis=-1) + (arr.iq * M).sum(axis=-1)
+        xc = np.asarray(x)[..., None]
+        dM = np.empty_like(M)
+        dM[..., 0] = r - x * kM[..., 0] - arr.pq[0] * M[..., 0]
+        dM[..., 1:] = xc * kM[..., :-1] - xc * kM[..., 1:] - arr.pq[1:] * M[..., 1:]
+        dflux = (arr.i_max + 1) * x * kM[..., -1]
+        return np.concatenate((np.asarray(dx)[..., None], dM,
+                               np.asarray(dflux)[..., None]), axis=-1)
+
+    return kernel
+
+
+def _reference_jacobian_kernel(arr):
+    """The allocate-per-call Jacobian the buffered kernel replaced."""
+    def kernel(x, M):
+        n_m = len(M)
+        kM = arr.k * M
+        J = np.zeros((n_m + 2, n_m + 2))
+        J[0, 0] = -np.sum(kM)
+        J[0, 1:1 + n_m] = arr.iq - x * arr.k
+        J[1, 0] = -kM[0]
+        J[2:1 + n_m, 0] = kM[:-1] - kM[1:]
+        cohorts = np.arange(1, 1 + n_m)
+        J[cohorts, cohorts] = -x * arr.k - arr.pq
+        J[cohorts[1:], cohorts[:-1]] = x * arr.k[:-1]
+        J[-1, 0] = (arr.i_max + 1) * kM[-1]
+        J[-1, n_m] = (arr.i_max + 1) * x * arr.k[-1]
+        return J
+
+    return kernel
+
+
+def _bits(value):
+    """What a summary, state, array or number holds, equal only bit for bit."""
+    if is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+_families = st.one_of(
+    st.builds(PiecewiseConstantFamily, st.floats(0.01, 100.0), st.integers(0, 50)),
+    st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 5.0))
+    .map(lambda a_gap: PowerLawFamily.from_ab(a_gap[0], a_gap[0] - a_gap[1])),
+    st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n),
+        st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n),
+        st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n),
+    )).map(lambda kpq: TabulatedFamily(sorted(kpq[0], reverse=True),
+                                       sorted(kpq[1], reverse=True), kpq[2])),
+)
+_xs = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(1e3, 1e300))
+# ordinary cohorts mixed with zero and subnormal ones
+_cohort = st.one_of(st.floats(0.0, 1e3), st.just(0.0), st.floats(0.0, 2.2e-308))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_families, st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.tuples(_xs, st.lists(_cohort, min_size=n + 1, max_size=n + 1)),
+                       min_size=3, max_size=3)),
+       st.floats(0.0, 10.0), st.floats(0.0, 10.0))
+def test_buffered_kernels_match_the_reference_bit_for_bit(fam, states, alpha, r):
+    arr = _Arrays(fam, len(states[0][1]) - 1)
+    xs = np.array([x for x, _ in states])
+    stack = np.array([M for _, M in states])
+    one_state, jacobian = _rhs_kernel(arr, alpha, r), _jacobian_kernel(arr)
+    with np.errstate(all="ignore"):  # large x overflows alike on both sides
+        for x, M in states:
+            M = np.array(M)
+            assert _bits(one_state(x, M)) == _bits(_reference_rhs_kernel(arr, alpha, r)(x, M))
+            assert _bits(jacobian(x, M)) == _bits(_reference_jacobian_kernel(arr)(x, M))
+        assert (_bits(_rhs_kernel(arr, alpha, r, rows=3)(xs, stack))
+                == _bits(_reference_rhs_kernel(arr, alpha, r)(xs, stack)))
+
+
+_REFERENCE_RUNS = [
+    # piecewise relaxation to the lower root, as in the relax workload
+    (FAM, 0.2, initial_state(30), 500.0),
+    # stiff power-law truncation (q_i = i^1.355 at the top)
+    (PowerLawFamily.from_ab(1.355, -0.385), 0.153, initial_state(16), 200.0),
+]
+
+
+@pytest.mark.parametrize("fam, alpha, start, t_end", _REFERENCE_RUNS,
+                         ids=["piecewise", "stiff_power_law"])
+def test_integrate_matches_the_reference_callbacks(monkeypatch, fam, alpha, start, t_end):
+    buffered = integrate(fam, alpha, 1.0, start, t_end)
+    monkeypatch.setattr(dynamics, "_rhs_kernel", _reference_rhs_kernel)
+    monkeypatch.setattr(dynamics, "_jacobian_kernel", _reference_jacobian_kernel)
+    reference = integrate(fam, alpha, 1.0, start, t_end)
+    assert _bits(buffered) == _bits(reference)
+
+
+def test_integration_error_matches_the_reference_callbacks(monkeypatch):
+    # tolerances below what doubles resolve stop the run part way; the
+    # reported time depends on every step taken before it
+    with pytest.raises(IntegrationError, match="Excess accuracy") as buffered:
+        integrate(FAM, 0.2, 1.0, initial_state(20), 100.0, tol=1e-300)
+    monkeypatch.setattr(dynamics, "_rhs_kernel", _reference_rhs_kernel)
+    monkeypatch.setattr(dynamics, "_jacobian_kernel", _reference_jacobian_kernel)
+    with pytest.raises(IntegrationError) as reference:
+        integrate(FAM, 0.2, 1.0, initial_state(20), 100.0, tol=1e-300)
+    assert str(buffered.value) == str(reference.value)
+
+
+def test_work_counts_are_the_callback_calls(monkeypatch):
+    import scipy.integrate
+
+    real_odeint = scipy.integrate.odeint
+    calls = {"f": 0, "jac": 0}
+
+    def counting_odeint(func, y0, t, Dfun, **kwargs):
+        def f(*args):
+            calls["f"] += 1
+            return func(*args)
+
+        def jac(*args):
+            calls["jac"] += 1
+            return Dfun(*args)
+
+        return real_odeint(f, y0, t, Dfun=jac, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "odeint", counting_odeint)
+    for fam, alpha, start, t_end in _REFERENCE_RUNS:
+        calls.update(f=0, jac=0)
+        summary = integrate(fam, alpha, 1.0, start, t_end)
+        assert summary.rhs_evals == calls["f"]
+        assert summary.jac_evals == calls["jac"] > 0
+        assert 0 < summary.solver_steps <= summary.rhs_evals
+
+
+def test_successive_rhs_results_stay_distinct():
+    first = rhs(FAM, 0.3, 1.0, initial_state(5, x=1.0))
+    kept = _bits(first)
+    second = rhs(FAM, 0.3, 1.0, SystemState(t=0.0, x=2.0, M=np.linspace(1.0, 2.0, 6)))
+    assert _bits(first) == kept != _bits(second)
+    assert not np.shares_memory(first.M, second.M)
 
 
 def test_samples_are_the_max_step_grid():
