@@ -33,7 +33,7 @@ from .series import (
     BoundedValue,
     EquilibriumProfile,
     GridSpec,
-    GridRow,
+    evaluate,
     sum_kM,
     sum_iqM,
     H_series,
@@ -42,7 +42,6 @@ from .series import (
     tail_product,
     audit_G_identity,
     audit_d_identity,
-    grid_evaluate,
     DEFAULT_TOL,
     DEFAULT_TERM_CAP,
 )
@@ -103,9 +102,9 @@ __all__ = [
     "IntegrationError",
     "CoefficientFamily", "PiecewiseConstantFamily", "PowerLawFamily",
     "TabulatedFamily", "family_from_config", "load_family",
-    "BoundedValue", "EquilibriumProfile", "GridSpec", "GridRow",
+    "BoundedValue", "EquilibriumProfile", "GridSpec", "evaluate",
     "sum_kM", "sum_iqM", "H_series", "F_equilibrium", "cohort_profile",
-    "tail_product", "audit_G_identity", "audit_d_identity", "grid_evaluate",
+    "tail_product", "audit_G_identity", "audit_d_identity",
     "DEFAULT_TOL", "DEFAULT_TERM_CAP",
     "RootReport", "F_piecewise", "F_piecewise_y", "stationary_polynomial",
     "stationary_point", "alpha_star", "solve_roots", "sum_kM_closed",

@@ -30,7 +30,7 @@ from .dynamics import conservation_residual, initial_state, integrate
 from .piecewise import (F_piecewise, alpha_star, solve_roots, stationary_point,
                         sum_iqM_closed, sum_kM_closed)
 from .powerlaw import Regime, classify_regime
-from .series import F_values, H_series, audit_G_identity, audit_d_identity, sum_iqM, sum_kM
+from .series import H_series, audit_G_identity, audit_d_identity, evaluate
 from .asymptotics import (
     K_direct,
     R_expansion,
@@ -128,13 +128,11 @@ def criterion_2(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         N = int(rng.integers(0, 11))
         r = float(10.0 ** rng.uniform(-1.0, 1.0))
         fam = PiecewiseConstantFamily(k_value=k, N=N)
-        for x in np.geomspace(1e-2, 1e2, 100) / k:
-            skm = sum_kM(fam, x, r)
-            chk.expect(abs(skm.value - sum_kM_closed(k, N, x, r)) <= skm.tail_bound,
-                       f"kM off at k={k:.3g} N={N} x={x:.3g}")
-            siqm = sum_iqM(fam, x, r)
-            chk.expect(abs(siqm.value - sum_iqM_closed(k, N, x, r)) <= siqm.tail_bound,
-                       f"iqM off at k={k:.3g} N={N} x={x:.3g}")
+        xs = np.geomspace(1e-2, 1e2, 100) / k
+        for quantity, closed in (("kM", sum_kM_closed), ("iqM", sum_iqM_closed)):
+            for x, bv in zip(xs, evaluate(fam, quantity, xs, r)):
+                chk.expect(abs(bv.value - closed(k, N, x, r)) <= bv.tail_bound,
+                           f"{quantity} off at k={k:.3g} N={N} x={x:.3g}")
     return chk.summary()
 
 
@@ -199,7 +197,8 @@ def criterion_4(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
             chk.expect(v.regime == want, f"regime({a},{a - 1 + db:.1f}) = {v.regime}")
 
     def f_grid(a, b, xs):
-        return F_values(PowerLawFamily.from_ab(a=a, b=b), xs, tol=1e-11)
+        return np.array([bv.value for bv in evaluate(PowerLawFamily.from_ab(a=a, b=b), "F",
+                                                     xs, tol=1e-11, cross_check=False)])
 
     # (1,1): b > a-1, F unbounded: factor >10 growth across the grid
     xs = np.geomspace(1.0, 1e5, 30)

@@ -154,7 +154,7 @@ def R_sum_direct(a: float, A: float, v: float, *, tol: float = DEFAULT_TOL,
     def stop(n):
         return lambda v: ((n + 1.0) / n) ** max(A, 0.0) * math.exp(-v * p * n**a)
 
-    walk = blocked_sum(block, stop, [v], cap=term_cap, tol=tol, name="R_sum")[0]
+    walk = blocked_sum(block, stop, [v], [tol], cap=term_cap, name="R_sum")[0]
     return certified(walk)
 
 
@@ -298,7 +298,7 @@ def K_direct(a: float, b: float, x: float, *, tol: float = DEFAULT_TOL,
         c, d = ((n + 1.0) / n) ** max(b + 1.0, 0.0), (n + 1.0) ** a
         return lambda x: c * x / (x + d)
 
-    walk = blocked_sum(block, stop, [x], cap=start + term_cap, tol=tol,
+    walk = blocked_sum(block, stop, [x], [tol], cap=start + term_cap,
                        name="K_direct")[0]
     return certified(walk, start=start)
 

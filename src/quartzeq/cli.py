@@ -48,7 +48,7 @@ from .series import (
     GridSpec,
     audit_G_identity,
     audit_d_identity,
-    grid_evaluate,
+    evaluate,
 )
 from .asymptotics import K_direct, K_expansion_refined
 
@@ -149,9 +149,10 @@ def _cmd_equilibrium(args) -> int:
         grid = GridSpec(args.x, args.x, 1, "linear")
     else:
         grid = GridSpec(args.x_min, args.x_max, args.count, args.spacing)
-    rows = [(row.x, row.value, row.tail_bound, row.terms_used)
-            for row in grid_evaluate(fam, args.quantity, grid, args.r,
-                                     tol=tol, term_cap=args.term_cap)]
+    points = grid.points()
+    rows = [(float(x), bv.value, bv.tail_bound, bv.terms_used)
+            for x, bv in zip(points, evaluate(fam, args.quantity, points, args.r,
+                                              tol=tol, term_cap=args.term_cap))]
     if fmt == "csv":
         _emit(_csv_text(config, ["x", "value", "tail_bound", "terms_used"], rows),
               args.out)

@@ -14,8 +14,8 @@ On b = a-1, i rho_i = i^a and d_i = i^a + i^(a-1), so the d-identity
 sum_i d_i Q_i = x gives H = x - sum_i i^(a-1) Q_i < x, a sum that is o(x).
 
 The regime is a pure function of (a, b).  Below the line m has no closed
-form and is estimated numerically (a log grid evaluated in one batched
-series walk, then golden-section refinement one x at a time), so
+form and is estimated numerically (a log grid evaluated in one
+series.evaluate walk, then golden-section refinement one x at a time), so
 existence answers inside its error bar are reported as indeterminate
 rather than as a guess.
 """
@@ -31,7 +31,7 @@ import numpy as np
 
 from .coefficients import PowerLawFamily
 from .errors import ConvergenceError, DomainError
-from .series import F_equilibrium, F_values
+from .series import F_equilibrium, evaluate
 
 __all__ = [
     "Regime",
@@ -172,7 +172,7 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
     evaluations: m = 1, approached only as x -> oo, with error bar 0
     (module docstring).  Below it the estimate is m with its maximizer:
     a log-grid sweep over [1e-3, x_max], all grid points in one
-    series.F_values walk (bit for bit the one-x values), plus
+    series.evaluate walk (bit for bit the one-x values), plus
     golden-section refinement around the best cell.  A maximum at the
     grid edge means x_max is too small and is an error (F must
     eventually decay there).
@@ -193,7 +193,7 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
         return MEstimate(verdict.m_estimate, verdict.m_attained_at), verdict.m_error_bar, 0
 
     xs = np.geomspace(_M_X_MIN, x_max, grid)
-    vals = F_values(params, xs, tol=_SCAN_TOL)
+    vals = [bv.value for bv in evaluate(params, "F", xs, tol=_SCAN_TOL, cross_check=False)]
     evals = grid
 
     def f(x: float) -> float:
@@ -259,7 +259,8 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float,
     phi = _inflow_ratio(alpha, r)
     _check_params(params)
     xs = np.geomspace(1e-4, 1e6, 400)
-    vals = (F_values(params, xs, tol=_SCAN_TOL) - phi).tolist()
+    vals = [bv.value - phi
+            for bv in evaluate(params, "F", xs, tol=_SCAN_TOL, cross_check=False)]
     roots = []
     for i in range(len(xs) - 1):
         lo_v, hi_v = vals[i], vals[i + 1]

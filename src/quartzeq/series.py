@@ -22,8 +22,10 @@ family once: one ratios(idx) call gives the d_i of the factors and the
 rho_i and g_i of the weights.  One walk can carry many x, one row each: a
 block's factors and weights are computed once for all rows, each row keeps
 its own sums and stop test and retires on its own, so every row's result
-is bit for bit that of a walk over its x alone.  F_values evaluates F over
-a grid that way.
+is bit for bit that of a walk over its x alone.  evaluate computes F, H,
+sum_kM or sum_iqM over many x in one such walk, from a table with one
+recipe per quantity; F_equilibrium, H_series, sum_kM and sum_iqM are its
+one-x case.
 
 Truncation control: past an index n where the certified step-ratio bound
     s_n = [sup_{i>=n} w_{i+1}/w_i] * x / (x + inf_{i>n} d_i)
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,7 +61,7 @@ __all__ = [
     "BoundedValue",
     "EquilibriumProfile",
     "GridSpec",
-    "GridRow",
+    "evaluate",
     "sum_kM",
     "sum_iqM",
     "H_series",
@@ -68,7 +70,6 @@ __all__ = [
     "audit_G_identity",
     "audit_d_identity",
     "tail_product",
-    "grid_evaluate",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -119,7 +120,7 @@ class _Walk(NamedTuple):
     q_n: float  # the running product at n
 
 
-def blocked_sum(block, stop, xs, *, cap: int, tol: float = 0.0,
+def blocked_sum(block, stop, xs, tols=None, *, cap: int,
                 name: str = "series") -> list[_Walk]:
     """The certified summation kernel shared by every series in the package.
 
@@ -136,11 +137,12 @@ def blocked_sum(block, stop, xs, *, cap: int, tol: float = 0.0,
     With stop=None every row ends after index cap.  Otherwise stop(n) maps x
     to a bound s on sup_{i>=n} T_{i+1}/T_i for the terms T_i of the first
     weight's series: 0 when every later term vanishes, >= 1 or inf while no
-    bound is known (as for a weight that can still jump from zero).  A row
-    retires at the first block boundary where its tail T_n s / (1 - s) is at
-    most tol or its Q has underflowed, exactly as a walk over its x alone
-    would.  Returns one _Walk per x in xs; a row still live at index cap
-    raises ConvergenceError, for the first such x.
+    bound is known (as for a weight that can still jump from zero).  tols
+    holds one tol per x.  A row retires at the first block boundary where
+    its tail T_n s / (1 - s) is at most its tol or its Q has underflowed,
+    exactly as a walk over its x alone would.  Returns one _Walk per x in
+    xs; a row still live at index cap raises ConvergenceError, for the first
+    such x, quoting that row's tol.
     """
     walks: list[_Walk | None] = [None] * len(xs)
     # a row: [index in xs, x, x as a 0-d array, running product, block sums]
@@ -156,7 +158,7 @@ def blocked_sum(block, stop, xs, *, cap: int, tol: float = 0.0,
         if s < 1.0:
             # once Q has underflowed, the true tail is below any usable tol
             tail = 0.0 if s == 0.0 or q < _UNDERFLOW_FLOOR else t * s / (1.0 - s)
-            if tail <= tol:
+            if tail <= tols[i]:
                 walks[i] = _Walk(tuple(map(math.fsum, parts)), tail, hi, q)
                 return True
         return False
@@ -197,10 +199,9 @@ def blocked_sum(block, stop, xs, *, cap: int, tol: float = 0.0,
         n = hi
         size = min(size * 2, 8192)
     if live and stop is not None:
-        raise ConvergenceError(
-            f"{name} did not reach tol={tol} within {cap} terms at x={live[0][1]}",
-            series=name, x=live[0][1], terms_used=cap,
-        )
+        i, x = live[0][:2]
+        raise ConvergenceError(f"{name} did not reach tol={tols[i]} within {cap} terms "
+                               f"at x={x}", series=name, x=x, terms_used=cap)
     for i, _, _, q, parts in live:
         walks[i] = _Walk(tuple(map(math.fsum, parts)), 0.0, n, q)
     return walks
@@ -229,28 +230,10 @@ def _q_block(fam: CoefficientFamily, weights):
     return block
 
 
-def _q_walk(fam, xs, which, tol, term_cap, name) -> list[_Walk]:
-    """Per x in xs, sums of w_i Q_i for the weights named in ``which`` (1, i rho_i
-    or i g_i), in one pass that stops when the first one's tail meets tol."""
-    picks = [{"ones": None, "irho": 1, "iq": 2}[w] for w in which]  # in (d, rho, g)
-    ratio_sup = {"ones": lambda n: 1.0, "irho": fam.irho_ratio_sup,  # sup w_{i+1}/w_i
-                 "iq": fam.iq_ratio_sup}[which[0]]
-
-    def stop(n):
-        sup = ratio_sup(n)
-        if not 0.0 < sup < math.inf:
-            return lambda x: sup
-        d = fam.d_inf_beyond(n)
-        return lambda x: sup * x / (x + d)
-
-    block = _q_block(fam, lambda idx, *drg: [None if k is None else idx * drg[k]
-                                             for k in picks])
-    return blocked_sum(block, stop, xs, cap=term_cap, tol=tol, name=name)
-
-
-def _check_x(x: float) -> None:
+def _check_x(x: float) -> float:
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"x must be finite and >= 0, got {x}")
+    return x
 
 
 def _check_r(r: float) -> None:
@@ -258,38 +241,104 @@ def _check_r(r: float) -> None:
         raise DomainError(f"r must be finite and positive, got {r}")
 
 
+def _finish_sum(walk: _Walk, denom: float, pref: float) -> BoundedValue:
+    return certified(walk, pref)
+
+
+def _finish_F(walk: _Walk, denom: float, pref: float) -> BoundedValue:
+    """F = H / (x + d_0), with H bounded as certified(walk) bounds it (the same
+    operations, as pref = 1 and head = 0 leave them exact) and one BoundedValue."""
+    h = walk.sums[0]
+    h_tail = walk.trunc_tail + _EPS * h * (2.0 * walk.n + 64.0) + 4.0 * _EPS * abs(h)
+    value = h / denom
+    return BoundedValue(value, h_tail / denom + 4.0 * _EPS * abs(value), walk.n)
+
+
+class _Recipe(NamedTuple):
+    """How evaluate walks one quantity and finishes each row; the sums past the
+    first feed F's cross-check."""
+
+    weights: tuple[int | None, ...]  # per sum, i times (d, rho, g)[k], or 1 for None
+    ratio_sup: Callable[[CoefficientFamily, int], float]  # of the first weight
+    name: str  # the series a ConvergenceError names
+    scaled: bool  # checks r and scales tol by pref = r / (x + d_0), else pref = 1
+    at_zero: Callable[[CoefficientFamily, float], BoundedValue]  # fam, r
+    finish: Callable[[_Walk, float, float], BoundedValue]  # walk, x + d_0, pref
+
+
+_RECIPES = {
+    "F": _Recipe((1, None, 2), lambda fam, n: fam.irho_ratio_sup(n), "H_series", False,
+                 lambda fam, r: BoundedValue(0.0, 0.0, 0), _finish_F),
+    "H": _Recipe((1,), lambda fam, n: fam.irho_ratio_sup(n), "H_series", False,
+                 lambda fam, r: BoundedValue(0.0, 0.0, 0), _finish_sum),
+    # Q_0 = 1 is the head of the flux series and counts as a term
+    "kM": _Recipe((None,), lambda fam, n: 1.0, "sum_kM", True,
+                  lambda fam, r: BoundedValue(r * fam.k0 / (fam.p0 + fam.q0), 0.0, 1),
+                  lambda walk, denom, pref: certified(walk, pref, head=1.0, start=-1)),
+    "iqM": _Recipe((2,), lambda fam, n: fam.iq_ratio_sup(n), "sum_iqM", True,
+                   lambda fam, r: BoundedValue(0.0, 0.0, 1), _finish_sum),
+}
+
+
+def evaluate(fam: CoefficientFamily, quantity: str, xs, r: float = 1.0, *,
+             tol: float = DEFAULT_TOL, term_cap: int = DEFAULT_TERM_CAP,
+             cross_check: bool = True) -> list[BoundedValue]:
+    """F, H, kM (sum_i k_i M_i) or iqM (sum_i i q_i M_i) at every x in xs, from
+    one walk: row k is, bit for bit, the one-x call at xs[k] (F_equilibrium,
+    H_series, sum_kM or sum_iqM); r scales kM and iqM only, and their tol the
+    scaled sum.  Every x, then r where it scales, is checked before the walk, and
+    a ConvergenceError is the one-x error at the first x that fails.  Then, with
+    cross_check, F's rows are balance-checked in the order of xs.
+    """
+    if quantity not in _RECIPES:
+        raise DomainError(f"unknown quantity {quantity!r}; "
+                          f"expected one of {sorted(_RECIPES)}")
+    recipe = _RECIPES[quantity]
+    xs = [float(_check_x(x)) for x in xs]
+    pos = [x for x in xs if x > 0.0]
+    d0 = fam.d0
+    denoms = [x + d0 for x in pos]
+    if recipe.scaled:
+        _check_r(r)
+        prefs = [r / denom for denom in denoms]
+        tols = [tol / pref if pref > 0 else tol for pref in prefs]
+    else:
+        prefs, tols = [1.0] * len(pos), [tol] * len(pos)
+    picks = recipe.weights if cross_check else recipe.weights[:1]
+
+    def stop(n):
+        sup = recipe.ratio_sup(fam, n)
+        if not 0.0 < sup < math.inf:
+            return lambda x: sup
+        d = fam.d_inf_beyond(n)
+        return lambda x: sup * x / (x + d)
+
+    block = _q_block(fam, lambda idx, *drg: [None if k is None else idx * drg[k]
+                                             for k in picks])
+    walks = blocked_sum(block, stop, pos, tols, cap=term_cap, name=recipe.name)
+    if len(picks) > 1:
+        for x, walk in zip(pos, walks):
+            _check_balance(fam, x, walk)
+    rows = map(recipe.finish, walks, denoms, prefs)
+    return [next(rows) if x > 0.0 else recipe.at_zero(fam, r) for x in xs]
+
+
 def sum_kM(fam: CoefficientFamily, x: float, r: float = 1.0, *,
            tol: float = DEFAULT_TOL, term_cap: int = DEFAULT_TERM_CAP) -> BoundedValue:
     """sum_i k_i M_i at the equilibrium profile."""
-    _check_x(x)
-    _check_r(r)
-    if x == 0.0:
-        return BoundedValue(r * fam.k0 / (fam.p0 + fam.q0), 0.0, 1)
-    pref = r / (x + fam.d0)
-    core_tol = tol / pref if pref > 0 else tol
-    walk = _q_walk(fam, [x], ("ones",), core_tol, term_cap, "sum_kM")[0]
-    return certified(walk, pref, head=1.0, start=-1)  # Q_0 = 1 counts as a term
+    return evaluate(fam, "kM", [x], r, tol=tol, term_cap=term_cap)[0]
 
 
 def sum_iqM(fam: CoefficientFamily, x: float, r: float = 1.0, *,
             tol: float = DEFAULT_TOL, term_cap: int = DEFAULT_TERM_CAP) -> BoundedValue:
     """sum_i i q_i M_i at the equilibrium profile (dust re-release rate)."""
-    _check_x(x)
-    _check_r(r)
-    if x == 0.0:
-        return BoundedValue(0.0, 0.0, 1)
-    pref = r / (x + fam.d0)
-    core_tol = tol / pref if pref > 0 else tol
-    return certified(_q_walk(fam, [x], ("iq",), core_tol, term_cap, "sum_iqM")[0], pref)
+    return evaluate(fam, "iqM", [x], r, tol=tol, term_cap=term_cap)[0]
 
 
 def H_series(fam: CoefficientFamily, x: float, *,
              tol: float = DEFAULT_TOL, term_cap: int = DEFAULT_TERM_CAP) -> BoundedValue:
     """H(x) = sum_{i>=1} i rho_i prod_{j<=i} x/(x+d_j)."""
-    _check_x(x)
-    if x == 0.0:
-        return BoundedValue(0.0, 0.0, 0)
-    return certified(_q_walk(fam, [x], ("irho",), tol, term_cap, "H_series")[0])
+    return evaluate(fam, "H", [x], tol=tol, term_cap=term_cap)[0]
 
 
 def F_equilibrium(fam: CoefficientFamily, x: float, *,
@@ -313,35 +362,8 @@ def F_equilibrium(fam: CoefficientFamily, x: float, *,
     truncation bound of the omitted tail, which rests on the family's
     ratio certificate (irho_ratio_sup, d_inf_beyond).
     """
-    _check_x(x)
-    if x == 0.0:
-        return BoundedValue(0.0, 0.0, 0)
-    which = ("irho", "ones", "iq") if cross_check else ("irho",)
-    walk = _q_walk(fam, [x], which, tol, term_cap, "H_series")[0]
-    if cross_check:
-        _check_balance(fam, x, walk)
-    h = certified(walk)
-    denom = x + fam.d0
-    value = h.value / denom
-    tail = h.tail_bound / denom + 4.0 * _EPS * abs(value)
-    return BoundedValue(value, tail, h.terms_used)
-
-
-def F_values(fam: CoefficientFamily, xs, *, tol: float = DEFAULT_TOL,
-             term_cap: int = DEFAULT_TERM_CAP) -> np.ndarray:
-    """F at every x in xs from one walk: entry k is, bit for bit,
-    F_equilibrium(fam, xs[k], tol=tol, term_cap=term_cap, cross_check=False).value.
-
-    Every x is checked before any is walked; a ConvergenceError is the scalar
-    call's at the first x in xs that fails.
-    """
-    xs = [float(x) for x in xs]
-    for x in xs:
-        _check_x(x)
-    walks = iter(_q_walk(fam, [x for x in xs if x > 0.0], ("irho",), tol, term_cap,
-                         "H_series"))
-    return np.array([certified(next(walks)).value / (x + fam.d0) if x > 0.0 else 0.0
-                     for x in xs])
+    return evaluate(fam, "F", [x], tol=tol, term_cap=term_cap,
+                    cross_check=cross_check)[0]
 
 
 def _check_balance(fam: CoefficientFamily, x: float, walk: _Walk) -> None:
@@ -467,6 +489,8 @@ class GridSpec:
             raise DomainError("grid endpoints must be finite")
         if self.x_max < self.x_min:
             raise DomainError("x_max must be >= x_min")
+        if not isinstance(self.count, (int, np.integer)):
+            raise DomainError(f"count must be an integer, got {self.count!r}")
         if self.count < 1:
             raise DomainError(f"count must be >= 1, got {self.count}")
         if self.spacing == "log" and self.x_min <= 0.0:
@@ -480,32 +504,3 @@ class GridSpec:
         if self.spacing == "linear":
             return np.linspace(self.x_min, self.x_max, self.count)
         return np.geomspace(self.x_min, self.x_max, self.count)
-
-
-class GridRow(NamedTuple):
-    x: float
-    value: float
-    tail_bound: float
-    terms_used: int
-
-
-_QUANTITIES = {
-    "F": lambda fam, x, r, tol, cap: F_equilibrium(fam, x, tol=tol, term_cap=cap),
-    "H": lambda fam, x, r, tol, cap: H_series(fam, x, tol=tol, term_cap=cap),
-    "kM": lambda fam, x, r, tol, cap: sum_kM(fam, x, r, tol=tol, term_cap=cap),
-    "iqM": lambda fam, x, r, tol, cap: sum_iqM(fam, x, r, tol=tol, term_cap=cap),
-}
-
-
-def grid_evaluate(fam: CoefficientFamily, quantity: str, grid: GridSpec,
-                  r: float = 1.0, *, tol: float = DEFAULT_TOL,
-                  term_cap: int = DEFAULT_TERM_CAP) -> Iterator[GridRow]:
-    """Evaluate one series quantity over a grid, yielding CSV-ready rows."""
-    if quantity not in _QUANTITIES:
-        raise DomainError(
-            f"unknown quantity {quantity!r}; expected one of {sorted(_QUANTITIES)}"
-        )
-    evaluate = _QUANTITIES[quantity]
-    for x in grid.points():
-        bv = evaluate(fam, float(x), r, tol, term_cap)
-        yield GridRow(float(x), bv.value, bv.tail_bound, bv.terms_used)

@@ -137,22 +137,22 @@ class TestClassifyThreshold:
 
     def test_threshold_existence_reuses_the_m_scan(self, monkeypatch):
         # answering --alpha must not repeat the F scan behind m: neither
-        # the grid (F_values) nor the golden-section refinement
+        # the grid (one evaluate walk) nor the golden-section refinement
         from quartzeq import powerlaw
 
         calls = []
-        real, real_values = powerlaw.F_equilibrium, powerlaw.F_values
+        real, real_evaluate = powerlaw.F_equilibrium, powerlaw.evaluate
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return real(*args, **kwargs)
 
-        def counted_values(fam, xs, **kwargs):
+        def counted_evaluate(fam, quantity, xs, *args, **kwargs):
             calls.extend(xs)
-            return real_values(fam, xs, **kwargs)
+            return real_evaluate(fam, quantity, xs, *args, **kwargs)
 
         monkeypatch.setattr(powerlaw, "F_equilibrium", counted)
-        monkeypatch.setattr(powerlaw, "F_values", counted_values)
+        monkeypatch.setattr(powerlaw, "evaluate", counted_evaluate)
         base = ["threshold", "--a", "2", "--b", "0"]
         assert run(base)[0] == 0
         alone = len(calls)

@@ -23,13 +23,12 @@ from quartzeq.coefficients import (
 from quartzeq.errors import ConsistencyError, ConvergenceError, DomainError
 from quartzeq.series import (
     F_equilibrium,
-    F_values,
     GridSpec,
     H_series,
     audit_d_identity,
     audit_G_identity,
     cohort_profile,
-    grid_evaluate,
+    evaluate,
     sum_iqM,
     sum_kM,
     tail_product,
@@ -199,8 +198,12 @@ class _SkewedD(PowerLawFamily):
 def test_balance_catches_d_off_rho_plus_g(x):
     fam = _SkewedD(p_exp=1.0, q_exp=1.0, k_exp=0.0)
     F_equilibrium(fam, x, cross_check=False)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError) as one:
         F_equilibrium(fam, x)
+    # many x: the rows are checked in order, so the first x's error is raised
+    with pytest.raises(ConsistencyError) as many:
+        evaluate(fam, "F", [0.0, x, 1e4, 1e-2, x])
+    assert str(many.value) == str(one.value)
 
 
 def _block_sizes(n):
@@ -285,19 +288,25 @@ class TestTermination:
 class TestGrid:
     def test_rows_follow_spec(self):
         fam = PiecewiseConstantFamily(1.0, 1)
-        rows = list(grid_evaluate(fam, "F", GridSpec(0.1, 10.0, 7, "log")))
-        assert len(rows) == 7
-        assert rows[0].x == pytest.approx(0.1)
-        assert rows[-1].x == pytest.approx(10.0)
-        assert all(rows[i].x < rows[i + 1].x for i in range(6))
+        points = GridSpec(0.1, 10.0, 7, "log").points()
+        assert len(evaluate(fam, "F", points)) == len(points) == 7
+        assert points[0] == pytest.approx(0.1)
+        assert points[-1] == pytest.approx(10.0)
+        assert all(points[i] < points[i + 1] for i in range(6))
 
     def test_linear_spacing(self):
-        rows = list(grid_evaluate(PiecewiseConstantFamily(1.0, 1), "kM", GridSpec(0.0, 4.0, 5, "linear")))
-        assert [r.x for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        points = GridSpec(0.0, 4.0, 5, "linear").points()
+        assert points.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        fam = PiecewiseConstantFamily(1.0, 1)
+        rows = evaluate(fam, "kM", points)
+        assert len(rows) == 5 and rows[0] == sum_kM(fam, 0.0)
+
+    def test_numpy_integer_count_accepted(self):
+        assert len(GridSpec(0.1, 1.0, np.int64(3)).points()) == 3
 
     def test_unknown_quantity_rejected(self):
         with pytest.raises(DomainError):
-            list(grid_evaluate(PiecewiseConstantFamily(1.0, 1), "G", GridSpec(0.1, 1.0, 3)))
+            evaluate(PiecewiseConstantFamily(1.0, 1), "G", GridSpec(0.1, 1.0, 3).points())
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -306,6 +315,7 @@ class TestGrid:
             dict(x_min=0.1, x_max=1.0, count=0),
             dict(x_min=0.0, x_max=1.0, count=3, spacing="log"),
             dict(x_min=0.1, x_max=1.0, count=3, spacing="cubic"),
+            dict(x_min=0.1, x_max=1.0, count=2.5),
         ],
     )
     def test_bad_grid_rejected(self, kwargs):
@@ -320,7 +330,7 @@ def test_tabulated_family_summable():
     assert bv.tail_bound <= 1e-12 * max(1.0, abs(bv.value)) * 10
 
 
-# F_values walks many x at once; each entry must be the scalar walk's value
+# evaluate walks many x at once; each row must be the one-x call's result
 _scan_families = st.one_of(
     families,
     st.builds(
@@ -344,58 +354,99 @@ def _scan_points(draw):
     return draw(st.permutations(base + repeats))
 
 
-def _scalar_F(fam, x, **kwargs):
-    return F_equilibrium(fam, x, tol=1e-11, cross_check=False, **kwargs).value
+# every quantity, with r != 1 where r scales it
+_QUANTITY_R = [("F", 1.0), ("H", 1.0), ("kM", 1.0), ("kM", 2.5), ("iqM", 1.0), ("iqM", 0.3)]
+
+
+def _one_x(fam, quantity, x, r, *, cross_check, **kwargs):
+    """The one-x entry point for quantity."""
+    if quantity == "F":
+        return F_equilibrium(fam, x, cross_check=cross_check, **kwargs)
+    if quantity == "H":
+        return H_series(fam, x, **kwargs)
+    return {"kM": sum_kM, "iqM": sum_iqM}[quantity](fam, x, r, **kwargs)
+
+
+def _bits(bv):
+    return float(bv.value).hex(), float(bv.tail_bound).hex(), bv.terms_used
 
 
 class TestFValues:
-    @settings(max_examples=40, deadline=None)
-    @given(_scan_families, _scan_points())
-    def test_equals_scalar_walks(self, fam, points):
+    """Values over many x from one evaluate walk: each row is the one-x
+    result, for every quantity, both cross_check settings and r != 1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scan_families, _scan_points(), st.sampled_from(_QUANTITY_R), st.booleans())
+    def test_equals_scalar_walks(self, fam, points, quantity_r, cross_check):
+        quantity, r = quantity_r
+        kwargs = dict(tol=1e-11, term_cap=50_000, cross_check=cross_check)
         try:
-            want = [_scalar_F(fam, x) for x in points]
-        except ConvergenceError as scalar:
-            # small a at large x: the same error, at the first x that fails
-            with pytest.raises(ConvergenceError) as batch:
-                F_values(fam, points, tol=1e-11)
-            assert str(batch.value) == str(scalar)
+            want = [_bits(_one_x(fam, quantity, x, r, **kwargs)) for x in points]
+        except ConvergenceError as one:
+            # small a or flat d at large x: the same error, at the first x that fails
+            with pytest.raises(ConvergenceError) as many:
+                evaluate(fam, quantity, points, r, **kwargs)
+            assert str(many.value) == str(one)
             return
-        got = F_values(fam, points, tol=1e-11)
-        assert got.dtype == np.float64
-        assert got.tolist() == want
+        assert [_bits(bv) for bv in evaluate(fam, quantity, points, r, **kwargs)] == want
 
     @pytest.mark.parametrize("a,b", [(0.5, -0.8), (2.0, 0.0)])
     def test_m_scan_grid_equals_scalar_walks(self, a, b):
-        # 200 rows retire over many blocks and share them in several chunks
+        # 300 rows exceed the 256 a first block's chunk holds, then retire
+        # over many blocks and share them in several chunks
         fam = PowerLawFamily.from_ab(a, b)
-        points = np.geomspace(1e-3, 1e6, 200)
-        got = F_values(fam, points, tol=1e-11)
-        assert got.tolist() == [_scalar_F(fam, float(x)) for x in points]
+        points = np.geomspace(1e-3, 1e6, 300).tolist()
+        points = points + [0.0, 0.0] + points[::37]
+        np.random.default_rng(7).shuffle(points)
+        for quantity, r in _QUANTITY_R:
+            for cross_check in (True, False):
+                got = evaluate(fam, quantity, points, r, tol=1e-11, cross_check=cross_check)
+                assert [_bits(bv) for bv in got] == [
+                    _bits(_one_x(fam, quantity, x, r, tol=1e-11, cross_check=cross_check))
+                    for x in points], (quantity, r, cross_check)
 
     def test_empty_grid(self):
-        got = F_values(PowerLawFamily.from_ab(2.0, 0.0), [])
-        assert got.shape == (0,) and got.dtype == np.float64
+        for quantity, r in _QUANTITY_R:
+            assert evaluate(PowerLawFamily.from_ab(2.0, 0.0), quantity, [], r) == []
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_bad_x_raises_the_scalar_error(self, bad):
         fam = PowerLawFamily.from_ab(0.5, -0.5)
-        with pytest.raises(DomainError) as scalar:
-            _scalar_F(fam, bad)
-        # checked before any walk: an earlier x that would not converge loses
-        with pytest.raises(DomainError) as batch:
-            F_values(fam, [1.0, 1e6, bad, 2.0], term_cap=200)
-        assert str(batch.value) == str(scalar.value)
+        for quantity, r in _QUANTITY_R:
+            with pytest.raises(DomainError) as one:
+                _one_x(fam, quantity, bad, r, cross_check=True)
+            # checked before any walk: an earlier x that would not converge loses
+            with pytest.raises(DomainError) as many:
+                evaluate(fam, quantity, [1.0, 1e6, bad, 2.0], r, term_cap=200)
+            assert str(many.value) == str(one.value)
+
+    @pytest.mark.parametrize("bad_r", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_r_is_checked_where_r_scales(self, bad_r):
+        fam = PowerLawFamily.from_ab(0.5, -0.5)
+        for quantity in ("F", "H"):
+            assert evaluate(fam, quantity, [0.0, 1.0], bad_r) == evaluate(fam, quantity,
+                                                                          [0.0, 1.0])
+        for quantity in ("kM", "iqM"):
+            with pytest.raises(DomainError, match="x must be"):  # every x comes first
+                evaluate(fam, quantity, [1.0, -1.0], bad_r)
+            with pytest.raises(DomainError) as one:
+                _one_x(fam, quantity, 0.0, bad_r, cross_check=True)
+            with pytest.raises(DomainError) as many:
+                evaluate(fam, quantity, [0.0, 1e6], bad_r, term_cap=200)
+            assert str(many.value) == str(one.value)
 
     @pytest.mark.parametrize("points", [[1e-3, 1e5, 0.0, 1e6, 1e-2], [1e-2, 1e6, 1e5]])
     def test_term_cap_raises_at_the_first_failing_x(self, points):
+        # kM and iqM scale tol per x, and the message quotes the failing row's
         fam = PowerLawFamily.from_ab(0.5, -0.5)
         first_failing = next(x for x in points if x >= 1e5)
-        with pytest.raises(ConvergenceError) as scalar:
-            _scalar_F(fam, first_failing, term_cap=200)
-        with pytest.raises(ConvergenceError) as batch:
-            F_values(fam, points, tol=1e-11, term_cap=200)
-        assert str(batch.value) == str(scalar.value)
-        assert batch.value.diagnostic() == scalar.value.diagnostic()
+        for quantity, r in _QUANTITY_R:
+            with pytest.raises(ConvergenceError) as one:
+                _one_x(fam, quantity, first_failing, r, cross_check=True, term_cap=200)
+            with pytest.raises(ConvergenceError) as many:
+                evaluate(fam, quantity, points, r, term_cap=200)
+            assert str(many.value) == str(one.value)
+            assert many.value.diagnostic() == one.value.diagnostic()
 
     def test_m_scan_memory_is_bounded(self):
         # live rows go through the cumulative product in chunks of 2^14
@@ -404,7 +455,7 @@ class TestFValues:
         points = np.geomspace(1e-3, 1e6, 200)
         tracemalloc.start()
         try:
-            F_values(fam, points, tol=1e-11)
+            evaluate(fam, "F", points, tol=1e-11, cross_check=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
