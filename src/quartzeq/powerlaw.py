@@ -14,14 +14,18 @@ On b = a-1, i rho_i = i^a and d_i = i^a + i^(a-1), so the d-identity
 sum_i d_i Q_i = x gives H = x - sum_i i^(a-1) Q_i < x, a sum that is o(x).
 
 The regime is a pure function of (a, b).  Below the line m has no closed
-form and is estimated numerically (a log grid evaluated in one
-series.evaluate walk, then golden-section refinement one x at a time), so
-existence answers inside its error bar are reported as indeterminate
-rather than as a guess.
+form and is estimated numerically (a log grid evaluated in slices of 25
+rows, one series.evaluate walk each, then golden-section refinement one x
+at a time), so existence answers inside its error bar are reported as
+indeterminate rather than as a guess.  The same d-identity bounds F below
+the line too: with c_n = sup_{i>=n} i rho_i / d_i,
+F(x) < sum_{i<n} i rho_i / x + c_n at every x, so the grid scan stops once
+that bound falls below the largest F it has seen (_weak_F_bound).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -137,9 +141,73 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # exercised separately by the series tests
 _SCAN_TOL = 1e-11
 _M_X_MIN = 1e-3  # left end of the m scan's log grid
+_SLICE = 25  # grid rows per evaluate walk of the m scan
+_BOUND_MARGIN = 1e-6  # relative rounding margin of _weak_F_bound
+_KEPT_LAST = 4096  # last index whose ratios a _KeptReads keeps
 
 
-def _F(fam: PowerLawFamily, x: float) -> float:
+def _weak_F_bound(fam: PowerLawFamily, x: float) -> float:
+    """A certified upper bound on F(x), x > 0, for a ThresholdWeak power law.
+
+    With e = 1 + b, i rho_i = i^e and d_i = i^a + i^b, so
+    i rho_i / d_i <= i^(e-a), which decreases because e - a = b - (a-1) < 0:
+    c_n = n^(e-a) bounds sup_{i>=n} i rho_i / d_i.  Split H at n.  Below n,
+    Q_i <= 1 and, as e > -1, sum_{i<n} i^e <= 1 + n^(e+1)/(e+1) (compare
+    each term with the integral of t^e over the adjacent unit cell; the 1
+    covers i = 1 when t^e decreases).  From n on, i rho_i Q_i <= c_n d_i Q_i,
+    and the d-identity sum_{i<=N} d_i Q_i = x (1 - Q_N) <= x bounds their
+    sum by c_n x.  With d_0 > 0,
+
+        F(x) = H(x) / (x + d_0) < H(x) / x <= (1 + n^(e+1)/(e+1)) / x + n^(e-a)
+
+    at every n >= 1.  The minimum is taken over n = 1, 2, 4, ...: it stops
+    once the first part alone exceeds the best bound, since that part only
+    grows with n.  Every bound here falls as x grows.  The result is
+    inflated by _BOUND_MARGIN, far above both the few roundings of this
+    arithmetic and the rounding envelope of a computed F, (2n + 72) eps
+    relative (series.certified) or below 5e-10 within the 10^6 term cap.
+    """
+    a, e = fam.a, 1.0 + fam.b
+    best, n = math.inf, 1.0
+    while True:
+        try:
+            head = (1.0 + n ** (e + 1.0) / (e + 1.0)) / x
+        except OverflowError:  # n^(e+1) is past the doubles: larger n only lose
+            head = math.inf
+        if head >= best:
+            return best * (1.0 + _BOUND_MARGIN)
+        best = min(best, head + n ** (e - a))
+        n *= 2.0
+
+
+class _KeptReads:
+    """A power-law family whose reads are kept for one m scan or probe.
+
+    Their F walks (without the cross-check) read the same index blocks over
+    and over, for example indices 1..64 in every one-x golden-section walk,
+    and these reads do not depend on x.  Each is computed once by the family
+    and returned as computed, so every walk stays bit for bit the same.
+    Ratios are kept for indices up to _KEPT_LAST only (at most 97 KB): a
+    row at large x can walk to the term cap, and the later blocks are read
+    by few walks.  The kept reads go with the object at the end of the scan.
+    """
+
+    def __init__(self, fam: PowerLawFamily):
+        self._fam, self._ratios = fam, {}
+        self.d0 = fam.d0
+        self.d_inf_beyond = functools.cache(fam.d_inf_beyond)
+        self.irho_ratio_sup = functools.cache(fam.irho_ratio_sup)
+
+    def ratios(self, idx):
+        if idx[-1] > _KEPT_LAST:
+            return self._fam.ratios(idx)
+        key = idx.tobytes()
+        if key not in self._ratios:
+            self._ratios[key] = self._fam.ratios(idx)
+        return self._ratios[key]
+
+
+def _F(fam: _KeptReads, x: float) -> float:
     return F_equilibrium(fam, x, tol=_SCAN_TOL, cross_check=False).value
 
 
@@ -171,14 +239,21 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
     On the critical line b = a-1 the answer is exact and takes no F
     evaluations: m = 1, approached only as x -> oo, with error bar 0
     (module docstring).  Below it the estimate is m with its maximizer:
-    a log-grid sweep over [1e-3, x_max], all grid points in one
-    series.evaluate walk (bit for bit the one-x values), plus
-    golden-section refinement around the best cell.  A maximum at the
-    grid edge means x_max is too small and is an error (F must
-    eventually decay there).
+    a log-grid sweep over [1e-3, x_max], plus golden-section refinement
+    around the best cell.  The sweep walks the grid in increasing-x slices
+    of _SLICE rows, each one series.evaluate walk (bit for bit the one-x
+    values).  Before each slice it stops if _weak_F_bound at the slice's
+    smallest x, which bounds F at every larger x, is below the largest F
+    scanned: every skipped row lies below a scanned one, so the maximizing
+    row, m, its error bar and the maximizer are bit for bit those of the
+    full grid.  All of the estimate's walks read the family through one
+    _KeptReads.  A maximum at the grid edge means x_max is too small and is
+    an error (F must eventually decay there).
 
     The error bar is the F spread over the final search bracket plus the
-    series tail bound at the maximizer.
+    series tail bound at the maximizer.  The evaluation count is the grid
+    rows scanned plus the refinement's F evaluations (184 for (2, 0) on the
+    default grid: 125 rows, 57 golden-section steps and 2 for the error bar).
     """
     verdict = classify_regime(params)
     if verdict.regime is Regime.ALWAYS_EXISTS:
@@ -192,14 +267,20 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
     if verdict.regime is Regime.THRESHOLD_STRICT:
         return MEstimate(verdict.m_estimate, verdict.m_attained_at), verdict.m_error_bar, 0
 
+    fam = _KeptReads(params)
     xs = np.geomspace(_M_X_MIN, x_max, grid)
-    vals = [bv.value for bv in evaluate(params, "F", xs, tol=_SCAN_TOL, cross_check=False)]
-    evals = grid
+    vals: list[float] = []
+    for start in range(0, grid, _SLICE):
+        if vals and _weak_F_bound(params, float(xs[start])) < max(vals):
+            break
+        vals += [bv.value for bv in evaluate(fam, "F", xs[start:start + _SLICE],
+                                             tol=_SCAN_TOL, cross_check=False)]
+    evals = len(vals)
 
     def f(x: float) -> float:
         nonlocal evals
         evals += 1
-        return _F(params, x)
+        return _F(fam, x)
 
     j = int(np.argmax(vals))
     if j >= grid - 1:
@@ -212,7 +293,7 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
     lo = float(xs[max(j - 1, 0)])
     hi = float(xs[min(j + 1, grid - 1)])
     x_best, f_best, width = _golden_max(f, lo, hi)
-    bv = F_equilibrium(params, x_best, cross_check=False)
+    bv = F_equilibrium(fam, x_best, cross_check=False)
     err = (
         abs(f_best - f(max(x_best - width, lo)))
         + abs(f_best - f(min(x_best + width, hi)))
@@ -254,36 +335,43 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float,
     by bisection, so every returned root is genuine; the COUNT is only as
     good as the grid (roots closer than one grid cell merge, roots outside
     the grid are missed).  No uniqueness theorem backs this in the
-    power-law case.
+    power-law case.  The brackets bisect in lockstep, with one
+    series.evaluate walk per round over their midpoints.
     """
     phi = _inflow_ratio(alpha, r)
     _check_params(params)
+    fam = _KeptReads(params)
     xs = np.geomspace(1e-4, 1e6, 400)
     vals = [bv.value - phi
-            for bv in evaluate(params, "F", xs, tol=_SCAN_TOL, cross_check=False)]
-    roots = []
+            for bv in evaluate(fam, "F", xs, tol=_SCAN_TOL, cross_check=False)]
+    # one bracket [lo_x, hi_x, F > alpha/r at lo_x] per root, in x order; a
+    # grid point where F = alpha/r is the bracket [x, x]
+    brackets = []
     for i in range(len(xs) - 1):
         lo_v, hi_v = vals[i], vals[i + 1]
         if lo_v == 0.0:
-            roots.append(float(xs[i]))
-            continue
-        if (lo_v > 0.0) == (hi_v > 0.0):
-            continue
-        lo_x, hi_x = float(xs[i]), float(xs[i + 1])
-        for _ in range(200):
-            mid = math.sqrt(lo_x * hi_x)
-            if mid <= lo_x or mid >= hi_x:
-                break
-            mv = _F(params, mid) - phi
-            if mv == 0.0:
-                lo_x = hi_x = mid
-                break
-            if (mv > 0.0) == (lo_v > 0.0):
-                lo_x = mid
-            else:
-                hi_x = mid
-        roots.append(0.5 * (lo_x + hi_x))
+            brackets.append([float(xs[i]), float(xs[i]), False])
+        elif (lo_v > 0.0) != (hi_v > 0.0):
+            brackets.append([float(xs[i]), float(xs[i + 1]), lo_v > 0.0])
     if vals and vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return len(roots), tuple(roots)
-
+        brackets.append([float(xs[-1]), float(xs[-1]), False])
+    # the open brackets bisect in lockstep, one evaluate walk per round over
+    # their midpoints; each takes the steps it would take alone
+    live = [br for br in brackets if br[0] < br[1]]
+    for _ in range(200):
+        live = [br for br in live if br[0] < math.sqrt(br[0] * br[1]) < br[1]]
+        if not live:
+            break
+        mids = [math.sqrt(lo_x * hi_x) for lo_x, hi_x, _ in live]
+        for br, mid, bv in zip(live, mids, evaluate(fam, "F", mids, tol=_SCAN_TOL,
+                                                     cross_check=False)):
+            mv = bv.value - phi
+            if mv == 0.0:
+                br[0] = br[1] = mid
+            elif (mv > 0.0) == br[2]:
+                br[0] = mid
+            else:
+                br[1] = mid
+        live = [br for br in live if br[0] < br[1]]
+    roots = tuple(0.5 * (lo_x + hi_x) for lo_x, hi_x, _ in brackets)
+    return len(roots), roots

@@ -145,66 +145,64 @@ def blocked_sum(block, stop, xs, tols=None, *, cap: int,
     such x, quoting that row's tol.
     """
     walks: list[_Walk | None] = [None] * len(xs)
-    # a row: [index in xs, x, x as a 0-d array, running product, block sums]
-    live = [[i, x, np.array(x, dtype=float), 1.0, []] for i, x in enumerate(xs)]
-
-    def settle(row, row_sums, q, t) -> bool:
-        """Add one block to a row: True if the row retires at index hi."""
-        i, x, _, _, parts = row
-        for part, v in zip(parts, row_sums):
-            part.append(v)
-        row[3] = q
-        s = bound(x) if bound else math.inf
-        if s < 1.0:
-            # once Q has underflowed, the true tail is below any usable tol
-            tail = 0.0 if s == 0.0 or q < _UNDERFLOW_FLOOR else t * s / (1.0 - s)
-            if tail <= tols[i]:
-                walks[i] = _Walk(tuple(map(math.fsum, parts)), tail, hi, q)
-                return True
-        return False
-
+    live = range(len(xs))  # the rows still walking, as indices into xs
+    qs = [1.0] * len(xs)  # each row's running product
+    parts: list[list[tuple]] = [[] for _ in xs]  # each row's block sums, a tuple per block
     n, size = 0, 64
     while live and n < cap:
         hi = min(n + size, cap)
-        idx = np.arange(n + 1, hi + 1)
-        fmap, ws = block(idx)
-        if n == 0:
-            for row in live:
-                row[4] = [[] for _ in ws]
+        fmap, ws = block(np.arange(n + 1, hi + 1))
         bound = None if stop is None else stop(hi)
-        chunk, retired = _CHUNK // size, False
-        for rows in ([live] if len(live) <= chunk else
+        chunk = _CHUNK // size
+        retired = False
+        for rows in ((live,) if len(live) <= chunk else
                      [live[a:a + chunk] for a in range(0, len(live), chunk)]):
-            lone = len(rows) == 1
-            if lone:  # 1-D with a 0-d x: cheaper than a one-row column
-                _, _, x_c, q_c, _ = rows[0]
+            if len(rows) == 1:  # 1-D with a 0-d x: cheaper than a one-row column
+                i = rows[0]
+                qvals = fmap(np.array(xs[i], dtype=float)).cumprod()
+                if n:  # the first block starts from Q_0 = 1
+                    qvals = qs[i] * qvals
+                terms = [qvals if w is None else w * qvals for w in ws]
+                sums = (tuple(map(float, map(np.add.reduce, terms))),)
+                q_n = (qvals.item(-1),)
+                t_n = (terms[0].item(-1) if bound else 0.0,)
             else:
-                x_c = np.array([row[1] for row in rows], dtype=float)[:, None]
-                q_c = np.array([row[3] for row in rows])[:, None]
-            qvals = fmap(x_c).cumprod(-1)
-            if n:  # the first block starts from Q_0 = 1
-                qvals = q_c * qvals
-            terms = [qvals if w is None else w * qvals for w in ws]
-            if lone:
-                retired |= settle(rows[0], [float(np.add.reduce(t)) for t in terms],
-                                  float(qvals[-1]), float(terms[0][-1]) if bound else 0.0)
-                continue
-            sums = list(zip(*[np.add.reduce(t, 1).tolist() for t in terms]))
-            t_n = terms[0][:, -1].tolist() if bound else [0.0] * len(rows)
-            for row, row_sums, q, t in zip(rows, sums or [()] * len(rows),
-                                           qvals[:, -1].tolist(), t_n):
-                retired |= settle(row, row_sums, q, t)
+                x_c = np.array([xs[i] for i in rows], dtype=float)[:, None]
+                qvals = fmap(x_c).cumprod(-1)
+                if n:
+                    qvals = np.array([qs[i] for i in rows])[:, None] * qvals
+                terms = [qvals if w is None else w * qvals for w in ws]
+                sums = (list(zip(*[np.add.reduce(t, 1).tolist() for t in terms]))
+                        or [()] * len(rows))
+                q_n = qvals[:, -1].tolist()
+                t_n = terms[0][:, -1].tolist() if bound else [0.0] * len(rows)
+            for i, row_sums, q, t in zip(rows, sums, q_n, t_n):
+                parts[i].append(row_sums)
+                qs[i] = q
+                s = bound(xs[i]) if bound else math.inf
+                if s < 1.0:
+                    # once Q has underflowed, the true tail is below any usable tol
+                    tail = 0.0 if s == 0.0 or q < _UNDERFLOW_FLOOR else t * s / (1.0 - s)
+                    if tail <= tols[i]:
+                        walks[i] = _Walk(_fsums(parts[i]), tail, hi, q)
+                        retired = True
         if retired:
-            live = [row for row in live if walks[row[0]] is None]
+            live = [i for i in live if walks[i] is None]
         n = hi
         size = min(size * 2, 8192)
     if live and stop is not None:
-        i, x = live[0][:2]
-        raise ConvergenceError(f"{name} did not reach tol={tols[i]} within {cap} terms "
+        x = xs[live[0]]
+        raise ConvergenceError(f"{name} did not reach tol={tols[live[0]]} within {cap} terms "
                                f"at x={x}", series=name, x=x, terms_used=cap)
-    for i, _, _, q, parts in live:
-        walks[i] = _Walk(tuple(map(math.fsum, parts)), 0.0, n, q)
+    for i in live:
+        walks[i] = _Walk(_fsums(parts[i]), 0.0, n, qs[i])
     return walks
+
+
+def _fsums(blocks: list[tuple]) -> tuple:
+    """math.fsum of each weight's block sums, one tuple per block; a lone
+    block's sums are their own fsums."""
+    return blocks[0] if len(blocks) == 1 else tuple(map(math.fsum, zip(*blocks)))
 
 
 def certified(walk: _Walk, pref: float = 1.0, head: float = 0.0,
@@ -231,9 +229,10 @@ def _q_block(fam: CoefficientFamily, weights):
 
 
 def _check_x(x: float) -> float:
+    """x as a float, after checking that it is finite and >= 0."""
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"x must be finite and >= 0, got {x}")
-    return x
+    return float(x)
 
 
 def _check_r(r: float) -> None:
@@ -290,12 +289,12 @@ def evaluate(fam: CoefficientFamily, quantity: str, xs, r: float = 1.0, *,
     a ConvergenceError is the one-x error at the first x that fails.  Then, with
     cross_check, F's rows are balance-checked in the order of xs.
     """
-    if quantity not in _RECIPES:
+    recipe = _RECIPES.get(quantity)
+    if recipe is None:
         raise DomainError(f"unknown quantity {quantity!r}; "
                           f"expected one of {sorted(_RECIPES)}")
-    recipe = _RECIPES[quantity]
-    xs = [float(_check_x(x)) for x in xs]
-    pos = [x for x in xs if x > 0.0]
+    xs = list(map(_check_x, xs))
+    pos = [x for x in xs if x > 0.0] if 0.0 in xs else xs
     d0 = fam.d0
     denoms = [x + d0 for x in pos]
     if recipe.scaled:
@@ -320,6 +319,8 @@ def evaluate(fam: CoefficientFamily, quantity: str, xs, r: float = 1.0, *,
         for x, walk in zip(pos, walks):
             _check_balance(fam, x, walk)
     rows = map(recipe.finish, walks, denoms, prefs)
+    if pos is xs:
+        return list(rows)
     return [next(rows) if x > 0.0 else recipe.at_zero(fam, r) for x in xs]
 
 

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,49 +100,51 @@ class TestThresholdEstimate:
 
 # (a, b, m, attained_at, error bar, F evaluations) of the ThresholdWeak
 # families in the verdict benchmark, as the one-x-at-a-time grid scan
-# computed them on an x86_64 host with AVX-512.  Without AVX-512 numpy's
+# computed them on an x86_64 host with AVX-512.  The evaluations are the
+# grid rows scanned before _weak_F_bound stops the scan, plus the 59 of the
+# golden-section search and the error bar.  Without AVX-512 numpy's
 # power and exp round differently, which moves m by an ulp and attained_at
 # by up to 5e-8 relative (checked with NPY_DISABLE_CPU_FEATURES).
 _M_PINS = [
     # seed 1
     (1.4224859878427019, 0.03341936779488014,
-     0.4731583721316437, 16.199767844105992, 2.1234497366313383e-14, 259),
+     0.4731583721316437, 16.199767844105992, 2.1234497366313383e-14, 209),
     (2.0484044444136886, 0.3418840321032023,
-     0.3801103709839797, 8.410472392949087, 1.699131373307149e-14, 259),
+     0.3801103709839797, 8.410472392949087, 1.699131373307149e-14, 184),
     (2.660339946165241, 1.1143968543306104,
-     0.44117798751698595, 15.996158036839555, 2.014734990027849e-14, 259),
+     0.44117798751698595, 15.996158036839555, 2.014734990027849e-14, 209),
     (0.7924208125850241, -1.0755904304240314,
-     0.3116170107379294, 4.029660275519569, 1.3894086358675813e-14, 259),
+     0.3116170107379294, 4.029660275519569, 1.3894086358675813e-14, 184),
     # seed 2
     (0.7865100932656006, -1.088941991568803,
-     0.3101919730017786, 3.9840786215161588, 1.3941824272912954e-14, 259),
+     0.3101919730017786, 3.9840786215161588, 1.3941824272912954e-14, 184),
     (2.6668374365291974, 1.1223646258157234,
-     0.44180994596830137, 16.110524554166886, 1.9786836434589953e-14, 259),
+     0.44180994596830137, 16.110524554166886, 1.9786836434589953e-14, 209),
     (1.4265146647128666, 0.03959447013491946,
-     0.4743492981411127, 16.384821632910704, 2.1453918559060657e-14, 259),
+     0.4743492981411127, 16.384821632910704, 2.1453918559060657e-14, 209),
     (2.0765750033874797, 0.36944996758639026,
-     0.38063219628497136, 8.486341524423816, 1.712550973409372e-14, 259),
+     0.38063219628497136, 8.486341524423816, 1.712550973409372e-14, 184),
     # seed 3
     (2.6957686577148654, 1.1524193855972453,
-     0.44277562791919584, 16.34462986603354, 1.9885232479275133e-14, 259),
+     0.44277562791919584, 16.34462986603354, 1.9885232479275133e-14, 209),
     (2.072225347328354, 0.3660479757876116,
-     0.38076868106457773, 8.489965990682807, 1.7076059724655656e-14, 259),
+     0.38076868106457773, 8.489965990682807, 1.7076059724655656e-14, 184),
     (1.4364866821899578, 0.057649896909489906,
-     0.4787174361818017, 17.062921946782986, 2.148136940246744e-14, 259),
+     0.4787174361818017, 17.062921946782986, 2.148136940246744e-14, 209),
     (0.7930048042102985, -1.0775616648086785,
-     0.31120558571044454, 4.017837105389259, 1.3875815417138985e-14, 259),
+     0.31120558571044454, 4.017837105389259, 1.3875815417138985e-14, 184),
     # holdout seed 20190129
     (1.4306987700337177, 0.047031633022664054,
-     0.4761023648075263, 16.653848182530524, 2.1365236904437094e-14, 259),
+     0.4761023648075263, 16.653848182530524, 2.1365236904437094e-14, 209),
     (0.8140014447891992, -1.0475809319459526,
-     0.313369354368757, 4.095439355599945, 1.4082928350978331e-14, 259),
+     0.313369354368757, 4.095439355599945, 1.4082928350978331e-14, 184),
     (2.0737961589272884, 0.3666875845745996,
-     0.38057003973285886, 8.478070062135835, 1.7011727126219742e-14, 259),
+     0.38057003973285886, 8.478070062135835, 1.7011727126219742e-14, 184),
     (2.701005574369645, 1.1643737042195248,
-     0.44518672798510234, 16.73729883068278, 1.999230683158892e-14, 259),
+     0.44518672798510234, 16.73729883068278, 1.999230683158892e-14, 209),
     # THRESHOLD_FAMILY
     (2.0, 0.0,
-     0.3198813413702965, 5.0831323274282685, 1.4372118667185084e-14, 259),
+     0.3198813413702965, 5.0831323274282685, 1.4372118667185084e-14, 184),
 ]
 
 
@@ -164,6 +167,69 @@ def test_m_estimate_is_pinned(a, b, m, attained_at, err, evals, monkeypatch):
     assert abs(est.m - m) <= err
     assert est.attained_at == pytest.approx(attained_at, rel=1e-6)
     assert got_err == pytest.approx(err, rel=0.05)
+
+
+_WEAK_FAMILIES = st.builds(
+    # b spans (-2, a - 1) in proportion, so the strict line is approached too
+    lambda a, frac: PowerLawFamily.from_ab(a, -2.0 + frac * (a + 1.0)),
+    st.floats(0.05, 4.0), st.floats(0.001, 0.999),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fam=_WEAK_FAMILIES, u=st.floats(0.0, 1.0))
+def test_weak_F_bound_holds(fam, u):
+    # the d-identity bound stops the m scan: a computed F above it could
+    # drop the maximizing row.  x is log-uniform on [1e-3, x_hi]; x_hi < 1e6
+    # only for small a, where the walk needs about (30 (a+1) x)^(1/(a+1))
+    # terms and would pass the 10^6 term cap (ROADMAP item 3)
+    from quartzeq.powerlaw import _weak_F_bound
+
+    assert classify_regime(fam).regime is Regime.THRESHOLD_WEAK
+    x_hi = min(1e6, 1e-2 * 1e5 ** (fam.a + 1.0))
+    x = math.exp(math.log(1e-3) + u * math.log(x_hi / 1e-3))
+    assert F_equilibrium(fam, x, cross_check=False).value <= _weak_F_bound(fam, x)
+
+
+def test_weak_F_bound_falls_below_the_peak():
+    # at (2, 0) the bound drops below m = 0.3199 between x = 100 and 200,
+    # and falls like x^(-1/3), as F does
+    from quartzeq.powerlaw import _weak_F_bound
+
+    assert _weak_F_bound(THRESHOLD_FAMILY, 1e2) > 0.3198813413702965
+    assert _weak_F_bound(THRESHOLD_FAMILY, 2e2) < 0.3198813413702965
+    assert _weak_F_bound(THRESHOLD_FAMILY, 1e6) < 0.02
+
+
+@pytest.mark.parametrize("grid", [20, 200, 400])
+@pytest.mark.parametrize("x_max", [1e4, 1e6, 1e8])
+def test_stopped_scan_matches_full_scan(grid, x_max, monkeypatch):
+    # every row the bound skips lies below a scanned one, so m, its error
+    # bar and the maximizer are bit for bit those of the full grid
+    from quartzeq import powerlaw
+
+    stopped = [estimate_m_with_error(PowerLawFamily.from_ab(a, b), x_max, grid)
+               for a, b, *_ in _M_PINS]
+    monkeypatch.setattr(powerlaw, "_weak_F_bound", lambda fam, x: math.inf)
+    for (a, b, *_), (est, err, evals) in zip(_M_PINS, stopped):
+        full_est, full_err, full_evals = estimate_m_with_error(
+            PowerLawFamily.from_ab(a, b), x_max, grid)
+        assert (est.m, err, est.attained_at) == (full_est.m, full_err, full_est.attained_at)
+        assert evals <= full_evals
+
+
+def test_stopped_scan_answers_past_the_series_ceiling(monkeypatch):
+    # at (0.2, -1.5) the grid rows past x ~ 4e5 need more than 10^6 terms;
+    # the bound stops the scan long before them, so m is still certified
+    from quartzeq import powerlaw
+
+    fam = PowerLawFamily.from_ab(0.2, -1.5)
+    est, err, evals = estimate_m_with_error(fam)
+    assert est.m == pytest.approx(0.32116, abs=1e-5) and err < 1e-12
+    assert evals == 125 + 59
+    monkeypatch.setattr(powerlaw, "_weak_F_bound", lambda fam, x: math.inf)
+    with pytest.raises(ConvergenceError, match="within 1000000 terms"):
+        estimate_m_with_error(fam)
 
 
 class TestExistence:
@@ -244,6 +310,47 @@ def test_count_probe_finds_both_crossings():
     for root in roots:
         bv = F_equilibrium(THRESHOLD_FAMILY, root)
         assert bv.value == pytest.approx(0.2, abs=1e-9)
+
+
+def _scalar_probe(fam, alpha):
+    """count_equilibria_probe with one F call per x: every bracket bisects
+    alone, one midpoint at a time."""
+    def f(x):
+        return F_equilibrium(fam, x, tol=1e-11, cross_check=False).value - alpha
+
+    xs = [float(x) for x in np.geomspace(1e-4, 1e6, 400)]
+    vals = [f(x) for x in xs]
+    roots = []
+    for i in range(len(xs) - 1):
+        if vals[i] == 0.0:
+            roots.append(xs[i])
+        elif (vals[i] > 0.0) != (vals[i + 1] > 0.0):
+            lo, hi = xs[i], xs[i + 1]
+            for _ in range(200):
+                mid = math.sqrt(lo * hi)
+                if not lo < mid < hi:
+                    break
+                mv = f(mid)
+                if mv == 0.0:
+                    lo = hi = mid
+                    break
+                if (mv > 0.0) == (vals[i] > 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
+    if vals[-1] == 0.0:
+        roots.append(xs[-1])
+    return len(roots), tuple(roots)
+
+
+@pytest.mark.parametrize("a,b,alpha", [(2.0, 0.0, 0.2), (2.0, 0.0, 0.3198), (1.0, -0.4, 0.3),
+                                       (0.79, -1.07, 0.25), (1.5, 0.2, 0.4), (2.0, 1.4, 0.7)])
+def test_count_probe_lockstep_matches_scalar_bisection(a, b, alpha):
+    # the brackets, bisected together in one walk per round, take bit for
+    # bit the steps each takes alone
+    fam = PowerLawFamily.from_ab(a, b)
+    assert count_equilibria_probe(fam, alpha, 1.0) == _scalar_probe(fam, alpha)
 
 
 @pytest.mark.parametrize(
