@@ -10,13 +10,18 @@ d_j = j^a + j^b the series H(x) is sandwiched between K(x/2) and K(x),
 so the growth exponent of K decides whether equilibria exist for every
 inflow or only below a threshold.
 
-R has a complete expansion in powers of v (Mellin residues): a leading
-v^{-theta} with theta = (A+1)/(a+1), plus zeta-value corrections; when
-theta collides with a nonpositive integer the two residues merge into a
+R has a complete expansion in powers of v, read off its Mellin residues
+(`_R_residues`): a leading v^{-theta} with theta = (A+1)/(a+1), plus
+zeta-value corrections; when theta is, within 1e-12, a nonpositive
+integer (`_pole_order`, the one pole test) the two residues merge into a
 log(1/v) term.  K is expanded by writing the product as
-exp(-v i^{a+1} - W_i) with v = 1/((a+1)x), expanding exp(-W_i) into
-monomials i^A / x^B by exact Euler-Maclaurin bookkeeping, and feeding
-each monomial back through the R expansion.  The refined K expansion is
+exp(-v i^{a+1} - W_i) with v = 1/((a+1)x).  The log series of W_i needs
+the power sums sum_{j<=i} j^{a ell}, which one Euler-Maclaurin generator
+(`_em_terms`, also behind `power_sum`) writes as monomials i^A / x^B,
+exact in rationals at integer a.  exp(-W_i) is expanded into such
+monomials, and each monomial i^A x^{-B} summed against exp(-v i^{a+1})
+is x^{-B} R_{a,A}(v): the same residues as `R_expansion`, mapped back
+through v = 1/((a+1)x).  The refined K expansion is
 hand-validated through depth 4 at a = 1, where it reproduces
 
     K_{1,-1}(x) = sqrt(pi/2) sqrt(x) - 2/3 + sqrt(2 pi)/24 x^{-1/2} + O(1/x).
@@ -168,6 +173,27 @@ def _pole_order(theta: float) -> int | None:
     return None
 
 
+def _R_residues(a: float, A: float, cap: int) -> list[tuple[float, float, int]]:
+    """Mellin residues of R_{a,A}(v) through v^cap, as (coefficient, power,
+    log_power): the terms of R_expansion, with the merged pole kept only
+    when its order k0 is at most cap."""
+    theta = (A + 1.0) / (a + 1.0)
+    k0 = _pole_order(theta)
+    out = []
+    if k0 is None:
+        out.append((gamma(theta) / (a + 1.0), -theta, 0))
+    elif k0 <= cap:
+        base = (-1.0) ** k0 / ((a + 1.0) * math.factorial(k0))
+        out.append((base, float(k0), 1))
+        out.append((base * (harmonic(k0) + a * EULER_GAMMA), float(k0), 0))
+    for k in range(cap + 1):
+        if k != k0:
+            coeff = (-1.0) ** k / math.factorial(k) * zeta(-A - k * (a + 1.0))
+            if coeff != 0.0:
+                out.append((coeff, float(k), 0))
+    return out
+
+
 def R_expansion(a: float, A: float, depth: int) -> AsymptoticExpansion:
     """Small-v expansion of R_{a,A} with depth zeta-correction orders.
 
@@ -183,45 +209,41 @@ def R_expansion(a: float, A: float, depth: int) -> AsymptoticExpansion:
     _check_a(a)
     if not (isinstance(depth, int) and 0 <= depth <= 12):
         raise DomainError(f"depth must be an integer in 0..12, got {depth}")
-    theta = (A + 1.0) / (a + 1.0)
-    k0 = _pole_order(theta)
-    terms: list[ExpansionTerm] = []
-    if k0 is None:
-        terms.append(ExpansionTerm(gamma(theta) / (a + 1.0), -theta))
-    elif k0 <= depth:
-        base = (-1.0) ** k0 / ((a + 1.0) * math.factorial(k0))
-        terms.append(ExpansionTerm(base, float(k0), log_power=1))
-        terms.append(
-            ExpansionTerm(base * (harmonic(k0) + a * EULER_GAMMA), float(k0))
-        )
-    for k in range(depth + 1):
-        if k0 is not None and k == k0:
-            continue
-        coeff = (-1.0) ** k / math.factorial(k) * zeta(-A - k * (a + 1.0))
-        if coeff != 0.0:
-            terms.append(ExpansionTerm(coeff, float(k)))
-    return AsymptoticExpansion("v->0", tuple(terms), depth + 0.5)
+    terms = tuple(ExpansionTerm(*t) for t in _R_residues(a, A, depth))
+    return AsymptoticExpansion("v->0", terms, depth + 0.5)
 
 
-def _falling(a, m: int):
-    """a (a-1) ... (a-m+1); exact for int/Fraction a, float otherwise."""
-    out = a**0  # 1 of the right type
-    for t in range(m):
-        out = out * (a - t)
-    return out
+def _em_terms(s, depth: int) -> list:
+    """Euler-Maclaurin terms (m, n, c) of sum_{j<=i} j^s, each c * i^(m s + n):
+
+        zeta(-s) + i^{s+1}/(s+1) + i^s/2
+          + sum_{k<=depth} B_{2k}/(2k)! * s(s-1)...(s-2k+2) * i^{s-2k+1},
+
+    stopped where the falling factorial vanishes.  The error is
+    O(i^{s-2 depth-1}) (Olver ch. 8; DLMF 2.10).  Exact Fractions for an
+    int s >= 1, where zeta(-s) = -B_{s+1}/(s+1); floats otherwise.
+    """
+    exact = isinstance(s, int) and s >= 1
+    one = Fraction(1) if exact else 1.0
+    zeta_s = -bernoulli_fraction(s + 1) / (s + 1) if exact else zeta(-s)
+    terms = [(0, 0, zeta_s), (1, 1, one / (s + 1)), (1, 0, one / 2)]
+    ff = s  # the falling factorial s (s-1) ... (s-2k+2)
+    for k in range(1, depth + 1):
+        if ff == 0:
+            break
+        terms.append((1, 1 - 2 * k,
+                      one * bernoulli_fraction(2 * k) / math.factorial(2 * k) * ff))
+        ff = ff * (s - 2 * k + 1) * (s - 2 * k)
+    return terms
 
 
 def power_sum(a, n: int, *, depth: int = 6):
-    """sum_{i=1..n} i^a.
+    """sum_{i=1..n} i^a, the Euler-Maclaurin terms evaluated at n.
 
-    Integer a >= 1: exact (returned as int) via the Bernoulli closed
-    form.  Non-integer a > 0: Euler-Maclaurin asymptotic with the
-    zeta(-a) constant,
-
-        zeta(-a) + n^{a+1}/(a+1) + n^a/2
-        + sum_{k<=depth} B_{2k}/(2k)! * a(a-1)...(a-2k+2) * n^{a-2k+1},
-
-    accurate to O(n^{a-2 depth-1}).
+    Integer a >= 1: exact (returned as int), with every Bernoulli term
+    before the falling factorial vanishes.  Non-integer a > 0: the
+    asymptotic series with depth Bernoulli terms and the zeta(-a)
+    constant, accurate to O(n^{a-2 depth-1}).
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
@@ -229,17 +251,7 @@ def power_sum(a, n: int, *, depth: int = 6):
         raise DomainError(f"depth must be an integer in 0..25, got {depth}")
     if isinstance(a, int) and not isinstance(a, bool) and a >= 1:
         nf = Fraction(n)
-        # zeta(-a) = -B_{a+1}/(a+1); finitely many correction terms
-        total = -bernoulli_fraction(a + 1) / (a + 1)
-        total += nf ** (a + 1) / (a + 1) + nf**a / Fraction(2)
-        k = 1
-        while 2 * k - 1 <= a:
-            ff = _falling(Fraction(a), 2 * k - 1)
-            total += (
-                bernoulli_fraction(2 * k)
-                / math.factorial(2 * k) * ff * nf ** (a - 2 * k + 1)
-            )
-            k += 1
+        total = sum(c * nf ** (m * a + k) for m, k, c in _em_terms(a, (a + 1) // 2))
         if total.denominator != 1:
             raise ConvergenceError(
                 f"exact power sum lost integrality for a={a}, n={n}",
@@ -249,20 +261,7 @@ def power_sum(a, n: int, *, depth: int = 6):
     a = float(a)
     if not (math.isfinite(a) and a > 0.0):
         raise DomainError(f"a must be positive, got {a}")
-    pieces = [
-        zeta(-a),
-        n ** (a + 1.0) / (a + 1.0),
-        0.5 * n**a,
-    ]
-    for k in range(1, depth + 1):
-        ff = _falling(a, 2 * k - 1)
-        if ff == 0.0:
-            break
-        pieces.append(
-            float(bernoulli_fraction(2 * k)) / math.factorial(2 * k)
-            * ff * n ** (a - 2 * k + 1.0)
-        )
-    return math.fsum(pieces)
+    return math.fsum(c * n ** (m * a + k) for m, k, c in _em_terms(a, depth))
 
 
 def _check_bx(b: float, x: float) -> None:
@@ -333,47 +332,26 @@ def K_leading_asymptotics(a: float, b: float, *, allow_log: bool = False) -> Asy
     )
 
 
-def _exact_zeta_neg(m: int) -> Fraction:
-    """zeta(-m) for integer m >= 1, exact: -B_{m+1}/(m+1)."""
-    return -bernoulli_fraction(m + 1) / (m + 1)
-
-
-def _build_W(a, exact: bool, depth: int) -> dict:
+def _build_W(a, depth: int) -> dict:
     """Monomials of W_i: {(m, n, B): coeff} for coeff * i^(m a + n) * x^-B.
 
     W_i = sum_{j<=i} log(1 + j^a/x) - i^{a+1}/((a+1)x), expanded through
-    x^{-depth} by the log series in j^a/x and Euler-Maclaurin power sums
-    (with the zeta constant).  With exact (a an integer >= 1) a is an int
-    and the coefficients are exact Fractions; otherwise they are floats.
+    x^{-depth}: the ell-th log-series term (-1)^{ell+1}/ell * x^-ell *
+    sum_{j<=i} j^{a ell} takes the Euler-Maclaurin terms of that power sum.
+    For an int a (>= 1) the coefficients are exact Fractions and equal
+    exponents m a + n merge under the key (0, m a + n, B); otherwise they
+    are floats.
     """
+    exact = isinstance(a, int)
     W: dict[tuple[int, int, int], object] = {}
-
-    def add(key, coeff):
-        if coeff != 0:
-            if exact:  # integer exponents m a + n merge exactly
-                key = (0, key[0] * a + key[1], key[2])
-            W[key] = W.get(key, 0) + coeff
-
     for ell in range(1, depth + 1):
-        sgn = Fraction((-1) ** (ell + 1), ell)
-        fsgn = sgn if exact else float(sgn)
-        al = a * ell
-        # constant (zeta) part of the power sum
-        add((0, 0, ell), sgn * _exact_zeta_neg(al) if exact
-            else fsgn * zeta(-al))
-        # i^{al+1}/(al+1); the ell = 1 piece is the split-off v i^{a+1}
-        if ell >= 2:
-            add((ell, 1, ell), fsgn / (al + 1))
-        # i^{al}/2
-        add((ell, 0, ell), fsgn / 2)
-        # Bernoulli corrections i^{al+1-2k}
-        for k in range(1, depth + 3):
-            ff = _falling(al, 2 * k - 1)
-            if ff == 0:
-                break
-            bk = sgn * bernoulli_fraction(2 * k)
-            add((ell, 1 - 2 * k, ell),
-                (bk if exact else float(bk)) * ff / math.factorial(2 * k))
+        sgn = (Fraction if exact else float)((-1) ** (ell + 1)) / ell
+        for m, n, c in _em_terms(a * ell, depth + 2):
+            coeff = sgn * c
+            if coeff == 0 or (ell, m, n) == (1, 1, 1):  # v i^{a+1} is split off
+                continue
+            key = (0, m * ell * a + n, ell) if exact else (m * ell, n, ell)
+            W[key] = W.get(key, 0) + coeff
     return W
 
 
@@ -401,10 +379,11 @@ def K_expansion_refined(a: float, b: float, depth: int = 4) -> AsymptoticExpansi
 
     The product prod_{j<=i} x/(x+j^a) is written exp(-v i^{a+1} - W_i)
     with v = 1/((a+1)x); exp(-W_i) is expanded into monomials i^A x^{-B},
-    A = m a + n for integers m, n, and each monomial is summed by the R
-    expansion (pole orders become log x terms).  The bookkeeping is exact
-    in rationals when a is an integer, whose pole test needs it, and in
-    floats otherwise.  Emitted terms stop at the certified remainder order
+    A = m a + n for integers m, n, and each monomial is summed by the
+    residues of R (pole orders become log x terms).  The bookkeeping is
+    exact in rationals when a is an integer, so that equal exponents merge
+    and cancel exactly, and in floats otherwise.  Emitted terms stop at the
+    certified remainder order
 
         (b+2)/(a+1) + (floor((depth+1)/2) - (depth+1)) / (a+1).
 
@@ -419,15 +398,14 @@ def K_expansion_refined(a: float, b: float, depth: int = 4) -> AsymptoticExpansi
         raise DomainError(
             f"depth must be an integer in 0..{_MAX_REFINED_DEPTH}, got {depth}"
         )
-    exact = float(a).is_integer() and a >= 1
-    a = int(a) if exact else float(a)
+    a = int(a) if float(a).is_integer() and a >= 1 else float(a)
     b_frac = Fraction(*float(b).as_integer_ratio())
     ap1 = float(a) + 1.0
     log_ap1 = math.log(ap1)
 
     # monomials grouped by their i exponent (m, n): {B: coefficient}
     by_power: dict[tuple[int, int], dict[int, float]] = {}
-    for (m, n, B), c in _exp_neg(_build_W(a, exact, depth), depth).items():
+    for (m, n, B), c in _exp_neg(_build_W(a, depth), depth).items():
         by_power.setdefault((m, n), {})[B] = c
 
     theta_K = float((b_frac + 2) / (Fraction(a) + 1))
@@ -441,38 +419,24 @@ def K_expansion_refined(a: float, b: float, depth: int = 4) -> AsymptoticExpansi
             buckets.setdefault(key, []).append(float(value))
 
     for (m, n), group in by_power.items():
-        # weight exponent A' = b + 1 + m a + n of i, and theta = (A'+1)/(a+1)
-        if exact:
-            theta = (b_frac + 2 + n) / (a + 1)
-            k0 = -int(theta) if theta.denominator == 1 and theta <= 0 else None
-            A_prime = float(b_frac + 1 + n)
-        else:
-            A_prime = float(b) + 1.0 + m * a + n
-            theta = (A_prime + 1.0) / ap1
-            k0 = _pole_order(theta)
-        theta_f = float(theta)
-        if k0 is None:
-            gamma_part = gamma(theta_f) * ap1 ** (theta_f - 1.0)
+        # c x^-B i^{A'} sums to c x^-B R_{a,A'}(v), A' = b + 1 + m a + n, and
+        # v^p log(1/v) = ((a+1)x)^-p (log x + log(a+1)); a residue of order
+        # p past depth - B would need monomials beyond x^-depth
+        A_prime, B_min = float(b) + 1.0 + m * a + n, min(group)
+        if max((A_prime + 1.0) / ap1, 0.0) - B_min <= remainder + 1e-9:
+            continue  # no residue order of the group is above the remainder
+        cap = min(depth - B_min, math.ceil(-B_min - remainder - 1e-9) - 1)
+        residues = [(coeff * ap1 ** -p, p, log_power) for coeff, p, log_power
+                    in _R_residues(float(a), A_prime, cap)]
         for B, c in group.items():
             ct = float(c)
             if ct == 0.0:
                 continue
-            budget = depth - B
-            if k0 is None:
-                # Gamma residue: ct x^{-B} Gamma(th)/(a+1) ((a+1)x)^{th}
-                emit(theta_f - B, 0, ct * gamma_part)
-            elif k0 <= budget:
-                base = ct * (-1.0) ** k0 / (ap1 * math.factorial(k0)) * ap1 ** (-k0)
-                # log(1/v) = log x + log(a+1)
-                emit(-B - k0, 1, base)
-                emit(-B - k0, 0, base * (harmonic(k0)
-                                         + float(a) * EULER_GAMMA + log_ap1))
-            # larger k give orders -B - k at or below the remainder
-            for k in range(min(budget, math.ceil(-B - remainder - 1e-9) - 1) + 1):
-                if k == k0:
-                    continue
-                zv = zeta(-A_prime - k * ap1)
-                emit(-B - k, 0, ct * (-1.0) ** k / math.factorial(k) * zv * ap1 ** (-k))
+            for coeff, p, log_power in residues:
+                if p <= depth - B:
+                    emit(-B - p, log_power, ct * coeff)
+                    if log_power:
+                        emit(-B - p, 0, ct * coeff * log_ap1)
 
     terms = tuple(
         ExpansionTerm(math.fsum(vals), power, log_power)

@@ -375,13 +375,17 @@ def _add_family_flags(sub) -> None:
     sub.add_argument("--k-exp", type=float, help="uptake exponent")
 
 
-def _add_common_flags(sub, formats: tuple[str, ...]) -> None:
-    """Flags every verb takes; --format lists only what the verb writes."""
+def _add_common_flags(sub, formats: tuple[str, ...], *, tol: bool = False,
+                      term_cap: bool = False) -> None:
+    """Flags every verb takes, plus --tol and --term-cap where the verb reads
+    them; --format lists only what the verb writes."""
     sub.add_argument("--out", metavar="PATH", help="output path (default stdout)")
     sub.add_argument("--format", choices=formats)
     sub.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    sub.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP)
+    if tol:
+        sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    if term_cap:
+        sub.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP)
 
 
 def _float_list(text: str) -> list[float]:
@@ -402,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     eq = subs.add_parser("equilibrium", help="evaluate F/H/kM/iqM with bounds")
     _add_family_flags(eq)
-    _add_common_flags(eq, ("json", "csv"))
+    _add_common_flags(eq, ("json", "csv"), tol=True, term_cap=True)
     eq.add_argument("--quantity", choices=["F", "H", "kM", "iqM"], default="F")
     eq.add_argument("--r", type=float, default=1.0)
     eq.add_argument("--x", type=float, help="single evaluation point")
@@ -413,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     eq.set_defaults(func=_cmd_equilibrium)
 
     rt = subs.add_parser("roots", help="piecewise equilibrium roots")
-    _add_common_flags(rt, ("json",))
+    _add_common_flags(rt, ("json",), tol=True)
     rt.add_argument("--family", choices=["piecewise"], default="piecewise")
     rt.add_argument("--k", type=float)
     rt.add_argument("--N", type=int)
@@ -438,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     th.set_defaults(func=_cmd_threshold)
 
     asym = subs.add_parser("asym", help="large-x expansion of the K series")
-    _add_common_flags(asym, ("json", "csv"))
+    _add_common_flags(asym, ("json", "csv"), tol=True, term_cap=True)
     asym.add_argument("--a", type=float, required=True)
     asym.add_argument("--b", type=float, required=True)
     asym.add_argument("--depth", type=int, default=2)
@@ -455,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="integrate the truncated system")
     _add_family_flags(sim)
-    _add_common_flags(sim, ("csv",))
+    _add_common_flags(sim, ("csv",), tol=True)
     sim.add_argument("--alpha", type=float)
     sim.add_argument("--r", type=float)
     sim.add_argument("--imax", type=int, default=200)

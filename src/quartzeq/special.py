@@ -26,6 +26,7 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015329
 
 _BORWEIN_N = 50
+_LN2 = math.log(2.0)
 
 
 @lru_cache(maxsize=None)
@@ -47,8 +48,12 @@ def _borwein_coefficients(n: int = _BORWEIN_N) -> tuple[float, ...]:
     return tuple(float((d[k] - dn) / dn) for k in range(n))
 
 
-def _zeta_alternating(s: float) -> float:
-    """zeta(s) for real s > 0, s != 1."""
+def _zeta_alternating(s: float, u: float) -> float:
+    """zeta(s) for real s > 0, s != 1, given u = s - 1 (exact near the pole).
+
+    zeta = eta / (1 - 2^-u), with the denominator taken as -expm1(-u ln 2)
+    so that it keeps its relative accuracy near the pole.
+    """
     coeffs = _borwein_coefficients()
     total = 0.0
     comp = 0.0
@@ -58,7 +63,7 @@ def _zeta_alternating(s: float) -> float:
         t = total + y
         comp = (t - total) - y
         total = t
-    return -total / (1.0 - 2.0 ** (1.0 - s))
+    return total / math.expm1(-u * _LN2)
 
 
 def _sin_half_pi(s: float) -> float:
@@ -81,8 +86,9 @@ def zeta(s: float) -> float:
     if s == 0.0:
         return -0.5
     if s > 0.0:
-        return _zeta_alternating(s)
-    # functional equation; gamma(1-s) overflows only past s < -169
+        return _zeta_alternating(s, s - 1.0)
+    # functional equation, with -s exact as the distance of 1 - s from the
+    # pole; gamma(1-s) overflows only past s < -169
     if s < -169.0:
         raise DomainError(f"zeta({s}) overflows double precision")
     return (
@@ -90,7 +96,7 @@ def zeta(s: float) -> float:
         * math.pi ** (s - 1.0)
         * _sin_half_pi(s)
         * math.gamma(1.0 - s)
-        * zeta(1.0 - s)
+        * _zeta_alternating(1.0 - s, -s)
     )
 
 

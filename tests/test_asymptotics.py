@@ -156,6 +156,17 @@ class TestKExpansion:
             direct = K_direct(0.7, -0.4, x)
             assert abs(direct.value - exp.evaluate(x)) <= 0.01 * x**exp.remainder_power
 
+    # the last two sit within 1e-13 of a pole: the Gamma pole and the zeta
+    # pole of one monomial must merge into a log term, not cancel in floats
+    @pytest.mark.parametrize("a,b", [(1.0, -1.0), (2.0, 0.0), (0.7, -0.4),
+                                     (2.0, -1.9999999999999),
+                                     (1.0, -0.999999999999999)])
+    def test_error_below_remainder_order(self, a, b):
+        exp = K_expansion_refined(a, b, 4)
+        for x in (1e4, 1e5):
+            direct = K_direct(a, b, x)
+            assert abs(direct.value - exp.evaluate(x)) <= x**exp.remainder_power
+
     def test_residual_scales_like_remainder(self):
         exp = K_expansion_refined(1.0, -1.0, 4)
         for x in (1e3, 1e4, 1e5):

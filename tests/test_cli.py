@@ -439,3 +439,31 @@ def test_format_the_verb_cannot_write_is_rejected(argv):
     assert exc.value.code == 2
     assert out.getvalue() == ""
     assert "invalid choice" in err.getvalue()
+
+
+_PIECEWISE = ["--family", "piecewise", "--k", "1", "--N", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--k", "1", "--N", "1", "--alpha", "0.2", "--r", "1", "--term-cap", "10"],
+        ["classify", "--a", "2", "--b", "0", "--tol", "5"],
+        ["classify", "--a", "2", "--b", "0", "--term-cap", "-3"],
+        ["threshold", "--a", "2", "--b", "0", "--tol", "0.5"],
+        ["threshold", "--a", "2", "--b", "0", "--term-cap", "10"],
+        ["identity-audit", *_PIECEWISE, "--x", "1", "--tol", "1e-6"],
+        ["identity-audit", *_PIECEWISE, "--x", "1", "--term-cap", "10"],
+        ["simulate", *_PIECEWISE, "--alpha", "0.2", "--r", "1", "--imax", "5",
+         "--t-end", "1", "--term-cap", "10"],
+        ["reproduce", "--criterion", "8", "--tol", "1e-6"],
+        ["reproduce", "--criterion", "8", "--term-cap", "10"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_flag_the_verb_does_not_read_is_rejected(argv):
+    # a settable value that changes nothing would only mislead
+    code, out, err = run_exit(argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: " + argv[-2] in err

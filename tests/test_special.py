@@ -39,6 +39,16 @@ class TestZeta:
     def test_against_mpmath(self, s):
         assert zeta(s) == pytest.approx(float(mpmath.zeta(s)), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "s", [1.0 + 10.0**-k for k in range(1, 16)] + [1.0 - 10.0**-k for k in range(1, 16)]
+        + [10.0**-k for k in range(1, 16)] + [-(10.0**-k) for k in range(1, 16)])
+    def test_near_pole_and_zero_against_mpmath(self, s):
+        # 1 - 2^(1-s) cancels near s = 1, and the s < 0 branch reaches that
+        # pole through 1 - s; both must keep full relative accuracy
+        with mpmath.workdps(40):
+            ref = float(mpmath.zeta(mpmath.mpf(s)))
+        assert abs(zeta(s) - ref) <= 1e-13 * abs(ref)
+
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
             zeta(1.0)
