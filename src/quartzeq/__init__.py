@@ -82,7 +82,6 @@ from .asymptotics import (
     relative_tail_beyond_cutoff,
     TailEnvelope,
     fit_tail_envelope,
-    tail_cutoff_check,
 )
 from .dynamics import (
     SystemState,
@@ -116,7 +115,7 @@ __all__ = [
     "power_sum", "K_direct", "K_leading_asymptotics",
     "K_expansion_refined", "h10_closed_form", "cutoff_index",
     "tail_beyond_cutoff", "relative_tail_beyond_cutoff", "TailEnvelope",
-    "fit_tail_envelope", "tail_cutoff_check",
+    "fit_tail_envelope",
     "SystemState", "TrajectorySummary", "rhs", "integrate", "initial_state",
     "state_from_profile", "conservation_residual", "equilibrium_residual",
     "__version__",

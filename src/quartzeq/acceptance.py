@@ -38,7 +38,7 @@ from .asymptotics import (
     fit_tail_envelope,
     h10_closed_form,
     power_sum,
-    tail_cutoff_check,
+    relative_tail_beyond_cutoff,
 )
 
 __all__ = ["CriterionResult", "run_all", "run_criterion", "CRITERIA", "DEFAULT_SEED"]
@@ -339,10 +339,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         env = fit_tail_envelope(a, -1.0, np.geomspace(10.0, 100.0, 6))
         margins = []
         for x in (1e3, 1e4):
-            cutoff, tail = tail_cutoff_check(a, -1.0, x, envelope=env)
-            k_val = K_direct(a, -1.0, x)
-            ratio = tail / k_val.value
-            margins.append(env.bound(x) / ratio)
+            margins.append(env.bound(x) / relative_tail_beyond_cutoff(a, -1.0, x))
         chk.expect(all(m >= 1.0 for m in margins),
                    f"a={a} envelope margin {min(margins):.3f} < 1")
         details.append(f"a={a} margins {margins[0]:.1f}x/{margins[1]:.1f}x")

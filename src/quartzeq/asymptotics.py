@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConsistencyError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .series import DEFAULT_TERM_CAP, DEFAULT_TOL, BoundedValue, blocked_sum, certified
 from .special import (
     EULER_GAMMA,
@@ -64,7 +64,6 @@ __all__ = [
     "relative_tail_beyond_cutoff",
     "TailEnvelope",
     "fit_tail_envelope",
-    "tail_cutoff_check",
 ]
 
 _MAX_REFINED_DEPTH = 4  # coefficient bookkeeping hand-validated through here
@@ -536,25 +535,3 @@ def fit_tail_envelope(a: float, b: float, xs) -> TailEnvelope:
     )
     amplitude = 2.0 * max(t * math.exp(rate * u) for t, u in zip(tails, us))
     return TailEnvelope(amplitude, rate, s)
-
-
-def tail_cutoff_check(a: float, b: float, x: float, *,
-                      envelope: TailEnvelope | None = None) -> tuple[int, float]:
-    """(cutoff index, certified beyond-cutoff mass upper bound) at x.
-
-    With an envelope, additionally asserts that the relative tail at x
-    stays under envelope.bound(x), raising ConsistencyError when a fitted
-    envelope fails to hold out of sample.
-    """
-    i0 = cutoff_index(a, x)
-    t = tail_beyond_cutoff(a, b, x)
-    t_hi = t.value + t.tail_bound
-    if envelope is not None:
-        k = K_direct(a, b, x)
-        ratio = t_hi / k.value
-        if ratio > envelope.bound(x):
-            raise ConsistencyError(
-                f"relative tail {ratio!r} at x={x} exceeds fitted envelope "
-                f"bound {envelope.bound(x)!r}"
-            )
-    return i0, t_hi

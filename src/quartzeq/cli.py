@@ -39,8 +39,8 @@ from .powerlaw import (
     SUPREMUM_AT_INFINITY,
     Regime,
     _inflow_ratio,
+    _regime_verdict,
     classify_regime,
-    estimate_m_with_error,
 )
 from .series import (
     DEFAULT_TERM_CAP,
@@ -215,16 +215,12 @@ def _cmd_threshold(args) -> int:
         numerics["r"] = args.r
     config = RunConfig("threshold", dict(fam.describe()), numerics,
                        args.out, args.format or "json", args.seed)
-    verdict = classify_regime(fam)
+    verdict, evals = _regime_verdict(fam, args.x_max, args.grid)
     extra: dict = {}
     if verdict.regime is Regime.ALWAYS_EXISTS:
         # F is unbounded here: there is no finite supremum to estimate
         extra["note"] = "F grows without bound; every inflow admits an equilibrium"
     elif verdict.regime is Regime.THRESHOLD_WEAK:
-        est, err, evals = estimate_m_with_error(fam, x_max=args.x_max,
-                                                grid=args.grid)
-        verdict = dataclasses.replace(verdict, m_estimate=est.m, m_error_bar=err,
-                                      m_attained_at=est.attained_at)
         extra["f_evaluations"] = evals
     if args.alpha is not None:
         # answered from the verdict above and its m estimate: no second scan
@@ -418,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rt = subs.add_parser("roots", help="piecewise equilibrium roots")
     _add_common_flags(rt, ("json",), tol=True)
-    rt.add_argument("--family", choices=["piecewise"], default="piecewise")
     rt.add_argument("--k", type=float)
     rt.add_argument("--N", type=int)
     rt.add_argument("--alpha", type=float)

@@ -19,8 +19,10 @@ rows, one series.evaluate walk each, then golden-section refinement one x
 at a time), so existence answers inside its error bar are reported as
 indeterminate rather than as a guess.  The same d-identity bounds F below
 the line too: with c_n = sup_{i>=n} i rho_i / d_i,
-F(x) < sum_{i<n} i rho_i / x + c_n at every x, so the grid scan stops once
-that bound falls below the largest F it has seen (_weak_F_bound).
+F(x) < sum_{i<n} i rho_i / x + c_n at every x (_weak_F_bound).  One grid
+scan (_F_scan) serves both searches and stops where that bound proves F
+below a floor at every larger x: the largest F seen for the m estimate,
+alpha/r for the root probe.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .coefficients import PowerLawFamily
 from .errors import ConvergenceError, DomainError
-from .series import F_equilibrium, evaluate
+from .series import DEFAULT_TOL, evaluate
 
 __all__ = [
     "Regime",
@@ -60,15 +62,6 @@ class Regime(str, Enum):
     ALWAYS_EXISTS = "AlwaysExists"
     THRESHOLD_STRICT = "ThresholdStrict"
     THRESHOLD_WEAK = "ThresholdWeak"
-
-
-def _check_params(fam: PowerLawFamily) -> tuple[float, float]:
-    a, b = fam.a, fam.b
-    if not (math.isfinite(a) and a >= 0.0):
-        raise DomainError(f"requires a >= 0, got a={a}")
-    if not (math.isfinite(b) and b > -2.0):
-        raise DomainError(f"requires b > -2, got b={b}")
-    return a, b
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,11 @@ def classify_regime(params: PowerLawFamily) -> RegimeVerdict:
     rejected (the equilibrium function degenerates below any polynomial
     growth there).
     """
-    a, b = _check_params(params)
+    a, b = params.a, params.b
+    if not (math.isfinite(a) and a >= 0.0):
+        raise DomainError(f"requires a >= 0, got a={a}")
+    if not (math.isfinite(b) and b > -2.0):
+        raise DomainError(f"requires b > -2, got b={b}")
     gap = b - (a - 1.0)
     if abs(gap) <= BOUNDARY_TOL:
         return RegimeVerdict(Regime.THRESHOLD_STRICT, a, b, m_estimate=1.0,
@@ -136,12 +133,11 @@ class MEstimate(NamedTuple):
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-# scans tolerate looser certification; the cohort-balance check is
-# exercised separately by the series tests
+# the root probe walks at this looser tol; at DEFAULT_TOL some of its roots
+# move in their last digits (the m estimate's answers do not)
 _SCAN_TOL = 1e-11
 _M_X_MIN = 1e-3  # left end of the m scan's log grid
-_SLICE = 25  # grid rows per evaluate walk of the m scan
+_SLICE = 25  # grid rows per evaluate walk of a ThresholdWeak scan
 _BOUND_MARGIN = 1e-6  # relative rounding margin of _weak_F_bound
 _KEPT_LAST = 4096  # last index whose ratios a _KeptReads keeps
 
@@ -207,12 +203,34 @@ class _KeptReads:
         return self._ratios[key]
 
 
-def _F(fam: _KeptReads, x: float) -> float:
-    return F_equilibrium(fam, x, tol=_SCAN_TOL, cross_check=False).value
+def _F_rows(fam: _KeptReads, xs, tol: float = DEFAULT_TOL) -> list[float]:
+    """F at every x in xs from one series.evaluate walk, without the cross-check."""
+    return [bv.value for bv in evaluate(fam, "F", xs, tol=tol, cross_check=False)]
 
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float, float]:
-    """(argmax, max, bracket width) of a unimodal f on [lo, hi], log scale."""
+def _F_scan(params: PowerLawFamily, fam: _KeptReads, xs, floor: float | None = None,
+            tol: float = DEFAULT_TOL) -> list[float]:
+    """F over the increasing grid xs, each row bit for bit its one-x walk.
+
+    A ThresholdWeak family walks xs in slices of _SLICE rows and stops
+    before a slice whose smallest x has _weak_F_bound (a bound on F at every
+    larger x) below the floor, or below the largest F scanned when floor is
+    None; the rows returned are those before it.  Any other family walks
+    all of xs at once.
+    """
+    if classify_regime(params).regime is not Regime.THRESHOLD_WEAK:
+        return _F_rows(fam, xs, tol)
+    vals: list[float] = []
+    for start in range(0, len(xs), _SLICE):
+        level = max(vals, default=-math.inf) if floor is None else floor
+        if _weak_F_bound(params, float(xs[start])) < level:
+            break
+        vals += _F_rows(fam, xs[start:start + _SLICE], tol)
+    return vals
+
+
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """(argmax, bracket width) of a unimodal f on [lo, hi], log scale."""
     t_lo, t_hi = math.log(lo), math.log(hi)
     t1 = t_hi - _GOLDEN * (t_hi - t_lo)
     t2 = t_lo + _GOLDEN * (t_hi - t_lo)
@@ -228,8 +246,8 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float, float]:
             t_hi, t2, f2 = t2, t1, f1
             t1 = t_hi - _GOLDEN * (t_hi - t_lo)
             f1 = f(math.exp(t1))
-    t_best, f_best = (t1, f1) if f1 >= f2 else (t2, f2)
-    return math.exp(t_best), f_best, math.exp(t_hi) - math.exp(t_lo)
+    t_best = t1 if f1 >= f2 else t2
+    return math.exp(t_best), math.exp(t_hi) - math.exp(t_lo)
 
 
 def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
@@ -239,21 +257,16 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
     On the critical line b = a-1 the answer is exact and takes no F
     evaluations: m = 1, approached only as x -> oo, with error bar 0
     (module docstring).  Below it the estimate is m with its maximizer:
-    a log-grid sweep over [1e-3, x_max], plus golden-section refinement
-    around the best cell.  The sweep walks the grid in increasing-x slices
-    of _SLICE rows, each one series.evaluate walk (bit for bit the one-x
-    values).  Before each slice it stops if _weak_F_bound at the slice's
-    smallest x, which bounds F at every larger x, is below the largest F
-    scanned: every skipped row lies below a scanned one, so the maximizing
-    row, m, its error bar and the maximizer are bit for bit those of the
-    full grid.  All of the estimate's walks read the family through one
-    _KeptReads.  A maximum at the grid edge means x_max is too small and is
-    an error (F must eventually decay there).
+    _F_scan over a log grid on [1e-3, x_max], which skips only rows below
+    the largest F scanned, then golden-section refinement around the best
+    cell, all through one _KeptReads.  A maximum at the grid edge means
+    x_max is too small and is an error (F must eventually decay there).
 
     The error bar is the F spread over the final search bracket plus the
-    series tail bound at the maximizer.  The evaluation count is the grid
-    rows scanned plus the refinement's F evaluations (184 for (2, 0) on the
-    default grid: 125 rows, 57 golden-section steps and 2 for the error bar).
+    series tail bound at the maximizer, from one three-row walk.  The
+    evaluation count is the grid rows scanned plus the refinement's F
+    evaluations (184 for (2, 0) on the default grid: 125 rows, 57
+    golden-section steps and 2 for the error bar).
     """
     verdict = classify_regime(params)
     if verdict.regime is Regime.ALWAYS_EXISTS:
@@ -269,18 +282,13 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
 
     fam = _KeptReads(params)
     xs = np.geomspace(_M_X_MIN, x_max, grid)
-    vals: list[float] = []
-    for start in range(0, grid, _SLICE):
-        if vals and _weak_F_bound(params, float(xs[start])) < max(vals):
-            break
-        vals += [bv.value for bv in evaluate(fam, "F", xs[start:start + _SLICE],
-                                             tol=_SCAN_TOL, cross_check=False)]
+    vals = _F_scan(params, fam, xs)
     evals = len(vals)
 
     def f(x: float) -> float:
         nonlocal evals
         evals += 1
-        return _F(fam, x)
+        return _F_rows(fam, [x])[0]
 
     j = int(np.argmax(vals))
     if j >= grid - 1:
@@ -292,14 +300,12 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
 
     lo = float(xs[max(j - 1, 0)])
     hi = float(xs[min(j + 1, grid - 1)])
-    x_best, f_best, width = _golden_max(f, lo, hi)
-    bv = F_equilibrium(fam, x_best, cross_check=False)
-    err = (
-        abs(f_best - f(max(x_best - width, lo)))
-        + abs(f_best - f(min(x_best + width, hi)))
-        + bv.tail_bound
-    )
-    return MEstimate(max(f_best, bv.value), x_best), err, evals
+    x_best, width = _golden_max(f, lo, hi)
+    best, left, right = evaluate(fam, "F", [x_best, max(x_best - width, lo),
+                                            min(x_best + width, hi)], cross_check=False)
+    evals += 2
+    err = abs(best.value - left.value) + abs(best.value - right.value) + best.tail_bound
+    return MEstimate(best.value, x_best), err, evals
 
 
 def _inflow_ratio(alpha: float, r: float) -> float:
@@ -311,6 +317,18 @@ def _inflow_ratio(alpha: float, r: float) -> float:
     return alpha / r
 
 
+def _regime_verdict(params: PowerLawFamily, x_max: float = 1e6,
+                    grid: int = 200) -> tuple[RegimeVerdict, int]:
+    """(regime verdict, F evaluations): a ThresholdWeak verdict carries the
+    estimate_m_with_error output for this grid; the others take no F."""
+    verdict = classify_regime(params)
+    if verdict.regime is not Regime.THRESHOLD_WEAK:
+        return verdict, 0
+    est, err, evals = estimate_m_with_error(params, x_max, grid)
+    return replace(verdict, m_estimate=est.m, m_error_bar=err,
+                   m_attained_at=est.attained_at), evals
+
+
 def existence_verdict(params: PowerLawFamily, alpha: float, r: float) -> str:
     """Ternary equilibrium-existence answer for inflow alpha, supply r.
 
@@ -319,12 +337,7 @@ def existence_verdict(params: PowerLawFamily, alpha: float, r: float) -> str:
     answers at_threshold within its error bar.
     """
     phi = _inflow_ratio(alpha, r)
-    verdict = classify_regime(params)
-    if verdict.regime is Regime.THRESHOLD_WEAK:
-        est, err, _ = estimate_m_with_error(params)
-        verdict = replace(verdict, m_estimate=est.m, m_error_bar=err,
-                          m_attained_at=est.attained_at)
-    return verdict.existence(phi)
+    return _regime_verdict(params)[0].existence(phi)
 
 
 def count_equilibria_probe(params: PowerLawFamily, alpha: float,
@@ -335,25 +348,25 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float,
     by bisection, so every returned root is genuine; the COUNT is only as
     good as the grid (roots closer than one grid cell merge, roots outside
     the grid are missed).  No uniqueness theorem backs this in the
-    power-law case.  The brackets bisect in lockstep, with one
-    series.evaluate walk per round over their midpoints.
+    power-law case.  The grid is read by _F_scan with alpha/r as its floor;
+    the first row it skips counts as below alpha/r, as every later one is,
+    so the brackets and roots are bit for bit those of the whole grid.
     """
     phi = _inflow_ratio(alpha, r)
-    _check_params(params)
     fam = _KeptReads(params)
     xs = np.geomspace(1e-4, 1e6, 400)
-    vals = [bv.value - phi
-            for bv in evaluate(fam, "F", xs, tol=_SCAN_TOL, cross_check=False)]
+    vals = [v - phi for v in _F_scan(params, fam, xs, phi, _SCAN_TOL)]
+    if len(vals) < len(xs):
+        vals.append(-math.inf)  # the first skipped row; no later row crosses
     # one bracket [lo_x, hi_x, F > alpha/r at lo_x] per root, in x order; a
     # grid point where F = alpha/r is the bracket [x, x]
     brackets = []
-    for i in range(len(xs) - 1):
-        lo_v, hi_v = vals[i], vals[i + 1]
+    for i, (lo_v, hi_v) in enumerate(zip(vals, vals[1:])):
         if lo_v == 0.0:
             brackets.append([float(xs[i]), float(xs[i]), False])
         elif (lo_v > 0.0) != (hi_v > 0.0):
             brackets.append([float(xs[i]), float(xs[i + 1]), lo_v > 0.0])
-    if vals and vals[-1] == 0.0:
+    if vals[-1] == 0.0:
         brackets.append([float(xs[-1]), float(xs[-1]), False])
     # the open brackets bisect in lockstep, one evaluate walk per round over
     # their midpoints; each takes the steps it would take alone
@@ -363,9 +376,8 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float,
         if not live:
             break
         mids = [math.sqrt(lo_x * hi_x) for lo_x, hi_x, _ in live]
-        for br, mid, bv in zip(live, mids, evaluate(fam, "F", mids, tol=_SCAN_TOL,
-                                                     cross_check=False)):
-            mv = bv.value - phi
+        for br, mid, value in zip(live, mids, _F_rows(fam, mids, _SCAN_TOL)):
+            mv = value - phi
             if mv == 0.0:
                 br[0] = br[1] = mid
             elif (mv > 0.0) == br[2]:

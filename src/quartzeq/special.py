@@ -109,22 +109,14 @@ def gamma(s: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_list(n_max: int) -> tuple[Fraction, ...]:
-    """B_0..B_n_max (B_1 = -1/2) via B_m = -sum_{j<m} C(m+1,j) B_j / (m+1)."""
-    b = [Fraction(1)]
-    for m in range(1, n_max + 1):
-        total = Fraction(0)
-        for j in range(m):
-            total += math.comb(m + 1, j) * b[j]
-        b.append(-total / (m + 1))
-    return tuple(b)
-
-
-def bernoulli_fraction(n: int, n_max: int = 60) -> Fraction:
-    """Exact Bernoulli number B_n."""
-    if not (0 <= n <= n_max):
-        raise DomainError(f"Bernoulli index {n} outside precomputed range 0..{n_max}")
-    return _bernoulli_list(n_max)[n]
+def bernoulli_fraction(n: int) -> Fraction:
+    """Exact Bernoulli number B_n (B_1 = -1/2), cached, from the recurrence
+    B_n = -sum_{j<n} C(n+1,j) B_j / (n+1)."""
+    if n < 0:
+        raise DomainError(f"Bernoulli index must be >= 0, got {n}")
+    if n == 0:
+        return Fraction(1)
+    return -sum(math.comb(n + 1, j) * bernoulli_fraction(j) for j in range(n)) / (n + 1)
 
 
 @lru_cache(maxsize=8192)

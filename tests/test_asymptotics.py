@@ -24,7 +24,6 @@ from quartzeq.asymptotics import (
     power_sum,
     relative_tail_beyond_cutoff,
     tail_beyond_cutoff,
-    tail_cutoff_check,
 )
 from quartzeq.coefficients import PowerLawFamily
 from quartzeq.errors import DomainError
@@ -39,6 +38,11 @@ class TestPowerSum:
         assert power_sum(2, 10**6) == 10**6 * (10**6 + 1) * (2 * 10**6 + 1) // 6
         assert power_sum(3, 100) == (100 * 101 // 2) ** 2
         assert isinstance(power_sum(3, 100), int)
+
+    def test_exponent_past_sixty_exact(self):
+        # exact at a = 60 needs B_61 (zeta(-60)) and B_60
+        for n in (1, 2, 5, 17):
+            assert power_sum(60, n) == sum(i**60 for i in range(1, n + 1))
 
     def test_integer_matches_running_total(self):
         for a in (1, 2, 3, 4):
@@ -156,11 +160,13 @@ class TestKExpansion:
             direct = K_direct(0.7, -0.4, x)
             assert abs(direct.value - exp.evaluate(x)) <= 0.01 * x**exp.remainder_power
 
-    # the last two sit within 1e-13 of a pole: the Gamma pole and the zeta
-    # pole of one monomial must merge into a log term, not cancel in floats
+    # (2, -1.9999999999999) and (1, -0.999999999999999) sit within 1e-13 of
+    # a pole: the Gamma pole and the zeta pole of one monomial must merge
+    # into a log term, not cancel in floats; (15, 0) needs B_61 for the
+    # exact zeta(-4 a) of its K expansion
     @pytest.mark.parametrize("a,b", [(1.0, -1.0), (2.0, 0.0), (0.7, -0.4),
                                      (2.0, -1.9999999999999),
-                                     (1.0, -0.999999999999999)])
+                                     (1.0, -0.999999999999999), (15.0, 0.0)])
     def test_error_below_remainder_order(self, a, b):
         exp = K_expansion_refined(a, b, 4)
         for x in (1e4, 1e5):
@@ -233,12 +239,6 @@ class TestCutoff:
         for x in (1e4, 3e4):
             measured = relative_tail_beyond_cutoff(1.0, -1.0, x)
             assert env.bound(x) >= measured
-
-    def test_cutoff_check_consistent(self):
-        cutoff, bound = tail_cutoff_check(1.0, -1.0, 1e3)
-        assert cutoff == cutoff_index(1.0, 1e3)
-        t = tail_beyond_cutoff(1.0, -1.0, 1e3)
-        assert bound >= t.value
 
 
 @functools.lru_cache(maxsize=None)

@@ -137,26 +137,22 @@ class TestClassifyThreshold:
 
     def test_threshold_existence_reuses_the_m_scan(self, monkeypatch):
         # answering --alpha must not repeat the F scan behind m: neither
-        # the grid (one evaluate walk) nor the golden-section refinement
+        # the grid nor the golden-section refinement (every F is an
+        # evaluate row)
         from quartzeq import powerlaw
 
         calls = []
-        real, real_evaluate = powerlaw.F_equilibrium, powerlaw.evaluate
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+        real_evaluate = powerlaw.evaluate
 
         def counted_evaluate(fam, quantity, xs, *args, **kwargs):
             calls.extend(xs)
             return real_evaluate(fam, quantity, xs, *args, **kwargs)
 
-        monkeypatch.setattr(powerlaw, "F_equilibrium", counted)
         monkeypatch.setattr(powerlaw, "evaluate", counted_evaluate)
         base = ["threshold", "--a", "2", "--b", "0"]
         code, out, _ = run(base)
         assert code == 0
-        # every F the scan reports, plus the default-tol F at the maximizer
+        # every F the scan reports, plus the error bar's row at the maximizer
         alone = len(calls)
         assert alone == json.loads(out)["f_evaluations"] + 1
         calls.clear()
@@ -448,6 +444,7 @@ _PIECEWISE = ["--family", "piecewise", "--k", "1", "--N", "1"]
     "argv",
     [
         ["roots", "--k", "1", "--N", "1", "--alpha", "0.2", "--r", "1", "--term-cap", "10"],
+        ["roots", "--k", "1", "--N", "1", "--alpha", "0.2", "--r", "1", "--family", "piecewise"],
         ["classify", "--a", "2", "--b", "0", "--tol", "5"],
         ["classify", "--a", "2", "--b", "0", "--term-cap", "-3"],
         ["threshold", "--a", "2", "--b", "0", "--tol", "0.5"],

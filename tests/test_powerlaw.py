@@ -75,13 +75,13 @@ class TestThresholdEstimate:
         from quartzeq import powerlaw
 
         calls = []
-        real = powerlaw.F_equilibrium
+        real = powerlaw.evaluate
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[2])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(powerlaw, "F_equilibrium", counted)
+        monkeypatch.setattr(powerlaw, "evaluate", counted)
         est, err, evals = estimate_m_with_error(PowerLawFamily.from_ab(2.0, 1.0))
         assert est.attained_at == SUPREMUM_AT_INFINITY
         assert est.m == 1.0
@@ -148,9 +148,9 @@ _M_PINS = [
 ]
 
 
-def _scalar_evaluate(fam, quantity, xs, *, tol, cross_check):
+def _scalar_evaluate(fam, quantity, xs, **options):
     assert quantity == "F"
-    return [F_equilibrium(fam, float(x), tol=tol, cross_check=cross_check) for x in xs]
+    return [F_equilibrium(fam, float(x), **options) for x in xs]
 
 
 @pytest.mark.parametrize("a,b,m,attained_at,err,evals", _M_PINS)
@@ -179,10 +179,11 @@ _WEAK_FAMILIES = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(fam=_WEAK_FAMILIES, u=st.floats(0.0, 1.0))
 def test_weak_F_bound_holds(fam, u):
-    # the d-identity bound stops the m scan: a computed F above it could
-    # drop the maximizing row.  x is log-uniform on [1e-3, x_hi]; x_hi < 1e6
-    # only for small a, where the walk needs about (30 (a+1) x)^(1/(a+1))
-    # terms and would pass the 10^6 term cap (ROADMAP item 3)
+    # the d-identity bound stops the m scan and the probe: a computed F
+    # above it could drop the maximizing row or a crossing.  x is
+    # log-uniform on [1e-3, x_hi]; x_hi < 1e6 only for small a, where the
+    # walk needs about (30 (a+1) x)^(1/(a+1)) terms and would pass the 10^6
+    # term cap (ROADMAP item 3)
     from quartzeq.powerlaw import _weak_F_bound
 
     assert classify_regime(fam).regime is Regime.THRESHOLD_WEAK
@@ -313,10 +314,12 @@ def test_count_probe_finds_both_crossings():
 
 
 def _scalar_probe(fam, alpha):
-    """count_equilibria_probe with one F call per x: every bracket bisects
-    alone, one midpoint at a time."""
+    """count_equilibria_probe over the whole grid with one F call per x:
+    every bracket bisects alone, one midpoint at a time."""
+    from quartzeq.powerlaw import _SCAN_TOL
+
     def f(x):
-        return F_equilibrium(fam, x, tol=1e-11, cross_check=False).value - alpha
+        return F_equilibrium(fam, x, tol=_SCAN_TOL, cross_check=False).value - alpha
 
     xs = [float(x) for x in np.geomspace(1e-4, 1e6, 400)]
     vals = [f(x) for x in xs]
@@ -363,6 +366,35 @@ def test_bad_inflow_rejected_alike(alpha, r, message):
     for call in (existence_verdict, count_equilibria_probe):
         with pytest.raises(DomainError, match=f"^{message}$"):
             call(THRESHOLD_FAMILY, alpha, r)
+
+
+@pytest.mark.parametrize("share", [0.5, 0.9, 0.999])
+def test_stopped_probe_matches_full_probe(share, monkeypatch):
+    # the first row the bound skips counts as below alpha/r, and so does
+    # every later one: the brackets, their bisection and the roots are bit
+    # for bit those of the whole grid
+    from quartzeq import powerlaw
+
+    cases = [(PowerLawFamily.from_ab(a, b), share * m) for a, b, m, *_ in _M_PINS]
+    stopped = [count_equilibria_probe(fam, alpha, 1.0) for fam, alpha in cases]
+    monkeypatch.setattr(powerlaw, "_weak_F_bound", lambda fam, x: math.inf)
+    assert stopped == [count_equilibria_probe(fam, alpha, 1.0) for fam, alpha in cases]
+
+
+def test_probe_answers_past_the_series_ceiling(monkeypatch):
+    # at (0.2, -1.5) the grid rows past x ~ 4.7e5 need more than 10^6
+    # terms; the bound rules out a crossing of 0.2 past x ~ 116, so the
+    # probe stops long before them
+    from quartzeq import powerlaw
+
+    fam = PowerLawFamily.from_ab(0.2, -1.5)
+    count, roots = count_equilibria_probe(fam, 0.2, 1.0)
+    assert count == 2
+    for root in roots:
+        assert F_equilibrium(fam, root).value == pytest.approx(0.2, abs=1e-9)
+    monkeypatch.setattr(powerlaw, "_weak_F_bound", lambda fam, x: math.inf)
+    with pytest.raises(ConvergenceError, match="within 1000000 terms"):
+        count_equilibria_probe(fam, 0.2, 1.0)
 
 
 def test_count_probe_empty_above_supremum():

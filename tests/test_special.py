@@ -77,8 +77,13 @@ class TestBernoulli:
             assert bernoulli_fraction(n) == 0
 
     def test_table_range_guard(self):
+        # the table extends on demand: only a negative index is outside it
         with pytest.raises(DomainError):
-            bernoulli_fraction(61)
+            bernoulli_fraction(-1)
+
+    @pytest.mark.parametrize("n", [60, 61, 62, 80])
+    def test_table_extends_past_sixty(self, n):
+        assert bernoulli_fraction(n) == Fraction(*mpmath.bernfrac(n))
 
 
 def test_harmonic_numbers():
