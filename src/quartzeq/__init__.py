@@ -34,12 +34,8 @@ from .series import (
     EquilibriumProfile,
     GridSpec,
     evaluate,
-    sum_kM,
-    sum_iqM,
-    H_series,
     F_equilibrium,
     cohort_profile,
-    tail_product,
     audit_G_identity,
     audit_d_identity,
     DEFAULT_TOL,
@@ -48,14 +44,11 @@ from .series import (
 from .piecewise import (
     RootReport,
     F_piecewise,
-    F_piecewise_y,
-    stationary_polynomial,
     stationary_point,
     alpha_star,
     solve_roots,
     sum_kM_closed,
     sum_iqM_closed,
-    H_closed,
 )
 from .powerlaw import (
     Regime,
@@ -74,11 +67,9 @@ from .asymptotics import (
     R_expansion,
     power_sum,
     K_direct,
-    K_leading_asymptotics,
     K_expansion_refined,
     h10_closed_form,
     cutoff_index,
-    tail_beyond_cutoff,
     relative_tail_beyond_cutoff,
     TailEnvelope,
     fit_tail_envelope,
@@ -86,7 +77,6 @@ from .asymptotics import (
 from .dynamics import (
     SystemState,
     TrajectorySummary,
-    rhs,
     integrate,
     initial_state,
     state_from_profile,
@@ -102,21 +92,18 @@ __all__ = [
     "CoefficientFamily", "PiecewiseConstantFamily", "PowerLawFamily",
     "TabulatedFamily", "family_from_config", "load_family",
     "BoundedValue", "EquilibriumProfile", "GridSpec", "evaluate",
-    "sum_kM", "sum_iqM", "H_series", "F_equilibrium", "cohort_profile",
-    "tail_product", "audit_G_identity", "audit_d_identity",
+    "F_equilibrium", "cohort_profile", "audit_G_identity", "audit_d_identity",
     "DEFAULT_TOL", "DEFAULT_TERM_CAP",
-    "RootReport", "F_piecewise", "F_piecewise_y", "stationary_polynomial",
-    "stationary_point", "alpha_star", "solve_roots", "sum_kM_closed",
-    "sum_iqM_closed", "H_closed",
+    "RootReport", "F_piecewise", "stationary_point", "alpha_star",
+    "solve_roots", "sum_kM_closed", "sum_iqM_closed",
     "Regime", "RegimeVerdict", "MEstimate", "classify_regime",
     "estimate_m_with_error", "existence_verdict", "count_equilibria_probe",
     "SUPREMUM_AT_INFINITY",
     "ExpansionTerm", "AsymptoticExpansion", "R_sum_direct", "R_expansion",
-    "power_sum", "K_direct", "K_leading_asymptotics",
-    "K_expansion_refined", "h10_closed_form", "cutoff_index",
-    "tail_beyond_cutoff", "relative_tail_beyond_cutoff", "TailEnvelope",
+    "power_sum", "K_direct", "K_expansion_refined", "h10_closed_form",
+    "cutoff_index", "relative_tail_beyond_cutoff", "TailEnvelope",
     "fit_tail_envelope",
-    "SystemState", "TrajectorySummary", "rhs", "integrate", "initial_state",
+    "SystemState", "TrajectorySummary", "integrate", "initial_state",
     "state_from_profile", "conservation_residual", "equilibrium_residual",
     "__version__",
 ]

@@ -56,11 +56,9 @@ __all__ = [
     "R_expansion",
     "power_sum",
     "K_direct",
-    "K_leading_asymptotics",
     "K_expansion_refined",
     "h10_closed_form",
     "cutoff_index",
-    "tail_beyond_cutoff",
     "relative_tail_beyond_cutoff",
     "TailEnvelope",
     "fit_tail_envelope",
@@ -301,36 +299,6 @@ def K_direct(a: float, b: float, x: float, *, tol: float = DEFAULT_TOL,
     return certified(walk, start=start)
 
 
-def K_leading_asymptotics(a: float, b: float, *, allow_log: bool = False) -> AsymptoticExpansion:
-    """Leading large-x order of K: Gamma(th) (a+1)^{th-1} x^th, th=(b+2)/(a+1).
-
-    Requires b > -2 (positive growth order th > 0).  At b = -2 the order
-    degenerates to log x / (a+1); pass allow_log=True to receive that
-    single logarithmic term instead of an error.
-    """
-    _check_a(a)
-    if not math.isfinite(b):
-        raise DomainError(f"b must be finite, got {b}")
-    if b <= -2.0:
-        if b == -2.0 and allow_log:
-            c = 1.0 / (a + 1.0)
-            return AsymptoticExpansion(
-                "x->oo",
-                (ExpansionTerm(c, 0.0, log_power=1),
-                 ExpansionTerm(c * math.log(a + 1.0), 0.0)),
-                0.0,
-            )
-        raise DomainError(
-            f"leading order requires b > -2 (got b={b}); "
-            "b = -2 has log-order growth, available with allow_log=True"
-        )
-    theta = (b + 2.0) / (a + 1.0)
-    coeff = gamma(theta) * (a + 1.0) ** (theta - 1.0)
-    return AsymptoticExpansion(
-        "x->oo", (ExpansionTerm(coeff, theta),), max(theta - a / (a + 1.0), 0.0)
-    )
-
-
 def _build_W(a, depth: int) -> dict:
     """Monomials of W_i: {(m, n, B): coeff} for coeff * i^(m a + n) * x^-B.
 
@@ -472,11 +440,6 @@ def cutoff_index(a: float, x: float) -> int:
     return max(1, math.ceil(x ** (3.0 / (3.0 * a + 2.0))))
 
 
-def tail_beyond_cutoff(a: float, b: float, x: float) -> BoundedValue:
-    """Mass of the K series beyond the cutoff index, certified."""
-    return K_direct(a, b, x, start=cutoff_index(a, x))
-
-
 def relative_tail_beyond_cutoff(a: float, b: float, x: float) -> float:
     """Upper bound on (beyond-cutoff mass) / K, the fraction the cutoff drops.
 
@@ -484,7 +447,7 @@ def relative_tail_beyond_cutoff(a: float, b: float, x: float) -> float:
     polynomially); exponential smallness is a statement about this
     fraction, which is what the fitted envelopes bound.
     """
-    t = tail_beyond_cutoff(a, b, x)
+    t = K_direct(a, b, x, start=cutoff_index(a, x))
     k = K_direct(a, b, x)
     return (t.value + t.tail_bound) / k.value
 

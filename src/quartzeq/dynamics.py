@@ -49,7 +49,6 @@ from .series import EquilibriumProfile
 __all__ = [
     "SystemState",
     "TrajectorySummary",
-    "rhs",
     "integrate",
     "initial_state",
     "state_from_profile",
@@ -203,19 +202,6 @@ def _jacobian_kernel(arr: _Arrays):
         return J
 
     return kernel
-
-
-def rhs(fam: CoefficientFamily, alpha: float, r: float,
-        state: SystemState) -> SystemState:
-    """Instantaneous derivative of the truncated system at a state.
-
-    Returned as a SystemState whose fields hold the derivatives (t maps
-    to dt/dt = 1); flux_log's derivative is the quartz currently being
-    lost through the absorbing top cohort.
-    """
-    _check_rates(alpha, r)
-    d = _rhs_kernel(_Arrays(fam, state.i_max), alpha, r)(state.x, state.M)
-    return SystemState(t=1.0, x=float(d[0]), M=d[1:-1].copy(), flux_log=float(d[-1]))
 
 
 def _check_rates(alpha: float, r: float) -> None:

@@ -23,15 +23,12 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "F_piecewise",
-    "F_piecewise_y",
-    "stationary_polynomial",
     "stationary_point",
     "alpha_star",
     "RootReport",
     "solve_roots",
     "sum_kM_closed",
     "sum_iqM_closed",
-    "H_closed",
 ]
 
 NEAR_THRESHOLD_BAND = 10.0  # multiples of tol, relative to the peak value
@@ -98,15 +95,11 @@ def _F_piecewise(k: float, N: int, x: float) -> float:
     return math.exp(-u) * (kx * u * u * pe + (N + 1) * (kx * s) * (2.0 * t * pa - w))
 
 
-def F_piecewise_y(N: int, y: float) -> float:
-    """F in the compact variable y = kx/(kx+1) in [0, 1).
+def _F_piecewise_y(N: int, y: float) -> float:
+    """F in the compact variable y = kx/(kx+1) in [0, 1), for integer N >= 0.
 
     Equals sum_{j=1..N} y^j - N y^{N+1}; identically zero when N = 0.
     """
-    if not (0.0 <= y < 1.0):
-        raise DomainError(f"y must lie in [0, 1), got {y}")
-    if N < 0:
-        raise DomainError(f"N must be >= 0, got {N}")
     acc = 0.0
     # Horner over sum_{j=1..N} y^j - N y^{N+1} = y*(1 + y*(1 + ... ) ) - ...
     for _ in range(N):
@@ -114,14 +107,12 @@ def F_piecewise_y(N: int, y: float) -> float:
     return acc - N * y ** (N + 1)
 
 
-def stationary_polynomial(N: int, y: float) -> float:
+def _stationary_polynomial(N: int, y: float) -> float:
     """p_N(y) = 1 - (N+1)^2 y^N + N(2N+3) y^{N+1} - N(N+1) y^{N+2}.
 
     Its unique root in (0, (N+1)/(N+2)) locates the maximum of F; the
-    polynomial equals (1-y)^2 dF/dy.
+    polynomial equals (1-y)^2 dF/dy.  N >= 1, as stationary_point checks.
     """
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
     yn = y**N
     return 1.0 - (N + 1) ** 2 * yn + N * (2 * N + 3) * yn * y - N * (N + 1) * yn * y * y
 
@@ -157,10 +148,10 @@ def stationary_point(k: float, N: int) -> tuple[float, float, float]:
     _check_kN(k, N, min_N=1)
     upper = (N + 1) / (N + 2)
     y_star = _bisect_to_adjacent(
-        lambda y: stationary_polynomial(N, y), 0.0, upper, stationary_polynomial(N, 0.0)
+        lambda y: _stationary_polynomial(N, y), 0.0, upper, _stationary_polynomial(N, 0.0)
     )
     x_star = y_star / (k * (1.0 - y_star))
-    f_max = F_piecewise_y(N, y_star)
+    f_max = _F_piecewise_y(N, y_star)
     return y_star, x_star, f_max
 
 
@@ -256,8 +247,3 @@ def sum_iqM_closed(k: float, N: int, x: float, r: float) -> float:
     kx = k * x
     y_pow = math.exp(-(N + 1) * math.log1p(1.0 / kx))
     return r * y_pow * (kx + N + 1)
-
-
-def H_closed(k: float, N: int, x: float) -> float:
-    """H(x) = F(x) (x + 1/k) for the piecewise family (d_0 = 1/k)."""
-    return F_piecewise(k, N, x) * (x + 1.0 / k)

@@ -350,9 +350,14 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float,
     the grid are missed).  No uniqueness theorem backs this in the
     power-law case.  The grid is read by _F_scan with alpha/r as its floor;
     the first row it skips counts as below alpha/r, as every later one is,
-    so the brackets and roots are bit for bit those of the whole grid.
+    so the brackets and roots are bit for bit those of the whole grid.  A
+    ThresholdStrict family at alpha/r >= 1 has no root and is not scanned:
+    F < m = 1 at every x (classify_regime's exact m).
     """
     phi = _inflow_ratio(alpha, r)
+    verdict = classify_regime(params)
+    if verdict.regime is Regime.THRESHOLD_STRICT and phi >= verdict.m_estimate:
+        return 0, ()
     fam = _KeptReads(params)
     xs = np.geomspace(1e-4, 1e6, 400)
     vals = [v - phi for v in _F_scan(params, fam, xs, phi, _SCAN_TOL)]

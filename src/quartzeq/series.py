@@ -8,24 +8,24 @@ sizes are
 equivalently k_i M_i = r/(x+d_0) * Q_i with Q_i = prod_{j=1..i} x/(x+d_j).
 Every series evaluated here is a nonnegative weighted sum of the Q_i:
 
-    sum_kM  : weight 1            (total uptake flux / x)
-    sum_iqM : weight i q_i / k_i  (dust re-released by death)
-    H       : weight i rho_i      (drives the equilibrium function)
+    kM  : weight 1            (sum_i k_i M_i, the total uptake flux / x)
+    iqM : weight i q_i / k_i  (sum_i i q_i M_i, dust re-released by death)
+    H   : weight i rho_i      (drives the equilibrium function)
 
 and the equilibrium function itself is F(x) = H(x) / (x + d_0).
 
 One kernel, blocked_sum, walks the Q_i in blocks once, from i = 1 and
 Q_0 = 1, and sums every requested weight in that pass: each sum is
-math.fsum of its block sums.  The audits, tail_product and the direct sums
-of the asymptotics module call it too.  Each block reads the
-family once: one ratios(idx) call gives the d_i of the factors and the
-rho_i and g_i of the weights.  One walk can carry many x, one row each: a
+math.fsum of its block sums.  The audits and the direct sums of the
+asymptotics module call it too.  Each block reads the family once: one
+ratios(idx) call gives the d_i of the factors and the rho_i and g_i of
+the weights.  One walk can carry many x, one row each: a
 block's factors and weights are computed once for all rows, each row keeps
 its own sums and stop test and retires on its own, so every row's result
 is bit for bit that of a walk over its x alone.  evaluate computes F, H,
-sum_kM or sum_iqM over many x in one such walk, from a table with one
-recipe per quantity; F_equilibrium, H_series, sum_kM and sum_iqM are its
-one-x case.
+kM or iqM over many x in one such walk, from a table with one recipe per
+quantity; evaluate(fam, quantity, [x], r)[0] is the one-x value, and
+F_equilibrium the one-x F.
 
 Truncation control: past an index n where the certified step-ratio bound
     s_n = [sup_{i>=n} w_{i+1}/w_i] * x / (x + inf_{i>n} d_i)
@@ -62,14 +62,10 @@ __all__ = [
     "EquilibriumProfile",
     "GridSpec",
     "evaluate",
-    "sum_kM",
-    "sum_iqM",
-    "H_series",
     "F_equilibrium",
     "cohort_profile",
     "audit_G_identity",
     "audit_d_identity",
-    "tail_product",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -283,11 +279,11 @@ def evaluate(fam: CoefficientFamily, quantity: str, xs, r: float = 1.0, *,
              tol: float = DEFAULT_TOL, term_cap: int = DEFAULT_TERM_CAP,
              cross_check: bool = True) -> list[BoundedValue]:
     """F, H, kM (sum_i k_i M_i) or iqM (sum_i i q_i M_i) at every x in xs, from
-    one walk: row k is, bit for bit, the one-x call at xs[k] (F_equilibrium,
-    H_series, sum_kM or sum_iqM); r scales kM and iqM only, and their tol the
-    scaled sum.  Every x, then r where it scales, is checked before the walk, and
-    a ConvergenceError is the one-x error at the first x that fails.  Then, with
-    cross_check, F's rows are balance-checked in the order of xs.
+    one walk: row k is, bit for bit, the one-x call evaluate(fam, quantity,
+    [xs[k]], r)[0]; r scales kM and iqM only, and their tol the scaled sum.
+    Every x, then r where it scales, is checked before the walk, and a
+    ConvergenceError is the one-x error at the first x that fails.  Then,
+    with cross_check, F's rows are balance-checked in the order of xs.
     """
     recipe = _RECIPES.get(quantity)
     if recipe is None:
@@ -322,24 +318,6 @@ def evaluate(fam: CoefficientFamily, quantity: str, xs, r: float = 1.0, *,
     if pos is xs:
         return list(rows)
     return [next(rows) if x > 0.0 else recipe.at_zero(fam, r) for x in xs]
-
-
-def sum_kM(fam: CoefficientFamily, x: float, r: float = 1.0, *,
-           tol: float = DEFAULT_TOL, term_cap: int = DEFAULT_TERM_CAP) -> BoundedValue:
-    """sum_i k_i M_i at the equilibrium profile."""
-    return evaluate(fam, "kM", [x], r, tol=tol, term_cap=term_cap)[0]
-
-
-def sum_iqM(fam: CoefficientFamily, x: float, r: float = 1.0, *,
-            tol: float = DEFAULT_TOL, term_cap: int = DEFAULT_TERM_CAP) -> BoundedValue:
-    """sum_i i q_i M_i at the equilibrium profile (dust re-release rate)."""
-    return evaluate(fam, "iqM", [x], r, tol=tol, term_cap=term_cap)[0]
-
-
-def H_series(fam: CoefficientFamily, x: float, *,
-             tol: float = DEFAULT_TOL, term_cap: int = DEFAULT_TERM_CAP) -> BoundedValue:
-    """H(x) = sum_{i>=1} i rho_i prod_{j<=i} x/(x+d_j)."""
-    return evaluate(fam, "H", [x], tol=tol, term_cap=term_cap)[0]
 
 
 def F_equilibrium(fam: CoefficientFamily, x: float, *,
@@ -430,14 +408,6 @@ def cohort_profile(fam: CoefficientFamily, x: float, r: float, n: int) -> Equili
         s = fam.m_ratio_sup(n_kept) * x / (x + fam.d_inf_beyond(n_kept))
         tail = last * s / (1.0 - s) if s < 1.0 else math.inf
     return EquilibriumProfile(x=x, r=r, M=arr, tail_mass_bound=tail)
-
-
-def tail_product(fam: CoefficientFamily, x: float, n: int) -> float:
-    """Q_n = prod_{j=1..n} x / (x + d_j); may underflow to 0 for large n."""
-    _check_x(x)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    return blocked_sum(_q_block(fam, lambda idx, d, rho, g: ()), None, [x], cap=n)[0].q_n
 
 
 def audit_G_identity(fam: CoefficientFamily, x: float, n_terms: int) -> tuple[float, float]:

@@ -15,7 +15,6 @@ from quartzeq.asymptotics import (
     ExpansionTerm,
     K_direct,
     K_expansion_refined,
-    K_leading_asymptotics,
     R_expansion,
     R_sum_direct,
     cutoff_index,
@@ -23,11 +22,9 @@ from quartzeq.asymptotics import (
     h10_closed_form,
     power_sum,
     relative_tail_beyond_cutoff,
-    tail_beyond_cutoff,
 )
 from quartzeq.coefficients import PowerLawFamily
-from quartzeq.errors import DomainError
-from quartzeq.series import H_series
+from quartzeq.series import evaluate
 from quartzeq.special import EULER_GAMMA
 
 
@@ -143,6 +140,12 @@ def test_refined_expansion_pins(ab):
             assert abs(c_got) <= 1e-13 * lead
 
 
+# (a, b, depth) for test_error_below_remainder_order
+_REMAINDER_CASES = [(1.0, -1.0, 4), (2.0, 0.0, 4), (0.7, -0.4, 4), (2.0, -1.9999999999999, 4),
+                    (1.0, -0.999999999999999, 4), (15.0, 0.0, 4),
+                    (1.5, 0.2, 0), (2.0, 0.0, 0), (3.0, 1.0, 0)]
+
+
 class TestKExpansion:
     def test_three_term_pin(self):
         # K_{1,-1}(x) = sqrt(pi/2) x^{1/2} - 2/3 + sqrt(2 pi)/24 x^{-1/2} + O(1/x)
@@ -163,12 +166,14 @@ class TestKExpansion:
     # (2, -1.9999999999999) and (1, -0.999999999999999) sit within 1e-13 of
     # a pole: the Gamma pole and the zeta pole of one monomial must merge
     # into a log term, not cancel in floats; (15, 0) needs B_61 for the
-    # exact zeta(-4 a) of its K expansion
-    @pytest.mark.parametrize("a,b", [(1.0, -1.0), (2.0, 0.0), (0.7, -0.4),
-                                     (2.0, -1.9999999999999),
-                                     (1.0, -0.999999999999999), (15.0, 0.0)])
-    def test_error_below_remainder_order(self, a, b):
-        exp = K_expansion_refined(a, b, 4)
+    # exact zeta(-4 a) of its K expansion.  At depth 0 the remainder is
+    # (b+1)/(a+1), one order of x^(1/(a+1)) below the leading term: the
+    # error at (1.5, 0.2), (2, 0) and (3, 1) grows like x^0.48, x^0.33, x^0.5
+    @pytest.mark.parametrize("a,b,depth", _REMAINDER_CASES, ids=[
+        f"{a}-{b}" + (f"-depth{depth}" if depth != 4 else "")
+        for a, b, depth in _REMAINDER_CASES])
+    def test_error_below_remainder_order(self, a, b, depth):
+        exp = K_expansion_refined(a, b, depth)
         for x in (1e4, 1e5):
             direct = K_direct(a, b, x)
             assert abs(direct.value - exp.evaluate(x)) <= x**exp.remainder_power
@@ -182,22 +187,15 @@ class TestKExpansion:
             assert abs(direct.value - exp.evaluate(x)) * x < 1.0
 
     def test_leading_term_only(self):
-        exp = K_leading_asymptotics(1.0, -1.0)
-        assert exp.leading.power == 0.5
-        assert exp.leading.coefficient == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
-
-    def test_log_case_needs_opt_in(self):
-        # (b+2)/(a+1) hitting a nonpositive integer brings a log term
-        with pytest.raises(DomainError):
-            K_leading_asymptotics(1.0, -2.0)
-        exp = K_leading_asymptotics(1.0, -2.0, allow_log=True)
-        assert any(t.log_power == 1 for t in exp.terms)
+        lead = K_expansion_refined(1.0, -1.0, 0).leading
+        assert lead.power == 0.5
+        assert lead.coefficient == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
 
 
 def test_h10_closed_form_matches_series():
     fam = PowerLawFamily.from_ab(1.0, 0.0)
-    for x in (1.0, 5.0, 10.0, 20.0):
-        direct = H_series(fam, x)
+    xs = (1.0, 5.0, 10.0, 20.0)
+    for x, direct in zip(xs, evaluate(fam, "H", xs)):
         assert h10_closed_form(x) == pytest.approx(direct.value, rel=1e-12)
 
 
@@ -220,7 +218,7 @@ class TestCutoff:
 
     def test_tail_at_unit_point_pin(self):
         # K_{1,-1} beyond index 1 at x = 1: sum_{i>=2} 1/(i+1)! = e - 5/2
-        t = tail_beyond_cutoff(1.0, -1.0, 1.0)
+        t = K_direct(1.0, -1.0, 1.0, start=cutoff_index(1.0, 1.0))
         assert t.value == pytest.approx(math.e - 2.5, rel=1e-13)
 
     def test_relative_tail_decays(self):

@@ -10,16 +10,15 @@ from quartzeq.coefficients import PiecewiseConstantFamily
 from quartzeq.errors import ConvergenceError, DomainError
 from quartzeq.piecewise import (
     F_piecewise,
-    F_piecewise_y,
-    H_closed,
+    _F_piecewise_y,
+    _stationary_polynomial,
     alpha_star,
     solve_roots,
     stationary_point,
-    stationary_polynomial,
     sum_iqM_closed,
     sum_kM_closed,
 )
-from quartzeq.series import F_equilibrium, sum_iqM
+from quartzeq.series import F_equilibrium, evaluate
 
 GOLDEN_LO = (3.0 - math.sqrt(5.0)) / 2.0
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -38,7 +37,7 @@ def test_closed_form_agrees_with_series():
 def test_y_parametrisation_consistent():
     for k, N, x in ((1.0, 1, 1.0), (2.0, 4, 0.3), (0.5, 2, 12.0)):
         y = k * x / (k * x + 1.0)
-        assert F_piecewise(k, N, x) == pytest.approx(F_piecewise_y(N, y), rel=1e-12)
+        assert F_piecewise(k, N, x) == pytest.approx(_F_piecewise_y(N, y), rel=1e-12)
 
 
 def test_small_x_not_catastrophic():
@@ -86,9 +85,9 @@ class TestStationaryPoint:
 
     def test_polynomial_root_at_half_for_n1(self):
         # p(y) = (1 - 2y)(1 - y)^2 for N = 1
-        assert stationary_polynomial(1, 0.5) == 0.0
-        assert stationary_polynomial(1, 0.2) > 0.0
-        assert stationary_polynomial(1, 0.8) < 0.0
+        assert _stationary_polynomial(1, 0.5) == 0.0
+        assert _stationary_polynomial(1, 0.2) > 0.0
+        assert _stationary_polynomial(1, 0.8) < 0.0
 
     def test_f_max_is_actually_the_maximum(self):
         k, N = 2.0, 5
@@ -208,9 +207,11 @@ class TestClosedSums:
             N = int(rng.integers(0, 6))
             x = 10.0 ** rng.uniform(-1.5, 1.5)
             closed = sum_iqM_closed(k, N, x, 1.0)
-            bv = sum_iqM(PiecewiseConstantFamily(k, N), x)
+            bv = evaluate(PiecewiseConstantFamily(k, N), "iqM", [x])[0]
             assert closed == pytest.approx(bv.value, abs=3 * bv.tail_bound + 1e-12 * (1 + abs(closed)))
 
     def test_h_closed_is_f_times_denominator(self):
+        # H = F (x + d_0) with d_0 = 1/k: the H series against the closed-form F
         for k, N, x in ((1.0, 1, 1.0), (3.0, 4, 0.25)):
-            assert H_closed(k, N, x) == pytest.approx(F_piecewise(k, N, x) * (x + 1.0 / k), rel=1e-12)
+            bv = evaluate(PiecewiseConstantFamily(k, N), "H", [x])[0]
+            assert bv.value == pytest.approx(F_piecewise(k, N, x) * (x + 1.0 / k), rel=1e-12)

@@ -397,6 +397,20 @@ def test_probe_answers_past_the_series_ceiling(monkeypatch):
         count_equilibria_probe(fam, 0.2, 1.0)
 
 
+@pytest.mark.parametrize("a,alpha", [(0.054, 1.0), (0.054, 1.2), (0.251, 1.0), (2.0, 1.0)])
+def test_strict_probe_at_or_above_one_has_no_root(a, alpha, monkeypatch):
+    # F < m = 1 at every x on b = a - 1, so alpha/r >= 1 has no root and
+    # takes no F evaluation; at a = 0.054 the grid rows past x ~ 5.6e4 and
+    # at a = 0.251 those past x ~ 6.7e5 would need more than 10^6 terms
+    from quartzeq import powerlaw
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the probe walked a series")
+
+    monkeypatch.setattr(powerlaw, "evaluate", no_walk)
+    assert count_equilibria_probe(PowerLawFamily.from_ab(a, a - 1.0), alpha, 1.0) == (0, ())
+
+
 def test_count_probe_empty_above_supremum():
     count, roots = count_equilibria_probe(THRESHOLD_FAMILY, 0.5, 1.0)
     assert count == 0 and roots == ()

@@ -24,14 +24,10 @@ from quartzeq.errors import ConsistencyError, ConvergenceError, DomainError
 from quartzeq.series import (
     F_equilibrium,
     GridSpec,
-    H_series,
     audit_d_identity,
     audit_G_identity,
     cohort_profile,
     evaluate,
-    sum_iqM,
-    sum_kM,
-    tail_product,
 )
 
 # shared strategies: a family of each kind plus a positive evaluation point
@@ -50,6 +46,11 @@ families = st.one_of(
 xs = st.floats(1e-3, 1e3).map(lambda u: float(u))
 
 
+def _one(fam, quantity, x, r=1.0, **kwargs):
+    """The one-x value of a quantity: the row of a one-x evaluate walk."""
+    return evaluate(fam, quantity, [x], r, **kwargs)[0]
+
+
 class TestClosedFormPins:
     def test_piecewise_profile_halves(self):
         # k = 1, N = 1, x = 1: every cohort step multiplies by exactly 1/2,
@@ -64,14 +65,14 @@ class TestClosedFormPins:
     def test_mass_sum_is_rk(self):
         fam = PiecewiseConstantFamily(3.0, 2)
         for x in (0.01, 0.5, 1.0, 40.0):
-            bv = sum_kM(fam, x, 1.7)
+            bv = _one(fam, "kM", x, 1.7)
             assert bv.value == pytest.approx(1.7 * 3.0, rel=1e-13)
             assert abs(bv.value - 1.7 * 3.0) <= bv.tail_bound + 1e-12 * abs(bv.value)
 
     def test_power_law_mass_sum_at_one(self):
         # (a, b) = (1, 0): sum k_i M_i at x = 1 telescopes to e - 2
         fam = PowerLawFamily.from_ab(1.0, 0.0)
-        bv = sum_kM(fam, 1.0)
+        bv = _one(fam, "kM", 1.0)
         assert bv.value == pytest.approx(math.e - 2.0, rel=1e-14)
 
     def test_f_matches_piecewise_closed_form(self):
@@ -91,25 +92,25 @@ class TestOriginConventions:
     def test_mass_at_zero_is_first_cohort_only(self):
         # x = 0: only cohort 0 is populated, so sum k_i M_i = r / d_0
         fam = PiecewiseConstantFamily(2.0, 1)
-        bv = sum_kM(fam, 0.0, 3.0)
+        bv = _one(fam, "kM", 0.0, 3.0)
         assert bv.value == 6.0
         assert bv.tail_bound == 0.0
 
     def test_weighted_death_at_zero_vanishes(self):
-        bv = sum_iqM(PiecewiseConstantFamily(2.0, 1), 0.0, 3.0)
+        bv = _one(PiecewiseConstantFamily(2.0, 1), "iqM", 0.0, 3.0)
         assert bv.value == 0.0
 
     def test_negative_x_rejected(self):
         with pytest.raises(DomainError):
-            sum_kM(PiecewiseConstantFamily(1.0, 1), -0.5)
+            _one(PiecewiseConstantFamily(1.0, 1), "kM", -0.5)
 
 
 @settings(max_examples=60, deadline=None)
 @given(families, xs)
 def test_tail_certificate_sound(fam, x):
     """A loose run's enclosure must contain a much tighter run's value."""
-    loose = sum_kM(fam, x, tol=1e-5)
-    tight = sum_kM(fam, x, tol=1e-14)
+    loose = _one(fam, "kM", x, tol=1e-5)
+    tight = _one(fam, "kM", x, tol=1e-14)
     slack = 1e-12 * abs(tight.value) + 1e-300
     assert loose.value <= tight.value + slack
     assert tight.value <= loose.value + loose.tail_bound + slack
@@ -119,7 +120,7 @@ def test_tail_certificate_sound(fam, x):
 @given(families, xs)
 def test_triangle_f_times_denominator_is_h(fam, x):
     f = F_equilibrium(fam, x, cross_check=False)
-    h = H_series(fam, x)
+    h = _one(fam, "H", x)
     budget = f.tail_bound * (x + fam.d0) + h.tail_bound + 1e-12 * (abs(h.value) + 1.0)
     assert abs(f.value * (x + fam.d0) - h.value) <= budget
 
@@ -161,9 +162,9 @@ def _power_law_exact(a, b, x):
 def test_piecewise_intervals_contain_closed_forms(k, N, x):
     fam = PiecewiseConstantFamily(k, N)
     h, skm, siqm = _piecewise_exact(k, N, x)
-    assert _encloses(H_series(fam, x), h)
-    assert _encloses(sum_kM(fam, x), skm)
-    assert _encloses(sum_iqM(fam, x), siqm)
+    assert _encloses(_one(fam, "H", x), h)
+    assert _encloses(_one(fam, "kM", x), skm)
+    assert _encloses(_one(fam, "iqM", x), siqm)
 
 
 @settings(max_examples=20, deadline=None)
@@ -172,9 +173,9 @@ def test_power_law_intervals_contain_high_precision_sums(a, u, x):
     b = a - (a + 1.5) * u
     fam = PowerLawFamily.from_ab(a, b)
     h, skm, siqm = _power_law_exact(a, b, x)
-    assert _encloses(H_series(fam, x), h)
-    assert _encloses(sum_kM(fam, x), skm)
-    assert _encloses(sum_iqM(fam, x), siqm)
+    assert _encloses(_one(fam, "H", x), h)
+    assert _encloses(_one(fam, "kM", x), skm)
+    assert _encloses(_one(fam, "iqM", x), siqm)
 
 
 @pytest.mark.parametrize("kx", [3e4, 1e5, 1e6])
@@ -229,9 +230,9 @@ def test_one_ratios_read_per_block(fam, monkeypatch):
     bv = F_equilibrium(fam, 1e5)
     assert len(_block_sizes(bv.terms_used)) > 2
     assert reads == _block_sizes(bv.terms_used)
+    # the audits walk to their term count with no stop test
     for walk in (lambda: audit_G_identity(fam, 2.0, 1000),
-                 lambda: audit_d_identity(fam, 2.0, 1000),
-                 lambda: tail_product(fam, 2.0, 1000)):
+                 lambda: audit_d_identity(fam, 2.0, 1000)):
         reads.clear()
         walk()
         assert reads == _block_sizes(1000)
@@ -262,16 +263,10 @@ def test_profile_tail_bound_covers_true_geometric_tail():
     assert prof.tail_mass_bound >= true_tail * (1 - 1e-12)
 
 
-def test_tail_product_is_remaining_q_factor():
-    fam = PiecewiseConstantFamily(1.0, 1)
-    # prod_{j<=3} x/(x+d_j) at x = 1, d = 1: (1/2)^3
-    assert tail_product(fam, 1.0, 3) == pytest.approx(0.125, rel=1e-15)
-
-
 class TestTermination:
     def test_term_cap_raises_with_diagnostic(self):
         with pytest.raises(ConvergenceError) as err:
-            sum_kM(PiecewiseConstantFamily(1.0, 1), 1e5, term_cap=10)
+            _one(PiecewiseConstantFamily(1.0, 1), "kM", 1e5, term_cap=10)
         detail = err.value.diagnostic()
         assert detail["series"] == "sum_kM"
         assert detail["terms_used"] == 10
@@ -279,7 +274,7 @@ class TestTermination:
     def test_underflow_terminates_early_and_exactly(self):
         # at x = 1e-3 the cohort weights fall below the subnormal floor fast;
         # the sum is complete to full precision with a tiny honest envelope
-        bv = sum_kM(PiecewiseConstantFamily(1.0, 1), 1e-3)
+        bv = _one(PiecewiseConstantFamily(1.0, 1), "kM", 1e-3)
         assert bv.terms_used < 200
         assert bv.value == pytest.approx(1.0, rel=1e-15)
         assert bv.tail_bound < 1e-14
@@ -299,7 +294,7 @@ class TestGrid:
         assert points.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
         fam = PiecewiseConstantFamily(1.0, 1)
         rows = evaluate(fam, "kM", points)
-        assert len(rows) == 5 and rows[0] == sum_kM(fam, 0.0)
+        assert len(rows) == 5 and rows[0] == _one(fam, "kM", 0.0)
 
     def test_numpy_integer_count_accepted(self):
         assert len(GridSpec(0.1, 1.0, np.int64(3)).points()) == 3
@@ -359,12 +354,10 @@ _QUANTITY_R = [("F", 1.0), ("H", 1.0), ("kM", 1.0), ("kM", 2.5), ("iqM", 1.0), (
 
 
 def _one_x(fam, quantity, x, r, *, cross_check, **kwargs):
-    """The one-x entry point for quantity."""
+    """The one-x entry point for quantity: F_equilibrium for F, else a one-x walk."""
     if quantity == "F":
         return F_equilibrium(fam, x, cross_check=cross_check, **kwargs)
-    if quantity == "H":
-        return H_series(fam, x, **kwargs)
-    return {"kM": sum_kM, "iqM": sum_iqM}[quantity](fam, x, r, **kwargs)
+    return _one(fam, quantity, x, r, **kwargs)
 
 
 def _bits(bv):
