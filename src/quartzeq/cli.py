@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 
@@ -362,13 +363,13 @@ def _add_family_flags(sub) -> None:
                      help="family kind (tables go through --family-config)")
     sub.add_argument("--family-config", metavar="FILE",
                      help="JSON family document (overrides family flags)")
-    sub.add_argument("--k", type=float, help="piecewise uptake rate")
+    sub.add_argument("--k", type=_finite, help="piecewise uptake rate")
     sub.add_argument("--N", type=int, help="piecewise clearance horizon")
-    sub.add_argument("--a", type=float, help="power-law scale exponent")
-    sub.add_argument("--b", type=float, help="power-law balance exponent")
-    sub.add_argument("--p-exp", type=float, help="clearance exponent")
-    sub.add_argument("--q-exp", type=float, help="death exponent")
-    sub.add_argument("--k-exp", type=float, help="uptake exponent")
+    sub.add_argument("--a", type=_finite, help="power-law scale exponent")
+    sub.add_argument("--b", type=_finite, help="power-law balance exponent")
+    sub.add_argument("--p-exp", type=_finite, help="clearance exponent")
+    sub.add_argument("--q-exp", type=_finite, help="death exponent")
+    sub.add_argument("--k-exp", type=_finite, help="uptake exponent")
 
 
 def _add_common_flags(sub, formats: tuple[str, ...], *, tol: bool = False,
@@ -379,16 +380,24 @@ def _add_common_flags(sub, formats: tuple[str, ...], *, tol: bool = False,
     sub.add_argument("--format", choices=formats)
     sub.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
     if tol:
-        sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        sub.add_argument("--tol", type=_finite, default=DEFAULT_TOL)
     if term_cap:
         sub.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP)
 
 
-def _float_list(text: str) -> list[float]:
+def _finite(text: str) -> float:
+    """The argparse type of every float flag: nan and inf are usage errors."""
     try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    return [_finite(tok) for tok in text.split(",") if tok]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,42 +413,42 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(eq)
     _add_common_flags(eq, ("json", "csv"), tol=True, term_cap=True)
     eq.add_argument("--quantity", choices=["F", "H", "kM", "iqM"], default="F")
-    eq.add_argument("--r", type=float, default=1.0)
-    eq.add_argument("--x", type=float, help="single evaluation point")
-    eq.add_argument("--x-min", type=float, default=1e-2)
-    eq.add_argument("--x-max", type=float, default=1e2)
+    eq.add_argument("--r", type=_finite, default=1.0)
+    eq.add_argument("--x", type=_finite, help="single evaluation point")
+    eq.add_argument("--x-min", type=_finite, default=1e-2)
+    eq.add_argument("--x-max", type=_finite, default=1e2)
     eq.add_argument("--count", type=int, default=50)
     eq.add_argument("--spacing", choices=["linear", "log"], default="log")
     eq.set_defaults(func=_cmd_equilibrium)
 
     rt = subs.add_parser("roots", help="piecewise equilibrium roots")
     _add_common_flags(rt, ("json",), tol=True)
-    rt.add_argument("--k", type=float)
+    rt.add_argument("--k", type=_finite)
     rt.add_argument("--N", type=int)
-    rt.add_argument("--alpha", type=float)
-    rt.add_argument("--r", type=float)
+    rt.add_argument("--alpha", type=_finite)
+    rt.add_argument("--r", type=_finite)
     rt.set_defaults(func=_cmd_roots)
 
     cl = subs.add_parser("classify", help="power-law regime from (a, b)")
     _add_common_flags(cl, ("json",))
-    cl.add_argument("--a", type=float, required=True)
-    cl.add_argument("--b", type=float, required=True)
+    cl.add_argument("--a", type=_finite, required=True)
+    cl.add_argument("--b", type=_finite, required=True)
     cl.set_defaults(func=_cmd_classify)
 
     th = subs.add_parser("threshold", help="estimate the inflow threshold m")
     _add_common_flags(th, ("json",))
-    th.add_argument("--a", type=float, required=True)
-    th.add_argument("--b", type=float, required=True)
-    th.add_argument("--x-max", type=float, default=1e6)
+    th.add_argument("--a", type=_finite, required=True)
+    th.add_argument("--b", type=_finite, required=True)
+    th.add_argument("--x-max", type=_finite, default=1e6)
     th.add_argument("--grid", type=int, default=200)
-    th.add_argument("--alpha", type=float, help="also answer existence for this inflow")
-    th.add_argument("--r", type=float, default=1.0)
+    th.add_argument("--alpha", type=_finite, help="also answer existence for this inflow")
+    th.add_argument("--r", type=_finite, default=1.0)
     th.set_defaults(func=_cmd_threshold)
 
     asym = subs.add_parser("asym", help="large-x expansion of the K series")
     _add_common_flags(asym, ("json", "csv"), tol=True, term_cap=True)
-    asym.add_argument("--a", type=float, required=True)
-    asym.add_argument("--b", type=float, required=True)
+    asym.add_argument("--a", type=_finite, required=True)
+    asym.add_argument("--b", type=_finite, required=True)
     asym.add_argument("--depth", type=int, default=2)
     asym.add_argument("--compare-grid", type=_float_list, metavar="x1,x2,...",
                       help="also tabulate direct vs expansion at these x")
@@ -448,18 +457,18 @@ def build_parser() -> argparse.ArgumentParser:
     audit = subs.add_parser("identity-audit", help="telescoping identity residuals")
     _add_family_flags(audit)
     _add_common_flags(audit, ("json",))
-    audit.add_argument("--x", type=float)
+    audit.add_argument("--x", type=_finite)
     audit.add_argument("--n-terms", type=int, default=200)
     audit.set_defaults(func=_cmd_identity_audit)
 
     sim = subs.add_parser("simulate", help="integrate the truncated system")
     _add_family_flags(sim)
     _add_common_flags(sim, ("csv",), tol=True)
-    sim.add_argument("--alpha", type=float)
-    sim.add_argument("--r", type=float)
+    sim.add_argument("--alpha", type=_finite)
+    sim.add_argument("--r", type=_finite)
     sim.add_argument("--imax", type=int, default=200)
-    sim.add_argument("--t-end", type=float, default=1000.0)
-    sim.add_argument("--x0", type=float, default=0.0)
+    sim.add_argument("--t-end", type=_finite, default=1000.0)
+    sim.add_argument("--x0", type=_finite, default=0.0)
     sim.add_argument("--summary-out", metavar="PATH",
                      help="write the JSON summary here (default: stdout or CSV trailer)")
     sim.set_defaults(func=_cmd_simulate)

@@ -15,8 +15,9 @@ sum_i d_i Q_i = x gives H = x - sum_i i^(a-1) Q_i < x, a sum that is o(x).
 
 The regime is a pure function of (a, b).  Below the line m has no closed
 form and is estimated numerically (a log grid evaluated in slices of 25
-rows, one series.evaluate walk each, then golden-section refinement one x
-at a time), so existence answers inside its error bar are reported as
+rows, one series.evaluate walk each, then rounds of 25 rows, one walk
+each, across the bracket of the best row so far and its two neighbours),
+so existence answers inside its error bar are reported as
 indeterminate rather than as a guess.  The same d-identity bounds F below
 the line too: with c_n = sup_{i>=n} i rho_i / d_i,
 F(x) < sum_{i<n} i rho_i / x + c_n at every x (_weak_F_bound).  One grid
@@ -27,7 +28,6 @@ alpha/r for the root probe.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -37,7 +37,7 @@ import numpy as np
 
 from .coefficients import PowerLawFamily
 from .errors import ConvergenceError, DomainError
-from .series import DEFAULT_TOL, evaluate
+from .series import evaluate
 
 __all__ = [
     "Regime",
@@ -131,15 +131,9 @@ class MEstimate(NamedTuple):
     attained_at: float | str
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# the root probe walks at this looser tol; at DEFAULT_TOL some of its roots
-# move in their last digits (the m estimate's answers do not)
-_SCAN_TOL = 1e-11
 _M_X_MIN = 1e-3  # left end of the m scan's log grid
-_SLICE = 25  # grid rows per evaluate walk of a ThresholdWeak scan
+_SLICE = 25  # rows per evaluate walk of a ThresholdWeak scan or rescan round
 _BOUND_MARGIN = 1e-6  # relative rounding margin of _weak_F_bound
-_KEPT_LAST = 4096  # last index whose ratios a _KeptReads keeps
 
 
 def _weak_F_bound(fam: PowerLawFamily, x: float) -> float:
@@ -176,40 +170,12 @@ def _weak_F_bound(fam: PowerLawFamily, x: float) -> float:
         n *= 2.0
 
 
-class _KeptReads:
-    """A power-law family whose reads are kept for one m scan or probe.
-
-    Their F walks (without the cross-check) read the same index blocks over
-    and over, for example indices 1..64 in every one-x golden-section walk,
-    and these reads do not depend on x.  Each is computed once by the family
-    and returned as computed, so every walk stays bit for bit the same.
-    Ratios are kept for indices up to _KEPT_LAST only (at most 97 KB): a
-    row at large x can walk to the term cap, and the later blocks are read
-    by few walks.  The kept reads go with the object at the end of the scan.
-    """
-
-    def __init__(self, fam: PowerLawFamily):
-        self._fam, self._ratios = fam, {}
-        self.d0 = fam.d0
-        self.d_inf_beyond = functools.cache(fam.d_inf_beyond)
-        self.irho_ratio_sup = functools.cache(fam.irho_ratio_sup)
-
-    def ratios(self, idx):
-        if idx[-1] > _KEPT_LAST:
-            return self._fam.ratios(idx)
-        key = idx.tobytes()
-        if key not in self._ratios:
-            self._ratios[key] = self._fam.ratios(idx)
-        return self._ratios[key]
-
-
-def _F_rows(fam: _KeptReads, xs, tol: float = DEFAULT_TOL) -> list[float]:
+def _F_rows(params: PowerLawFamily, xs) -> list[float]:
     """F at every x in xs from one series.evaluate walk, without the cross-check."""
-    return [bv.value for bv in evaluate(fam, "F", xs, tol=tol, cross_check=False)]
+    return [bv.value for bv in evaluate(params, "F", xs, cross_check=False)]
 
 
-def _F_scan(params: PowerLawFamily, fam: _KeptReads, xs, floor: float | None = None,
-            tol: float = DEFAULT_TOL) -> list[float]:
+def _F_scan(params: PowerLawFamily, xs, floor: float | None = None) -> list[float]:
     """F over the increasing grid xs, each row bit for bit its one-x walk.
 
     A ThresholdWeak family walks xs in slices of _SLICE rows and stops
@@ -219,35 +185,14 @@ def _F_scan(params: PowerLawFamily, fam: _KeptReads, xs, floor: float | None = N
     all of xs at once.
     """
     if classify_regime(params).regime is not Regime.THRESHOLD_WEAK:
-        return _F_rows(fam, xs, tol)
+        return _F_rows(params, xs)
     vals: list[float] = []
     for start in range(0, len(xs), _SLICE):
         level = max(vals, default=-math.inf) if floor is None else floor
         if _weak_F_bound(params, float(xs[start])) < level:
             break
-        vals += _F_rows(fam, xs[start:start + _SLICE], tol)
+        vals += _F_rows(params, xs[start:start + _SLICE])
     return vals
-
-
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """(argmax, bracket width) of a unimodal f on [lo, hi], log scale."""
-    t_lo, t_hi = math.log(lo), math.log(hi)
-    t1 = t_hi - _GOLDEN * (t_hi - t_lo)
-    t2 = t_lo + _GOLDEN * (t_hi - t_lo)
-    f1, f2 = f(math.exp(t1)), f(math.exp(t2))
-    for _ in range(60):
-        if t_hi - t_lo < 1e-12:
-            break
-        if f1 < f2:
-            t_lo, t1, f1 = t1, t2, f2
-            t2 = t_lo + _GOLDEN * (t_hi - t_lo)
-            f2 = f(math.exp(t2))
-        else:
-            t_hi, t2, f2 = t2, t1, f1
-            t1 = t_hi - _GOLDEN * (t_hi - t_lo)
-            f1 = f(math.exp(t1))
-    t_best = t1 if f1 >= f2 else t2
-    return math.exp(t_best), math.exp(t_hi) - math.exp(t_lo)
 
 
 def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
@@ -258,54 +203,27 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
     evaluations: m = 1, approached only as x -> oo, with error bar 0
     (module docstring).  Below it the estimate is m with its maximizer:
     _F_scan over a log grid on [1e-3, x_max], which skips only rows below
-    the largest F scanned, then golden-section refinement around the best
-    cell, all through one _KeptReads.  A maximum at the grid edge means
+    the largest F scanned, then rounds that rescan the bracket of the best
+    row and its two neighbours.  A maximum at the grid's right edge means
     x_max is too small and is an error (F must eventually decay there).
 
-    The error bar is the F spread over the final search bracket plus the
-    series tail bound at the maximizer, from one three-row walk.  The
-    evaluation count is the grid rows scanned plus the refinement's F
-    evaluations (184 for (2, 0) on the default grid: 125 rows, 57
-    golden-section steps and 2 for the error bar).
+    Each round is one evaluate walk over _SLICE rows, evenly spaced in
+    log x across the bracket and centred on the best row so far, which is
+    therefore walked again at the same x, to the same F.  So m is the
+    largest F of any walk here, and each round's best row with its two
+    neighbours is the next bracket, 12 times narrower.  The rounds stop once
+    the F spread over that bracket, F(best) - F(left) + F(best) - F(right),
+    is at most the best row's series tail bound, or the bracket is below
+    1e-12 wide in log x.  The error bar is that spread plus that tail
+    bound, and attained_at is resolved only to the final bracket (about
+    1e-7 relative, where F is flat to rounding).  The evaluation count is
+    every row walked (250 for (2, 0) on the default grid: 125 grid rows
+    and 5 rounds of 25).
     """
-    verdict = classify_regime(params)
+    verdict, evals = _regime_verdict(params, x_max, grid)
     if verdict.regime is Regime.ALWAYS_EXISTS:
-        raise DomainError(
-            "no finite m in the AlwaysExists regime (F is unbounded)"
-        )
-    if not (math.isfinite(x_max) and x_max > _M_X_MIN):
-        raise DomainError(f"need x_max > {_M_X_MIN}, got {x_max}")
-    if grid < 8:
-        raise DomainError(f"grid must be >= 8 points, got {grid}")
-    if verdict.regime is Regime.THRESHOLD_STRICT:
-        return MEstimate(verdict.m_estimate, verdict.m_attained_at), verdict.m_error_bar, 0
-
-    fam = _KeptReads(params)
-    xs = np.geomspace(_M_X_MIN, x_max, grid)
-    vals = _F_scan(params, fam, xs)
-    evals = len(vals)
-
-    def f(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        return _F_rows(fam, [x])[0]
-
-    j = int(np.argmax(vals))
-    if j >= grid - 1:
-        raise ConvergenceError(
-            f"F still increasing at x_max={x_max} in ThresholdWeak regime; "
-            "the interior maximum lies beyond the grid, raise x_max",
-            series="estimate_m", x=x_max,
-        )
-
-    lo = float(xs[max(j - 1, 0)])
-    hi = float(xs[min(j + 1, grid - 1)])
-    x_best, width = _golden_max(f, lo, hi)
-    best, left, right = evaluate(fam, "F", [x_best, max(x_best - width, lo),
-                                            min(x_best + width, hi)], cross_check=False)
-    evals += 2
-    err = abs(best.value - left.value) + abs(best.value - right.value) + best.tail_bound
-    return MEstimate(best.value, x_best), err, evals
+        raise DomainError("no finite m in the AlwaysExists regime (F is unbounded)")
+    return MEstimate(verdict.m_estimate, verdict.m_attained_at), verdict.m_error_bar, evals
 
 
 def _inflow_ratio(alpha: float, r: float) -> float:
@@ -319,14 +237,43 @@ def _inflow_ratio(alpha: float, r: float) -> float:
 
 def _regime_verdict(params: PowerLawFamily, x_max: float = 1e6,
                     grid: int = 200) -> tuple[RegimeVerdict, int]:
-    """(regime verdict, F evaluations): a ThresholdWeak verdict carries the
-    estimate_m_with_error output for this grid; the others take no F."""
+    """(regime verdict, F evaluations) with the sup F search of
+    estimate_m_with_error on grid rows over [1e-3, x_max], whose arguments
+    are checked in every regime: a ThresholdWeak verdict carries m, its
+    error bar and its maximizer; the others take no F."""
     verdict = classify_regime(params)
+    if not (math.isfinite(x_max) and x_max > _M_X_MIN):
+        raise DomainError(f"need x_max > {_M_X_MIN}, got {x_max}")
+    if grid < 8:
+        raise DomainError(f"grid must be >= 8 points, got {grid}")
     if verdict.regime is not Regime.THRESHOLD_WEAK:
         return verdict, 0
-    est, err, evals = estimate_m_with_error(params, x_max, grid)
-    return replace(verdict, m_estimate=est.m, m_error_bar=err,
-                   m_attained_at=est.attained_at), evals
+
+    xs = np.geomspace(_M_X_MIN, x_max, grid)
+    vals = _F_scan(params, xs)
+    evals = len(vals)
+    j = int(np.argmax(vals))
+    if j >= grid - 1:
+        raise ConvergenceError(
+            f"F still increasing at x_max={x_max} in ThresholdWeak regime; "
+            "the interior maximum lies beyond the grid, raise x_max",
+            series="estimate_m", x=x_max,
+        )
+
+    x_best, step = float(xs[j]), math.log(x_max / _M_X_MIN) / (grid - 1)
+    half = _SLICE // 2
+    while True:
+        step /= half  # the rows' spacing in log x, and the next bracket's half-width
+        row_xs = x_best * np.exp(np.arange(-half, half + 1) * step)
+        rows = evaluate(params, "F", row_xs, cross_check=False)
+        evals += _SLICE
+        k = int(np.argmax([bv.value for bv in rows]))
+        best, x_best = rows[k], float(row_xs[k])
+        spread = ((best.value - rows[max(k - 1, 0)].value)
+                  + (best.value - rows[min(k + 1, _SLICE - 1)].value))
+        if spread <= best.tail_bound or 2.0 * step < 1e-12:
+            return replace(verdict, m_estimate=best.value, m_attained_at=x_best,
+                           m_error_bar=spread + best.tail_bound), evals
 
 
 def existence_verdict(params: PowerLawFamily, alpha: float, r: float) -> str:
@@ -358,9 +305,8 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float,
     verdict = classify_regime(params)
     if verdict.regime is Regime.THRESHOLD_STRICT and phi >= verdict.m_estimate:
         return 0, ()
-    fam = _KeptReads(params)
     xs = np.geomspace(1e-4, 1e6, 400)
-    vals = [v - phi for v in _F_scan(params, fam, xs, phi, _SCAN_TOL)]
+    vals = [v - phi for v in _F_scan(params, xs, phi)]
     if len(vals) < len(xs):
         vals.append(-math.inf)  # the first skipped row; no later row crosses
     # one bracket [lo_x, hi_x, F > alpha/r at lo_x] per root, in x order; a
@@ -381,7 +327,7 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float,
         if not live:
             break
         mids = [math.sqrt(lo_x * hi_x) for lo_x, hi_x, _ in live]
-        for br, mid, value in zip(live, mids, _F_rows(fam, mids, _SCAN_TOL)):
+        for br, mid, value in zip(live, mids, _F_rows(params, mids)):
             mv = value - phi
             if mv == 0.0:
                 br[0] = br[1] = mid

@@ -138,8 +138,12 @@ def blocked_sum(block, stop, xs, tols=None, *, cap: int,
     its tail T_n s / (1 - s) is at most its tol or its Q has underflowed,
     exactly as a walk over its x alone would.  Returns one _Walk per x in
     xs; a row still live at index cap raises ConvergenceError, for the first
-    such x, quoting that row's tol.
+    such x, quoting that row's tol.  A tol that is negative or nan, which no
+    tail can meet, raises DomainError before the walk.
     """
+    for tol in tols or ():
+        if not tol >= 0.0:
+            raise DomainError(f"tol must be >= 0, got {tol}")
     walks: list[_Walk | None] = [None] * len(xs)
     live = range(len(xs))  # the rows still walking, as indices into xs
     qs = [1.0] * len(xs)  # each row's running product

@@ -5,6 +5,7 @@ fast and failures keep their tracebacks; only the closed-pipe test needs
 a subprocess, for a real stdout file descriptor.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -137,8 +138,7 @@ class TestClassifyThreshold:
 
     def test_threshold_existence_reuses_the_m_scan(self, monkeypatch):
         # answering --alpha must not repeat the F scan behind m: neither
-        # the grid nor the golden-section refinement (every F is an
-        # evaluate row)
+        # the grid nor the bracket rescans (every F is an evaluate row)
         from quartzeq import powerlaw
 
         calls = []
@@ -152,9 +152,9 @@ class TestClassifyThreshold:
         base = ["threshold", "--a", "2", "--b", "0"]
         code, out, _ = run(base)
         assert code == 0
-        # every F the scan reports, plus the error bar's row at the maximizer
+        # every F the estimate walked, and no other
         alone = len(calls)
-        assert alone == json.loads(out)["f_evaluations"] + 1
+        assert alone == json.loads(out)["f_evaluations"]
         calls.clear()
         code, out, _ = run(base + ["--alpha", "0.2"])
         assert code == 0 and json.loads(out)["existence"] == "exists"
@@ -165,7 +165,6 @@ class TestClassifyThreshold:
         [
             ("2", "0", "-1", "-1", "alpha must be positive, got -1.0"),
             ("2", "0", "0.2", "0", "r must be positive, got 0.0"),
-            ("2", "0", "nan", "1", "alpha must be positive, got nan"),
             ("1", "0.5", "-1", "1", "alpha must be positive, got -1.0"),
             ("1", "0.5", "3", "-0.5", "r must be positive, got -0.5"),
         ],
@@ -173,6 +172,19 @@ class TestClassifyThreshold:
     def test_threshold_rejects_bad_inflow(self, a, b, alpha, r, message):
         code, out, err = run(["threshold", "--a", a, "--b", b, "--x-max", "1e3",
                               "--grid", "20", "--alpha", alpha, "--r", r])
+        assert code == 2 and out == ""
+        assert err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("a,b", [("2", "1"), ("1", "1"), ("2", "0")],
+                             ids=["strict", "always", "weak"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--grid", "4"], "grid must be >= 8 points, got 4"),
+        (["--x-max", "-5"], "need x_max > 0.001, got -5.0"),
+    ])
+    def test_threshold_checks_the_scan_in_every_regime(self, a, b, flags, message):
+        # a bad --x-max or --grid is an error whether or not F is scanned,
+        # not a value echoed into the document
+        code, out, err = run(["threshold", "--a", a, "--b", b, *flags])
         assert code == 2 and out == ""
         assert err == f"usage error: {message}\n"
 
@@ -435,6 +447,26 @@ def test_format_the_verb_cannot_write_is_rejected(argv):
     assert exc.value.code == 2
     assert out.getvalue() == ""
     assert "invalid choice" in err.getvalue()
+
+
+def test_every_float_flag_is_finite():
+    # nan or inf would only fail later, as a traceback from the JSON
+    # writer; every float flag, also one added later, takes finite values
+    verbs = next(act for act in cli.build_parser()._actions
+                 if isinstance(act, argparse._SubParsersAction)).choices
+    flags = [(verb, act) for verb, sub in verbs.items() for act in sub._actions
+             if act.type not in (None, int)]
+    assert len(flags) > 20
+    for verb, act in flags:
+        assert act.type("2.5") in (2.5, [2.5]), (verb, act.dest)
+        for text in ("nan", "inf", "-inf", "1e999"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                act.type(text)
+    for argv in (["equilibrium", "--x", "1", "--r", "nan"],
+                 ["threshold", "--a", "2", "--b", "0", "--alpha", "nan"]):
+        code, out, err = run_exit(argv)
+        assert code == 2 and out == ""
+        assert f"argument {argv[-2]}: need a finite number, got 'nan'" in err
 
 
 _PIECEWISE = ["--family", "piecewise", "--k", "1", "--N", "1"]

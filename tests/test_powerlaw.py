@@ -99,52 +99,55 @@ class TestThresholdEstimate:
 
 
 # (a, b, m, attained_at, error bar, F evaluations) of the ThresholdWeak
-# families in the verdict benchmark, as the one-x-at-a-time grid scan
-# computed them on an x86_64 host with AVX-512.  The evaluations are the
-# grid rows scanned before _weak_F_bound stops the scan, plus the 59 of the
-# golden-section search and the error bar.  Without AVX-512 numpy's
-# power and exp round differently, which moves m by an ulp and attained_at
-# by up to 5e-8 relative (checked with NPY_DISABLE_CPU_FEATURES).
+# families in the verdict benchmark, on an x86_64 host with AVX-512.  m
+# and attained_at were computed by a grid scan plus golden-section search,
+# which the bracket rescans reproduce within the error bar and 3e-7
+# relative.  The evaluations are the grid rows scanned before
+# _weak_F_bound stops the scan (125 or 150) plus 25 per rescan round.
+# Without AVX-512 numpy's power and exp round differently, which moves m
+# by an ulp and attained_at by up to 5e-8 relative (checked with
+# NPY_DISABLE_CPU_FEATURES); attained_at is resolved only to the final
+# bracket, about 1e-7 relative.
 _M_PINS = [
     # seed 1
     (1.4224859878427019, 0.03341936779488014,
-     0.4731583721316437, 16.199767844105992, 2.1234497366313383e-14, 209),
+     0.4731583721316437, 16.199767844105992, 2.883952508499567e-14, 275),
     (2.0484044444136886, 0.3418840321032023,
-     0.3801103709839797, 8.410472392949087, 1.699131373307149e-14, 184),
+     0.3801103709839797, 8.410472392949087, 2.6150653686228985e-14, 250),
     (2.660339946165241, 1.1143968543306104,
-     0.44117798751698595, 15.996158036839555, 2.014734990027849e-14, 209),
+     0.44117798751698595, 15.996158036839555, 2.603153193079179e-14, 275),
     (0.7924208125850241, -1.0755904304240314,
-     0.3116170107379294, 4.029660275519569, 1.3894086358675813e-14, 184),
+     0.3116170107379294, 4.029660275519569, 1.3949597509907067e-14, 275),
     # seed 2
     (0.7865100932656006, -1.088941991568803,
-     0.3101919730017786, 3.9840786215161588, 1.3941824272912954e-14, 184),
+     0.3101919730017786, 3.9840786215161588, 1.3941824272912956e-14, 275),
     (2.6668374365291974, 1.1223646258157234,
-     0.44180994596830137, 16.110524554166886, 1.9786836434589953e-14, 209),
+     0.44180994596830137, 16.110524554166886, 2.5837551918797027e-14, 275),
     (1.4265146647128666, 0.03959447013491946,
-     0.4743492981411127, 16.384821632910704, 2.1453918559060657e-14, 209),
+     0.4743492981411127, 16.384821632910704, 2.867036821912416e-14, 275),
     (2.0765750033874797, 0.36944996758639026,
-     0.38063219628497136, 8.486341524423816, 1.712550973409372e-14, 184),
+     0.38063219628497136, 8.486341524423816, 2.60628050823262e-14, 250),
     # seed 3
     (2.6957686577148654, 1.1524193855972453,
-     0.44277562791919584, 16.34462986603354, 1.9885232479275133e-14, 209),
+     0.44277562791919584, 16.34462986603354, 2.5991459114713468e-14, 275),
     (2.072225347328354, 0.3660479757876116,
-     0.38076868106457773, 8.489965990682807, 1.7076059724655656e-14, 184),
+     0.38076868106457773, 8.489965990682807, 2.606886622411942e-14, 250),
     (1.4364866821899578, 0.057649896909489906,
-     0.4787174361818017, 17.062921946782986, 2.148136940246744e-14, 209),
+     0.4787174361818017, 17.062921946782986, 2.9086397121149747e-14, 275),
     (0.7930048042102985, -1.0775616648086785,
-     0.31120558571044454, 4.017837105389259, 1.3875815417138985e-14, 184),
+     0.31120558571044454, 4.017837105389259, 1.4153371173295274e-14, 275),
     # holdout seed 20190129
     (1.4306987700337177, 0.047031633022664054,
-     0.4761023648075263, 16.653848182530524, 2.1365236904437094e-14, 209),
+     0.4761023648075263, 16.653848182530524, 2.880373116942561e-14, 275),
     (0.8140014447891992, -1.0475809319459526,
-     0.313369354368757, 4.095439355599945, 1.4082928350978331e-14, 184),
+     0.313369354368757, 4.095439355599945, 1.4027417199747071e-14, 275),
     (2.0737961589272884, 0.3666875845745996,
-     0.38057003973285886, 8.478070062135835, 1.7011727126219742e-14, 184),
+     0.38057003973285886, 8.478070062135835, 2.6282089381839768e-14, 250),
     (2.701005574369645, 1.1643737042195248,
-     0.44518672798510234, 16.73729883068278, 1.999230683158892e-14, 209),
+     0.44518672798510234, 16.73729883068278, 2.5765466559639723e-14, 275),
     # THRESHOLD_FAMILY
     (2.0, 0.0,
-     0.3198813413702965, 5.0831323274282685, 1.4372118667185084e-14, 184),
+     0.3198813413702965, 5.0831323274282685, 2.5418837762205376e-14, 250),
 ]
 
 
@@ -174,6 +177,39 @@ _WEAK_FAMILIES = st.builds(
     lambda a, frac: PowerLawFamily.from_ab(a, -2.0 + frac * (a + 1.0)),
     st.floats(0.05, 4.0), st.floats(0.001, 0.999),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(fam=st.builds(
+    # b at most 90% of the way to the strict line: closer, the peak of a
+    # small a moves out to x where a walk passes the 10^6 term cap
+    # (ROADMAP item 3), and that of a large a past x_max
+    lambda a, frac: PowerLawFamily.from_ab(a, -2.0 + frac * (a + 1.0)),
+    st.floats(0.05, 4.0), st.floats(0.001, 0.9),
+))
+def test_m_estimate_reads_its_own_walks(fam):
+    # m is the largest F any walk of the estimate returned, attained
+    # exactly at attained_at, and the error bar is the spread over the
+    # last round's bracket plus the tail bound at its best row
+    from quartzeq import powerlaw
+
+    walks = []
+    real = powerlaw.evaluate
+
+    def recorded(*args, **kwargs):
+        walks.append(real(*args, **kwargs))
+        return walks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powerlaw, "evaluate", recorded)
+        est, err, evals = estimate_m_with_error(fam)
+    assert evals == sum(map(len, walks))
+    assert est.m == max(bv.value for rows in walks for bv in rows)
+    assert F_equilibrium(fam, est.attained_at).value == est.m
+    last = [bv.value for bv in walks[-1]]
+    k = last.index(est.m)
+    assert 0 < k < len(last) - 1
+    assert err == (est.m - last[k - 1]) + (est.m - last[k + 1]) + walks[-1][k].tail_bound
 
 
 @settings(max_examples=200, deadline=None)
@@ -227,7 +263,7 @@ def test_stopped_scan_answers_past_the_series_ceiling(monkeypatch):
     fam = PowerLawFamily.from_ab(0.2, -1.5)
     est, err, evals = estimate_m_with_error(fam)
     assert est.m == pytest.approx(0.32116, abs=1e-5) and err < 1e-12
-    assert evals == 125 + 59
+    assert evals == 125 + 5 * 25
     monkeypatch.setattr(powerlaw, "_weak_F_bound", lambda fam, x: math.inf)
     with pytest.raises(ConvergenceError, match="within 1000000 terms"):
         estimate_m_with_error(fam)
@@ -316,10 +352,8 @@ def test_count_probe_finds_both_crossings():
 def _scalar_probe(fam, alpha):
     """count_equilibria_probe over the whole grid with one F call per x:
     every bracket bisects alone, one midpoint at a time."""
-    from quartzeq.powerlaw import _SCAN_TOL
-
     def f(x):
-        return F_equilibrium(fam, x, tol=_SCAN_TOL, cross_check=False).value - alpha
+        return F_equilibrium(fam, x, cross_check=False).value - alpha
 
     xs = [float(x) for x in np.geomspace(1e-4, 1e6, 400)]
     vals = [f(x) for x in xs]

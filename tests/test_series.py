@@ -428,6 +428,25 @@ class TestFValues:
                 evaluate(fam, quantity, [0.0, 1e6], bad_r, term_cap=200)
             assert str(many.value) == str(one.value)
 
+    @pytest.mark.parametrize("bad_tol", [-1.0, math.nan, -math.inf])
+    def test_unreachable_tol_is_rejected_before_the_walk(self, bad_tol):
+        # no tail bound meets a negative or nan tol: every walk would run
+        # to the term cap and raise ConvergenceError; a zero tol is met on
+        # underflow
+        from quartzeq.asymptotics import K_direct, R_sum_direct
+
+        fam = PowerLawFamily.from_ab(2.0, 0.0)
+        calls = [lambda q=q, r=r: evaluate(fam, q, [1.0], r, tol=bad_tol)
+                 for q, r in _QUANTITY_R]
+        calls += [lambda: K_direct(2.0, 0.0, 10.0, tol=bad_tol),
+                  lambda: R_sum_direct(1.0, 0.5, 0.1, tol=bad_tol)]
+        for call in calls:
+            with pytest.raises(DomainError, match="^tol must be >= 0, got "):
+                call()
+        zero, default = evaluate(fam, "F", [1.0], tol=0.0)[0], evaluate(fam, "F", [1.0])[0]
+        assert zero.value == pytest.approx(default.value, rel=1e-14)
+        assert zero.terms_used >= default.terms_used
+
     @pytest.mark.parametrize("points", [[1e-3, 1e5, 0.0, 1e6, 1e-2], [1e-2, 1e6, 1e5]])
     def test_term_cap_raises_at_the_first_failing_x(self, points):
         # kM and iqM scale tol per x, and the message quotes the failing row's
