@@ -281,6 +281,8 @@ def K_direct(a: float, b: float, x: float, *, tol: float = DEFAULT_TOL,
     _check_bx(b, x)
     if start < 0:
         raise DomainError(f"start must be >= 0, got {start}")
+    if term_cap < 1:  # blocked_sum's own check sees start + term_cap
+        raise DomainError(f"term_cap must be >= 1, got {term_cap}")
 
     def block(idx):
         d, w = idx ** float(a), idx ** (b + 1.0)

@@ -19,15 +19,16 @@ the first of the ratios.  A series block reads ``ratios`` once.
 Cohort 0 is read from the attributes ``k0, p0, q0`` (with ``d0`` derived
 from them); ``rates_through(n)`` joins the two over 0..n.
 
-The three concrete families are
+The concrete families are of two kinds:
 
-* ``PiecewiseConstantFamily(k, N)``: k_i = k, p_i = 1 for i <= N else 0,
-  q_i = 0 for i <= N else 1, so d_i = 1/k identically.
 * ``PowerLawFamily(p_exp, q_exp, k_exp, ...)``: for i >= 1,
   k_i = i^-k_exp, p_i = i^-p_exp, q_i = i^q_exp, giving d_i = i^a + i^b
   with a = q_exp + k_exp and b = k_exp - p_exp (note b <= a always).
 * ``TabulatedFamily(k, p, q)``: explicit leading entries, constant
-  extension beyond the stored range.
+  extension beyond the stored range.  ``PiecewiseConstantFamily(k, N)`` is
+  the table of N + 2 rows, (k, 1, 0) for cohorts 0..N and then (k, 0, 1):
+  k_i = k, p_i = 1 for i <= N else 0, q_i = 0 for i <= N else 1, so
+  d_i = 1/k identically.
 
 Families are immutable and safe to share across threads.
 """
@@ -38,10 +39,12 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
+from .piecewise import _check_kN
 
 __all__ = [
     "CoefficientFamily",
@@ -108,56 +111,6 @@ class CoefficientFamily:
     def describe(self) -> dict:
         """Config-style mapping that reconstructs the family."""
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class PiecewiseConstantFamily(CoefficientFamily):
-    """k_i = k; removal only up to load N, death with release beyond."""
-
-    k_value: float
-    N: int
-
-    kind = "piecewise_constant"
-    p0 = 1.0
-    q0 = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.k_value) and self.k_value > 0.0):
-            raise DomainError(f"k must be finite and positive, got {self.k_value}")
-        if not (isinstance(self.N, int) and self.N >= 0):
-            raise DomainError(f"N must be an integer >= 0, got {self.N!r}")
-
-    @property
-    def k0(self) -> float:
-        return self.k_value
-
-    def rates(self, idx):
-        removal = idx <= self.N
-        return (np.full(idx.shape, self.k_value), np.where(removal, 1.0, 0.0),
-                np.where(removal, 0.0, 1.0))
-
-    def ratios(self, idx):
-        removal, d = idx <= self.N, 1.0 / self.k_value
-        return np.full(idx.shape, d), np.where(removal, d, 0.0), np.where(removal, 0.0, d)
-
-    def d_inf_beyond(self, n):
-        return 1.0 / self.k_value
-
-    def iq_ratio_sup(self, n):
-        if n <= self.N:
-            return math.inf
-        return (n + 1.0) / n
-
-    def irho_ratio_sup(self, n):
-        if n >= self.N:
-            return 0.0
-        return (n + 1.0) / n
-
-    def m_ratio_sup(self, n):
-        return 1.0
-
-    def describe(self):
-        return {"kind": self.kind, "k": self.k_value, "N": self.N}
 
 
 def _power_law_inf_from(a: float, b: float, m: int) -> float:
@@ -287,42 +240,33 @@ class TabulatedFamily(CoefficientFamily):
     kind = "tabulated"
 
     def __init__(self, k, p, q):
-        k = tuple(float(v) for v in k)
-        p = tuple(float(v) for v in p)
-        q = tuple(float(v) for v in q)
-        if not (len(k) == len(p) == len(q)) or len(k) == 0:
+        kpq = [np.array(v, dtype=float) for v in (k, p, q)]
+        if any(v.ndim != 1 or len(v) != len(kpq[0]) for v in kpq) or len(kpq[0]) == 0:
             raise DomainError("k, p, q must be nonempty arrays of equal length")
-        if any(not (math.isfinite(v) and v > 0.0) for v in k):
+        self._kpq = kpq = np.array(kpq)
+        k, p, q = kpq
+        # a nan is the min and the max of its array and fails every comparison
+        if not (k.min() > 0.0 and k.max() < math.inf):
             raise DomainError("all k entries must be finite and positive")
-        if any(v < 0.0 or not math.isfinite(v) for v in p + q):
+        if not (kpq[1:].min() >= 0.0 and kpq[1:].max() < math.inf):
             raise DomainError("p and q entries must be finite and nonnegative")
-        if any(pi + qi <= 0.0 for pi, qi in zip(p, q)):
+        if not (p + q).min() > 0.0:
             raise DomainError("p_i + q_i must be positive for every stored i")
-        self._k, self._p, self._q = k, p, q
-        self.k0, self.p0, self.q0 = k[0], p[0], q[0]
-        self._kpq = np.array([k, p, q])
-        self._d = tuple((pi + qi) / ki for ki, pi, qi in zip(k, p, q))
-        self._g = tuple(qi / ki for ki, qi in zip(k, q))
-        self._rho = tuple(pi / ki for ki, pi in zip(k, p))
-        self._drg = np.array([self._d, self._rho, self._g])
-        # suffix minima of d, including the constant tail
-        suffix = [self._d[-1]] * len(self._d)
-        for i in range(len(self._d) - 2, -1, -1):
-            suffix[i] = min(self._d[i], suffix[i + 1])
-        self._d_suffix_min = tuple(suffix)
         for name, arr in (("k", k), ("p", p)):
-            if any(arr[i + 1] > arr[i] * (1.0 + 1e-12) for i in range(len(arr) - 1)):
+            if (arr[1:] > arr[:-1] * (1.0 + 1e-12)).any():
                 warnings.warn(
                     f"tabulated {name} is not non-increasing; downstream "
                     "monotonicity-based arguments may not apply",
                     stacklevel=2,
                 )
+        self._drg = np.array([p + q, p, q]) / k
+        self.k0, self.p0, self.q0 = kpq[:, 0].tolist()
 
     def __repr__(self):
-        return f"TabulatedFamily(len={len(self._k)})"
+        return f"TabulatedFamily(len={self._kpq.shape[1]})"
 
     def _clipped(self, idx):
-        return np.minimum(idx, len(self._d) - 1)
+        return np.minimum(idx, self._kpq.shape[1] - 1)
 
     def rates(self, idx):
         return tuple(self._kpq[:, self._clipped(idx)])
@@ -330,52 +274,79 @@ class TabulatedFamily(CoefficientFamily):
     def ratios(self, idx):
         return tuple(self._drg[:, self._clipped(idx)])
 
+    @cached_property
+    def _suffix(self):
+        """Over i >= n, for each n < L (the table length): inf d_i, sup
+        w_{i+1}/w_i for w = i rho and w = i g, and sup k_i/k_{i+1}.
+
+        Past the table the steps are 1 for k and (i+1)/i for a positive
+        weight, largest at i = L - 1, so entry L - 1 covers the whole tail.
+        """
+        d, rho, g = self._drg
+        k = self._kpq[0]
+        i = np.arange(len(k))
+        steps = []
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for v in (rho, g):
+                v = np.append(v, v[-1])
+                # w_0 = 0 whatever v_0 is, so a positive w_1 jumps from zero;
+                # (i+1)/i times v_{i+1}/v_i is exactly (i+1)/i where v is flat
+                steps.append(np.where((i == 0) | (v[:-1] == 0.0),
+                                      np.where(v[1:] > 0.0, np.inf, 0.0),
+                                      ((i + 1) / i) * (v[1:] / v[:-1])))
+        steps.append(np.append(k[:-1] / k[1:], 1.0))
+        return (np.minimum.accumulate(d[::-1])[::-1],
+                *(np.maximum.accumulate(s[::-1])[::-1] for s in steps))
+
     def d_inf_beyond(self, n):
-        j = min(n + 1, len(self._d) - 1)
-        return self._d_suffix_min[j]
-
-    def _weight_ratio_sup(self, values, n):
-        """sup over i >= n of ((i+1) v_{i+1}) / (i v_i) with constant tail."""
-        L = len(values)
-        tail_start = max(n, L - 1)
-        if values[-1] > 0.0:
-            sup = (tail_start + 1.0) / tail_start
-        else:
-            sup = 0.0
-        for i in range(max(n, 1), L - 1):
-            wi = i * values[i]
-            wj = (i + 1) * values[i + 1]
-            if wi == 0.0:
-                if wj > 0.0:
-                    return math.inf
-                continue
-            sup = max(sup, wj / wi)
-        if sup == 0.0 and any(values[i] > 0.0 for i in range(min(n + 1, L), L)):
-            # a zero tail value but positive stored entries beyond n
-            return math.inf
-        return sup
-
-    def iq_ratio_sup(self, n):
-        return self._weight_ratio_sup(self._g, n)
-
-    def irho_ratio_sup(self, n):
-        return self._weight_ratio_sup(self._rho, n)
+        return self._suffix[0].item(min(n + 1, self._kpq.shape[1] - 1))
 
     def m_ratio_sup(self, n):
-        L = len(self._k)
-        sup = 1.0
-        for i in range(n, L - 1):
-            sup = max(sup, self._k[i] / self._k[i + 1])
-        return sup
+        return self._suffix[3].item(min(n, self._kpq.shape[1] - 1))
+
+    def _weight_ratio_sup(self, row, n):
+        """sup over i >= n of w_{i+1}/w_i for w_i = i * (d, rho, g)[row]_i."""
+        sups = self._suffix[row]
+        if n < len(sups):
+            return sups.item(n)
+        return (n + 1.0) / n if self._drg[row, -1] > 0.0 else 0.0
+
+    def irho_ratio_sup(self, n):
+        return self._weight_ratio_sup(1, n)
+
+    def iq_ratio_sup(self, n):
+        return self._weight_ratio_sup(2, n)
 
     def describe(self):
+        k, p, q = self._kpq.tolist()
         return {
             "kind": self.kind,
-            "k": list(self._k),
-            "p": list(self._p),
-            "q": list(self._q),
+            "k": k,
+            "p": p,
+            "q": q,
             "tail": "constant",
         }
+
+
+class PiecewiseConstantFamily(TabulatedFamily):
+    """k_i = k; removal only up to load N, death with release beyond.
+
+    The table of N + 2 rows: (k, 1, 0) for cohorts 0..N, then (k, 0, 1),
+    which the constant tail repeats; d_i = 1/k identically.
+    """
+
+    kind = "piecewise_constant"
+
+    def __init__(self, k_value: float, N: int):
+        _check_kN(k_value, N)
+        self.k_value, self.N = k_value, N
+        super().__init__([k_value] * (N + 2), [1.0] * (N + 1) + [0.0], [0.0] * (N + 1) + [1.0])
+
+    def __repr__(self):
+        return f"PiecewiseConstantFamily(k_value={self.k_value!r}, N={self.N!r})"
+
+    def describe(self):
+        return {"kind": self.kind, "k": self.k_value, "N": self.N}
 
 
 _REQUIRED_KEYS = {
@@ -408,9 +379,7 @@ def family_from_config(config: dict) -> CoefficientFamily:
         raise DomainError(f"family config for {kind!r} is missing keys {sorted(missing)}")
     if kind == "piecewise_constant":
         N = config["N"]
-        if isinstance(N, float):
-            if not N.is_integer():
-                raise DomainError(f"N must be an integer, got {N}")
+        if isinstance(N, float) and N.is_integer():  # the constructor rejects other floats
             N = int(N)
         return PiecewiseConstantFamily(k_value=float(config["k"]), N=N)
     if kind == "power_law":

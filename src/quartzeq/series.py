@@ -139,11 +139,13 @@ def blocked_sum(block, stop, xs, tols=None, *, cap: int,
     exactly as a walk over its x alone would.  Returns one _Walk per x in
     xs; a row still live at index cap raises ConvergenceError, for the first
     such x, quoting that row's tol.  A tol that is negative or nan, which no
-    tail can meet, raises DomainError before the walk.
+    tail can meet, or a cap below 1 raises DomainError before the walk.
     """
     for tol in tols or ():
         if not tol >= 0.0:
             raise DomainError(f"tol must be >= 0, got {tol}")
+    if cap < 1:
+        raise DomainError(f"term_cap must be >= 1, got {cap}")
     walks: list[_Walk | None] = [None] * len(xs)
     live = range(len(xs))  # the rows still walking, as indices into xs
     qs = [1.0] * len(xs)  # each row's running product

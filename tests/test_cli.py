@@ -226,6 +226,41 @@ class TestEquilibrium:
         assert diag["detail"]["terms_used"] == 10
 
 
+    @pytest.mark.parametrize("argv", [
+        ["equilibrium", "--x", "1", "--term-cap", "0"],
+        ["equilibrium", "--x", "1", "--term-cap", "-3"],
+        ["asym", "--a", "1", "--b", "0", "--compare-grid", "100", "--term-cap", "0"],
+    ])
+    def test_term_cap_below_one_is_usage_error(self, argv):
+        code, out, err = run(argv)
+        assert code == 2 and out == ""
+        assert err == f"usage error: term_cap must be >= 1, got {argv[-1]}\n"
+
+    @pytest.mark.parametrize("quantity", ["F", "kM", "iqM"])
+    def test_piecewise_rows_equal_its_table(self, quantity, tmp_path):
+        # the piecewise family is the table of N + 2 rows: (k, 1, 0) for
+        # cohorts 0..N, then (k, 0, 1), which the constant tail repeats
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"kind": "tabulated", "k": [1.5] * 5,
+                                     "p": [1, 1, 1, 1, 0], "q": [0, 0, 0, 0, 1]}))
+        grid = ["--quantity", quantity, "--r", "2", "--spacing", "linear",
+                "--x-min", "0", "--x-max", "50", "--count", "26"]
+        rows = []
+        for family in (["--family", "piecewise", "--k", "1.5", "--N", "3"],
+                       ["--family-config", str(table)]):
+            code, out, _ = run(["equilibrium", *family, *grid])
+            assert code == 0
+            rows.append(out.splitlines()[1:])
+        assert rows[0] == rows[1] and len(rows[0]) == 1 + 26
+
+    def test_piecewise_N_of_true_is_usage_error(self, tmp_path):
+        # config.schema.json rejects a boolean N, so no document may echo one
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"kind": "piecewise_constant", "k": 1.0, "N": True}))
+        code, out, err = run(["equilibrium", "--family-config", str(path), "--x", "1"])
+        assert code == 2 and out == ""
+        assert err == "usage error: N must be an integer, got True\n"
+
     def test_piecewise_f_at_large_kx(self):
         # F is exact after N terms; its check must not need the slowly
         # converging sum k_i M_i.  The reference is F = y (1 - y) in exact

@@ -1,6 +1,7 @@
 """Coefficient family contracts: derived rates, tail infima, config round-trips."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -51,6 +52,25 @@ class TestPiecewiseConstant:
             PiecewiseConstantFamily(-1.0, 1)
         with pytest.raises(DomainError):
             PiecewiseConstantFamily(1.0, -1)
+
+    def test_N_of_true_is_rejected(self):
+        # True is an int to isinstance, and F_piecewise rejects it too
+        with pytest.raises(DomainError, match="N must be an integer, got True"):
+            PiecewiseConstantFamily(1.0, True)
+        with pytest.raises(DomainError, match="N must be an integer, got True"):
+            family_from_config({"kind": "piecewise_constant", "k": 1.0, "N": True})
+
+    def test_hooks_equal_the_closed_forms(self):
+        """The table's suffix extrema give, bit for bit, the closed forms the
+        piecewise family once wrote itself, at every n >= 1 a walk asks."""
+        for N in range(51):
+            k = 0.37 + 0.1 * N
+            fam = PiecewiseConstantFamily(k, N)
+            for n in range(1, 2001):
+                closed = (1.0 / k, 1.0, math.inf if n <= N else (n + 1.0) / n,
+                          0.0 if n >= N else (n + 1.0) / n)
+                assert (fam.d_inf_beyond(n), fam.m_ratio_sup(n), fam.iq_ratio_sup(n),
+                        fam.irho_ratio_sup(n)) == closed
 
 
 class TestPowerLaw:
@@ -217,15 +237,16 @@ def test_tail_infimum_below_the_next_512_d(fam, n):
     assert fam.d_inf_beyond(n) <= probed
 
 
-@given(st.integers(0, 20))
-def test_ratio_sups_cover_weight_growth(n):
-    """m/iq ratio sups must dominate the actual next-weight ratios."""
-    fam = PiecewiseConstantFamily(1.0, 4)
-    m_sup = fam.m_ratio_sup(n)
-    iq_sup = fam.iq_ratio_sup(n)
-    g = dict(zip(range(n + 1, n + 31), fam.ratios(np.arange(n + 1, n + 31))[2]))
-    for i in range(n + 1, n + 30):
-        assert 1.0 <= m_sup  # mass weights are constant
-        gi, gi1 = g[i], g[i + 1]
-        if gi > 0.0:
-            assert (i + 1) * gi1 / (i * gi) <= iq_sup * (1 + 1e-12)
+@given(_any_family, st.integers(1, 2000))
+def test_ratio_sups_cover_weight_growth(fam, n):
+    """The m, iq and irho ratio sups dominate every step at i >= n."""
+    idx = np.arange(n, n + 32)
+    k = fam.rates(idx)[0]
+    assert np.all(k[:-1] / k[1:] <= fam.m_ratio_sup(n) * (1 + 1e-12))
+    _, rho, g = fam.ratios(idx)
+    for v, sup in ((g, fam.iq_ratio_sup(n)), (rho, fam.irho_ratio_sup(n))):
+        w = idx * v
+        if np.any((w[:-1] == 0.0) & (w[1:] > 0.0)):
+            assert sup == math.inf
+        steps = w[1:][w[:-1] > 0.0] / w[:-1][w[:-1] > 0.0]
+        assert np.all(steps <= sup * (1 + 1e-12))

@@ -447,6 +447,22 @@ class TestFValues:
         assert zero.value == pytest.approx(default.value, rel=1e-14)
         assert zero.terms_used >= default.terms_used
 
+    @pytest.mark.parametrize("bad_cap", [0, -3])
+    def test_term_cap_below_one_is_rejected_before_the_walk(self, bad_cap):
+        # no walk of fewer than one term can meet a tol: each call would
+        # raise ConvergenceError quoting the bad cap
+        from quartzeq.asymptotics import K_direct, R_sum_direct
+
+        fam = PowerLawFamily.from_ab(2.0, 0.0)
+        calls = [lambda q=q, r=r: evaluate(fam, q, [1.0], r, term_cap=bad_cap)
+                 for q, r in _QUANTITY_R]
+        calls += [lambda: K_direct(2.0, 0.0, 10.0, term_cap=bad_cap),
+                  lambda: K_direct(2.0, 0.7, 1e3, start=63, term_cap=bad_cap),
+                  lambda: R_sum_direct(1.0, 0.5, 0.1, term_cap=bad_cap)]
+        for call in calls:
+            with pytest.raises(DomainError, match=f"^term_cap must be >= 1, got {bad_cap}$"):
+                call()
+
     @pytest.mark.parametrize("points", [[1e-3, 1e5, 0.0, 1e6, 1e-2], [1e-2, 1e6, 1e5]])
     def test_term_cap_raises_at_the_first_failing_x(self, points):
         # kM and iqM scale tol per x, and the message quotes the failing row's
