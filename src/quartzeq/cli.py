@@ -10,9 +10,10 @@ byte-identical across runs on one platform.
 
 Exit codes: 0 success (and, for `reproduce`, all checks passed);
 1 failed checks; 2 usage errors; 3 numeric failures (unreached
-tolerance, term cap, integration breakdown) with a structured JSON
-diagnostic on stderr; 141 (128 + SIGPIPE) when the reader closes stdout
-early, silently, as a shell reports for any command in such a pipe.
+tolerance, term cap, float overflow, integration breakdown) with a
+structured JSON diagnostic on stderr; 141 (128 + SIGPIPE) when the reader
+closes stdout early, silently, as a shell reports for any command in such
+a pipe.
 """
 
 from __future__ import annotations
@@ -116,16 +117,10 @@ def _resolve_family(args) -> tuple[CoefficientFamily, dict]:
         doc = {"kind": "piecewise_constant", "k": k, "N": N}
         return family_from_config(doc), doc
     if kind == "power_law":
-        if args.a is not None or args.b is not None:
-            if args.a is None or args.b is None:
-                raise DomainError("power_law via exponent pair needs both --a and --b")
-            fam = PowerLawFamily.from_ab(a=args.a, b=args.b)
-        else:
-            fam = PowerLawFamily(
-                p_exp=args.p_exp if args.p_exp is not None else 1.0,
-                q_exp=args.q_exp if args.q_exp is not None else 0.0,
-                k_exp=args.k_exp if args.k_exp is not None else 0.0,
-            )
+        if args.a is None or args.b is None:
+            raise DomainError("--family power_law needs both --a and --b "
+                              "(other exponents and index-0 rates: --family-config)")
+        fam = PowerLawFamily.from_ab(a=args.a, b=args.b)
         return fam, dict(fam.describe())
     raise DomainError(f"unknown family kind {kind!r}; use --family-config for tables")
 
@@ -210,13 +205,13 @@ def _cmd_classify(args) -> int:
 
 def _cmd_threshold(args) -> int:
     fam = PowerLawFamily.from_ab(a=args.a, b=args.b)
-    numerics = {"a": args.a, "b": args.b, "x_max": args.x_max, "grid": args.grid}
+    numerics = {"a": args.a, "b": args.b}
     if args.alpha is not None:
         numerics["alpha"] = args.alpha
         numerics["r"] = args.r
     config = RunConfig("threshold", dict(fam.describe()), numerics,
                        args.out, args.format or "json", args.seed)
-    verdict, evals = _regime_verdict(fam, args.x_max, args.grid)
+    verdict, evals = _regime_verdict(fam)
     extra: dict = {}
     if verdict.regime is Regime.ALWAYS_EXISTS:
         # F is unbounded here: there is no finite supremum to estimate
@@ -367,9 +362,6 @@ def _add_family_flags(sub) -> None:
     sub.add_argument("--N", type=int, help="piecewise clearance horizon")
     sub.add_argument("--a", type=_finite, help="power-law scale exponent")
     sub.add_argument("--b", type=_finite, help="power-law balance exponent")
-    sub.add_argument("--p-exp", type=_finite, help="clearance exponent")
-    sub.add_argument("--q-exp", type=_finite, help="death exponent")
-    sub.add_argument("--k-exp", type=_finite, help="uptake exponent")
 
 
 def _add_common_flags(sub, formats: tuple[str, ...], *, tol: bool = False,
@@ -439,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(th, ("json",))
     th.add_argument("--a", type=_finite, required=True)
     th.add_argument("--b", type=_finite, required=True)
-    th.add_argument("--x-max", type=_finite, default=1e6)
-    th.add_argument("--grid", type=int, default=200)
     th.add_argument("--alpha", type=_finite, help="also answer existence for this inflow")
     th.add_argument("--r", type=_finite, default=1.0)
     th.set_defaults(func=_cmd_threshold)
@@ -535,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return _EXIT_BROKEN_PIPE
-    except (ConvergenceError, ConsistencyError, IntegrationError) as exc:
+    except (ConvergenceError, ConsistencyError, IntegrationError, OverflowError) as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "diagnostic"):
             diagnostic["detail"] = exc.diagnostic()

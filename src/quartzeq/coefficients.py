@@ -377,21 +377,23 @@ def family_from_config(config: dict) -> CoefficientFamily:
     missing = _REQUIRED_KEYS[kind] - config.keys()
     if missing:
         raise DomainError(f"family config for {kind!r} is missing keys {sorted(missing)}")
-    if kind == "piecewise_constant":
-        N = config["N"]
-        if isinstance(N, float) and N.is_integer():  # the constructor rejects other floats
-            N = int(N)
-        return PiecewiseConstantFamily(k_value=float(config["k"]), N=N)
-    if kind == "power_law":
-        kwargs = {key: float(config[key]) for key in ("p_exp", "q_exp", "k_exp")}
-        for key in ("p0", "q0", "k0"):
-            if key in config:
-                kwargs[key] = float(config[key])
-        return PowerLawFamily(**kwargs)
-    tail = config.get("tail", "constant")
-    if tail != "constant":
-        raise DomainError(f"unsupported tabulated tail policy {tail!r}")
-    return TabulatedFamily(k=config["k"], p=config["p"], q=config["q"])
+    try:
+        if kind == "piecewise_constant":
+            N = config["N"]
+            if isinstance(N, float) and N.is_integer():  # the constructor rejects other floats
+                N = int(N)
+            return PiecewiseConstantFamily(k_value=float(config["k"]), N=N)
+        if kind == "power_law":
+            keys = ("p_exp", "q_exp", "k_exp", *(key for key in ("p0", "q0", "k0") if key in config))
+            return PowerLawFamily(**{key: float(config[key]) for key in keys})
+        tail = config.get("tail", "constant")
+        if tail != "constant":
+            raise DomainError(f"unsupported tabulated tail policy {tail!r}")
+        return TabulatedFamily(k=config["k"], p=config["p"], q=config["q"])
+    except DomainError:
+        raise
+    except (TypeError, ValueError) as exc:  # a value float() rejects
+        raise DomainError(f"family config values must be numbers: {exc}") from None
 
 
 def load_family(path) -> CoefficientFamily:

@@ -14,13 +14,13 @@ On b = a-1, i rho_i = i^a and d_i = i^a + i^(a-1), so the d-identity
 sum_i d_i Q_i = x gives H = x - sum_i i^(a-1) Q_i < x, a sum that is o(x).
 
 The regime is a pure function of (a, b).  Below the line m has no closed
-form and is estimated numerically (a log grid evaluated in slices of 25
-rows, one series.evaluate walk each, then rounds of 25 rows, one walk
-each, across the bracket of the best row so far and its two neighbours),
-so existence answers inside its error bar are reported as
-indeterminate rather than as a guess.  The same d-identity bounds F below
-the line too: with c_n = sup_{i>=n} i rho_i / d_i,
-F(x) < sum_{i<n} i rho_i / x + c_n at every x (_weak_F_bound).  One grid
+form and is estimated numerically (a log grid from 1e-3 with no right
+end, in slices of 25 rows, one series.evaluate walk each, then rounds of
+25 rows, one walk each, across the bracket of the best row so far and its
+two neighbours), so existence answers inside its error bar are reported
+as indeterminate rather than as a guess.  The same d-identity bounds F
+below the line too: with c_n = sup_{i>=n} i rho_i / d_i,
+F(x) < sum_{i<n} i rho_i / x + c_n at every x (_weak_F_bound).  One slice
 scan (_F_scan) serves both searches and stops where that bound proves F
 below a floor at every larger x: the largest F seen for the m estimate,
 alpha/r for the root probe.
@@ -28,6 +28,7 @@ alpha/r for the root probe.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -131,8 +132,9 @@ class MEstimate(NamedTuple):
     attained_at: float | str
 
 
-_M_X_MIN = 1e-3  # left end of the m scan's log grid
 _SLICE = 25  # rows per evaluate walk of a ThresholdWeak scan or rescan round
+_M_FLOOR_ROWS = 200  # m scan rows up to x = 1e6, all scanned unless the bound stops first
+_M_STEP = math.log(1e6 / 1e-3) / (_M_FLOOR_ROWS - 1)  # m scan row spacing in log x
 _BOUND_MARGIN = 1e-6  # relative rounding margin of _weak_F_bound
 
 
@@ -175,37 +177,48 @@ def _F_rows(params: PowerLawFamily, xs) -> list[float]:
     return [bv.value for bv in evaluate(params, "F", xs, cross_check=False)]
 
 
-def _F_scan(params: PowerLawFamily, xs, floor: float | None = None) -> list[float]:
-    """F over the increasing grid xs, each row bit for bit its one-x walk.
+def _m_rows(start: int) -> np.ndarray:
+    """x at the _SLICE rows from row start of the m scan's log grid: row k is
+    10^(9k/199 - 3), so rows 0-199 are np.geomspace(1e-3, 1e6, 200) bit for
+    bit.  Past 1e308, near the largest double, it is a ConvergenceError."""
+    log10_xs = np.arange(start, start + _SLICE) * (9.0 / 199) + (-3.0)
+    if log10_xs[-1] > 308.0:
+        raise ConvergenceError("F still rising at x = 1e308: sup F lies past the doubles",
+                               series="estimate_m", x=1e308)
+    return 10.0 ** log10_xs
 
-    A ThresholdWeak family walks xs in slices of _SLICE rows and stops
-    before a slice whose smallest x has _weak_F_bound (a bound on F at every
-    larger x) below the floor, or below the largest F scanned when floor is
-    None; the rows returned are those before it.  Any other family walks
-    all of xs at once.
+
+def _F_scan(params: PowerLawFamily, slices, floor: float | None = None):
+    """Yield (xs, F at xs) for each x array in slices, the pieces of an
+    increasing grid, one evaluate walk each: every row is bit for bit its
+    one-x walk.  A ThresholdWeak family stops before a slice whose smallest
+    x has _weak_F_bound (a bound on F at every larger x) below the floor,
+    or below the largest F yielded when floor is None.
     """
-    if classify_regime(params).regime is not Regime.THRESHOLD_WEAK:
-        return _F_rows(params, xs)
-    vals: list[float] = []
-    for start in range(0, len(xs), _SLICE):
-        level = max(vals, default=-math.inf) if floor is None else floor
-        if _weak_F_bound(params, float(xs[start])) < level:
-            break
-        vals += _F_rows(params, xs[start:start + _SLICE])
-    return vals
+    weak = classify_regime(params).regime is Regime.THRESHOLD_WEAK
+    level = -math.inf if floor is None else floor
+    for xs in slices:
+        if weak and _weak_F_bound(params, float(xs[0])) < level:
+            return
+        vals = _F_rows(params, xs)
+        if floor is None:
+            level = max(level, *vals)
+        yield xs, vals
 
 
-def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
-                          grid: int = 200) -> tuple[MEstimate, float, int]:
+def estimate_m_with_error(params: PowerLawFamily) -> tuple[MEstimate, float, int]:
     """(MEstimate, error bar, number of F evaluations) for sup F.
 
     On the critical line b = a-1 the answer is exact and takes no F
     evaluations: m = 1, approached only as x -> oo, with error bar 0
     (module docstring).  Below it the estimate is m with its maximizer:
-    _F_scan over a log grid on [1e-3, x_max], which skips only rows below
-    the largest F scanned, then rounds that rescan the bracket of the best
-    row and its two neighbours.  A maximum at the grid's right edge means
-    x_max is too small and is an error (F must eventually decay there).
+    _F_scan over the log grid of _m_rows, 199 rows per 9 decades from
+    x = 1e-3, then rounds that rescan the bracket of the best row and its
+    two neighbours.  The scan stops before a slice where _weak_F_bound
+    proves every later row below the largest F scanned, or after the slice
+    that reaches x = 1e6 (row 199) unless its best row is the last one.
+    Past 1e6 only the bound stops it, since for a large a F can rest on a
+    plateau there and climb again; the grid ends near 1e308 (_m_rows).
 
     Each round is one evaluate walk over _SLICE rows, evenly spaced in
     log x across the bracket and centred on the best row so far, which is
@@ -217,10 +230,9 @@ def estimate_m_with_error(params: PowerLawFamily, x_max: float = 1e6,
     1e-12 wide in log x.  The error bar is that spread plus that tail
     bound, and attained_at is resolved only to the final bracket (about
     1e-7 relative, where F is flat to rounding).  The evaluation count is
-    every row walked (250 for (2, 0) on the default grid: 125 grid rows
-    and 5 rounds of 25).
+    every row walked (250 for (2, 0): 125 grid rows and 5 rounds of 25).
     """
-    verdict, evals = _regime_verdict(params, x_max, grid)
+    verdict, evals = _regime_verdict(params)
     if verdict.regime is Regime.ALWAYS_EXISTS:
         raise DomainError("no finite m in the AlwaysExists regime (F is unbounded)")
     return MEstimate(verdict.m_estimate, verdict.m_attained_at), verdict.m_error_bar, evals
@@ -235,32 +247,22 @@ def _inflow_ratio(alpha: float, r: float) -> float:
     return alpha / r
 
 
-def _regime_verdict(params: PowerLawFamily, x_max: float = 1e6,
-                    grid: int = 200) -> tuple[RegimeVerdict, int]:
+def _regime_verdict(params: PowerLawFamily) -> tuple[RegimeVerdict, int]:
     """(regime verdict, F evaluations) with the sup F search of
-    estimate_m_with_error on grid rows over [1e-3, x_max], whose arguments
-    are checked in every regime: a ThresholdWeak verdict carries m, its
-    error bar and its maximizer; the others take no F."""
+    estimate_m_with_error: a ThresholdWeak verdict carries m, its error bar
+    and its maximizer; the others take no F."""
     verdict = classify_regime(params)
-    if not (math.isfinite(x_max) and x_max > _M_X_MIN):
-        raise DomainError(f"need x_max > {_M_X_MIN}, got {x_max}")
-    if grid < 8:
-        raise DomainError(f"grid must be >= 8 points, got {grid}")
     if verdict.regime is not Regime.THRESHOLD_WEAK:
         return verdict, 0
 
-    xs = np.geomspace(_M_X_MIN, x_max, grid)
-    vals = _F_scan(params, xs)
+    xs, vals = [], []
+    for row_xs, rows in _F_scan(params, map(_m_rows, itertools.count(0, _SLICE))):
+        xs += row_xs.tolist()
+        vals += rows
+        if len(vals) == _M_FLOOR_ROWS and int(np.argmax(vals)) < len(vals) - 1:
+            break
     evals = len(vals)
-    j = int(np.argmax(vals))
-    if j >= grid - 1:
-        raise ConvergenceError(
-            f"F still increasing at x_max={x_max} in ThresholdWeak regime; "
-            "the interior maximum lies beyond the grid, raise x_max",
-            series="estimate_m", x=x_max,
-        )
-
-    x_best, step = float(xs[j]), math.log(x_max / _M_X_MIN) / (grid - 1)
+    x_best, step = xs[int(np.argmax(vals))], _M_STEP
     half = _SLICE // 2
     while True:
         step /= half  # the rows' spacing in log x, and the next bracket's half-width
@@ -295,7 +297,8 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float,
     by bisection, so every returned root is genuine; the COUNT is only as
     good as the grid (roots closer than one grid cell merge, roots outside
     the grid are missed).  No uniqueness theorem backs this in the
-    power-law case.  The grid is read by _F_scan with alpha/r as its floor;
+    power-law case.  The grid is read by _F_scan in slices of 25 rows, with
+    alpha/r as its floor;
     the first row it skips counts as below alpha/r, as every later one is,
     so the brackets and roots are bit for bit those of the whole grid.  A
     ThresholdStrict family at alpha/r >= 1 has no root and is not scanned:
@@ -306,7 +309,8 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float,
     if verdict.regime is Regime.THRESHOLD_STRICT and phi >= verdict.m_estimate:
         return 0, ()
     xs = np.geomspace(1e-4, 1e6, 400)
-    vals = [v - phi for v in _F_scan(params, xs, phi)]
+    slices = np.split(xs, range(_SLICE, len(xs), _SLICE))
+    vals = [v - phi for _, rows in _F_scan(params, slices, phi) for v in rows]
     if len(vals) < len(xs):
         vals.append(-math.inf)  # the first skipped row; no later row crosses
     # one bracket [lo_x, hi_x, F > alpha/r at lo_x] per root, in x order; a

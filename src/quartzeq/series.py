@@ -215,11 +215,15 @@ def certified(walk: _Walk, pref: float = 1.0, head: float = 0.0,
     cumulative product drift (linear in the index, worst case) plus
     block-pairwise summation error, and a few ulps of the result.
     """
+    return BoundedValue(*_certified_pair(walk, pref, head), walk.n - start)
+
+
+def _certified_pair(walk: _Walk, pref: float = 1.0, head: float = 0.0) -> tuple[float, float]:
+    """certified's (value, tail_bound), without building a BoundedValue."""
     total = walk.sums[0]
     value = pref * (head + total)
     envelope = _EPS * (total * pref) * (2.0 * walk.n + 64.0)
-    tail = pref * walk.trunc_tail + envelope + 4.0 * _EPS * abs(value)
-    return BoundedValue(value, tail, walk.n - start)
+    return value, pref * walk.trunc_tail + envelope + 4.0 * _EPS * abs(value)
 
 
 def _q_block(fam: CoefficientFamily, weights):
@@ -247,10 +251,8 @@ def _finish_sum(walk: _Walk, denom: float, pref: float) -> BoundedValue:
 
 
 def _finish_F(walk: _Walk, denom: float, pref: float) -> BoundedValue:
-    """F = H / (x + d_0), with H bounded as certified(walk) bounds it (the same
-    operations, as pref = 1 and head = 0 leave them exact) and one BoundedValue."""
-    h = walk.sums[0]
-    h_tail = walk.trunc_tail + _EPS * h * (2.0 * walk.n + 64.0) + 4.0 * _EPS * abs(h)
+    """F = H / (x + d_0), with H and its bound as certified(walk) gives them."""
+    h, h_tail = _certified_pair(walk)
     value = h / denom
     return BoundedValue(value, h_tail / denom + 4.0 * _EPS * abs(value), walk.n)
 

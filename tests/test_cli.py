@@ -95,15 +95,25 @@ class TestClassifyThreshold:
         assert doc["m_estimate"] is None  # classification alone does no numerics
 
     def test_threshold_estimates_m(self):
-        code, out, _ = run(
-            ["threshold", "--a", "2", "--b", "0", "--alpha", "0.2", "--x-max", "1e4", "--grid", "60"]
-        )
+        code, out, _ = run(["threshold", "--a", "2", "--b", "0", "--alpha", "0.2"])
         assert code == 0
         doc = json.loads(out)
         check(doc, "verdict.schema.json")
         assert doc["m_estimate"] == pytest.approx(0.31988134137, abs=1e-6)
         assert doc["existence"] == "exists"
-        assert doc["f_evaluations"] > 0
+        assert doc["f_evaluations"] == 250
+        # the scan sets its own extent: no grid settings to echo
+        assert doc["config"]["numerics"] == {"a": 2.0, "b": 0.0, "alpha": 0.2, "r": 1.0}
+
+    def test_threshold_past_1e6(self):
+        # the peak of (3, 1.99) lies near x = 4.7e7, past the former
+        # default grid's edge at 1e6
+        code, out, _ = run(["threshold", "--a", "3", "--b", "1.99", "--alpha", "0.9"])
+        assert code == 0
+        doc = json.loads(out)
+        check(doc, "verdict.schema.json")
+        assert doc["m_estimate"] == pytest.approx(0.9454039041442371, abs=1e-12)
+        assert doc["existence"] == "exists"
 
     def test_threshold_always_exists_shortcuts(self):
         code, out, _ = run(["threshold", "--a", "1", "--b", "1"])
@@ -114,7 +124,7 @@ class TestClassifyThreshold:
         assert "note" in doc
 
     def test_strict_case_flags_supremum(self):
-        code, out, _ = run(["threshold", "--a", "2", "--b", "1", "--x-max", "1e4", "--grid", "60"])
+        code, out, _ = run(["threshold", "--a", "2", "--b", "1"])
         assert code == 0
         doc = json.loads(out)
         check(doc, "verdict.schema.json")
@@ -170,21 +180,7 @@ class TestClassifyThreshold:
         ],
     )
     def test_threshold_rejects_bad_inflow(self, a, b, alpha, r, message):
-        code, out, err = run(["threshold", "--a", a, "--b", b, "--x-max", "1e3",
-                              "--grid", "20", "--alpha", alpha, "--r", r])
-        assert code == 2 and out == ""
-        assert err == f"usage error: {message}\n"
-
-    @pytest.mark.parametrize("a,b", [("2", "1"), ("1", "1"), ("2", "0")],
-                             ids=["strict", "always", "weak"])
-    @pytest.mark.parametrize("flags,message", [
-        (["--grid", "4"], "grid must be >= 8 points, got 4"),
-        (["--x-max", "-5"], "need x_max > 0.001, got -5.0"),
-    ])
-    def test_threshold_checks_the_scan_in_every_regime(self, a, b, flags, message):
-        # a bad --x-max or --grid is an error whether or not F is scanned,
-        # not a value echoed into the document
-        code, out, err = run(["threshold", "--a", a, "--b", b, *flags])
+        code, out, err = run(["threshold", "--a", a, "--b", b, "--alpha", alpha, "--r", r])
         assert code == 2 and out == ""
         assert err == f"usage error: {message}\n"
 
@@ -260,6 +256,40 @@ class TestEquilibrium:
         code, out, err = run(["equilibrium", "--family-config", str(path), "--x", "1"])
         assert code == 2 and out == ""
         assert err == "usage error: N must be an integer, got True\n"
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"kind": "tabulated", "k": ["a"], "p": [1], "q": [0]},
+         "could not convert string to float: 'a'"),
+        ({"kind": "tabulated", "k": [{"x": 1}], "p": [1], "q": [0]},
+         "float() argument must be a string or a real number, not 'dict'"),
+        ({"kind": "power_law", "p_exp": "x", "q_exp": 1, "k_exp": 0},
+         "could not convert string to float: 'x'"),
+        ({"kind": "piecewise_constant", "k": "x", "N": 1},
+         "could not convert string to float: 'x'"),
+    ], ids=["table-str", "table-dict", "power-law", "piecewise"])
+    def test_non_numeric_family_config_is_usage_error(self, doc, message, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["equilibrium", "--family-config", str(path), "--x", "1"])
+        assert code == 2 and out == ""
+        assert err == f"usage error: family config values must be numbers: {message}\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--a", "2"], ["--b", "0"]], ids=["none", "a", "b"])
+    def test_power_law_needs_a_and_b(self, flags):
+        # other exponents and index-0 rates come only from --family-config
+        code, out, err = run(["equilibrium", "--family", "power_law", "--x", "1", *flags])
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: --family power_law needs both --a and --b")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_float_overflow_is_numeric_error(self, tmp_path):
+        # (a, b) = (80, 79 - 1e-8): past i ~ 7e3, i^a is beyond the doubles
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"kind": "power_law", "p_exp": 0.0,
+                                    "q_exp": 1.00000001, "k_exp": 78.99999999}))
+        code, out, err = run(["equilibrium", "--family-config", str(path), "--x", "1e290"])
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "OverflowError"
 
     def test_piecewise_f_at_large_kx(self):
         # F is exact after N terms; its check must not need the slowly
@@ -445,7 +475,7 @@ def test_closed_pipe_exits_141_silently():
 
 
 def test_byte_identical_reruns():
-    argv = ["threshold", "--a", "2", "--b", "0", "--x-max", "1e4", "--grid", "60"]
+    argv = ["threshold", "--a", "2", "--b", "0"]
     first = run(argv)
     second = run(argv)
     assert first == second
@@ -516,6 +546,11 @@ _PIECEWISE = ["--family", "piecewise", "--k", "1", "--N", "1"]
         ["classify", "--a", "2", "--b", "0", "--term-cap", "-3"],
         ["threshold", "--a", "2", "--b", "0", "--tol", "0.5"],
         ["threshold", "--a", "2", "--b", "0", "--term-cap", "10"],
+        ["threshold", "--a", "2", "--b", "0", "--x-max", "1e4"],
+        ["threshold", "--a", "2", "--b", "0", "--grid", "60"],
+        ["equilibrium", "--family", "power_law", "--x", "1", "--p-exp", "1"],
+        ["identity-audit", "--family", "power_law", "--x", "1", "--q-exp", "1"],
+        ["simulate", "--family", "power_law", "--alpha", "0.2", "--r", "1", "--k-exp", "1"],
         ["identity-audit", *_PIECEWISE, "--x", "1", "--tol", "1e-6"],
         ["identity-audit", *_PIECEWISE, "--x", "1", "--term-cap", "10"],
         ["simulate", *_PIECEWISE, "--alpha", "0.2", "--r", "1", "--imax", "5",

@@ -65,11 +65,6 @@ class TestThresholdEstimate:
         f_at = F_equilibrium(THRESHOLD_FAMILY, est.attained_at)
         assert f_at.value == pytest.approx(est.m, abs=max(err, 1e-12))
 
-    def test_grid_doubling_stable(self):
-        est200, err200, _ = estimate_m_with_error(THRESHOLD_FAMILY, 1e6, 200)
-        est400, err400, _ = estimate_m_with_error(THRESHOLD_FAMILY, 1e6, 400)
-        assert abs(est200.m - est400.m) <= err200 + err400 + 1e-12
-
     def test_strict_case_supremum_at_infinity(self, monkeypatch):
         # on b = a - 1, m = 1 exactly and is never attained: no F scan
         from quartzeq import powerlaw
@@ -88,14 +83,61 @@ class TestThresholdEstimate:
         assert err == 0.0
         assert evals == 0 and calls == []
 
-    def test_weak_maximum_beyond_grid_raises(self):
-        # the peak of (2, 0) sits near x = 5.08, past this grid's edge
-        with pytest.raises(ConvergenceError, match="raise x_max"):
-            estimate_m_with_error(THRESHOLD_FAMILY, x_max=2.0, grid=20)
+    def test_scan_grid_is_geomspace_up_to_1e6(self, monkeypatch):
+        # the scan's rows are 10^(9k/199 - 3): up to x = 1e6 they are the
+        # former 200-point grid bit for bit, and (3, 1.99) scans past it
+        from quartzeq import powerlaw
 
-    def test_strict_case_keeps_argument_checks(self):
-        with pytest.raises(DomainError):
-            estimate_m_with_error(PowerLawFamily.from_ab(2.0, 1.0), grid=4)
+        walked = []
+        real = powerlaw.evaluate
+
+        def recorded(fam, quantity, xs, *args, **kwargs):
+            walked.extend(xs)
+            return real(fam, quantity, xs, *args, **kwargs)
+
+        monkeypatch.setattr(powerlaw, "evaluate", recorded)
+        estimate_m_with_error(PowerLawFamily.from_ab(3.0, 1.99))
+        assert np.array_equal(walked[:200], np.geomspace(1e-3, 1e6, 200))
+        assert walked[200] == pytest.approx(10.0 ** (200 * 9.0 / 199 - 3.0), rel=1e-14)
+
+    def test_peak_past_1e6_matches_a_dense_scan(self):
+        # F of (3, 1.99) peaks near x = 4.7e7; a dense scalar scan with a
+        # bounded Brent search on log x finds the same maximum
+        from scipy.optimize import minimize_scalar
+
+        fam = PowerLawFamily.from_ab(3.0, 1.99)
+        est, err, evals = estimate_m_with_error(fam)
+        assert 4e7 < est.attained_at < 6e7 and err < 1e-12 and evals > 200
+
+        def F(t):
+            return F_equilibrium(fam, math.exp(t)).value
+
+        ts = np.linspace(math.log(1e6), math.log(1e9), 301)
+        j = int(np.argmax([F(t) for t in ts]))
+        best = minimize_scalar(lambda t: -F(t), bounds=(ts[j - 1], ts[j + 1]),
+                               method="bounded", options={"xatol": 1e-10})
+        assert abs(-best.fun - est.m) <= err
+        # the former scan of [1e-3, 1e9] at 200 rows gave 0.9454039041442371
+        # with an error bar of 2.3e-13
+        assert abs(est.m - 0.9454039041442371) <= err + 2.3e-13
+        assert existence_verdict(fam, 0.9, 1.0) == EXISTS
+
+    def test_plateau_past_1e6_does_not_end_the_scan(self):
+        # for (100, 98.99) F rests near 2/3 from x ~ 10 to 1e30 and then
+        # climbs again: past 1e6 only the bound may stop the scan
+        fam = PowerLawFamily.from_ab(100.0, 98.99)
+        est, err, _ = estimate_m_with_error(fam)
+        assert est.m >= F_equilibrium(fam, 1e100, cross_check=False).value > 0.89
+        assert est.attained_at > 1e100
+
+    def test_scan_ends_before_the_doubles_do(self, monkeypatch):
+        # an F that never stops rising runs the grid out near x = 1e308
+        from quartzeq import powerlaw
+
+        monkeypatch.setattr(powerlaw, "_weak_F_bound", lambda fam, x: math.inf)
+        monkeypatch.setattr(powerlaw, "_F_rows", lambda fam, xs: list(map(float, xs)))
+        with pytest.raises(ConvergenceError, match="past the doubles"):
+            estimate_m_with_error(THRESHOLD_FAMILY)
 
 
 # (a, b, m, attained_at, error bar, F evaluations) of the ThresholdWeak
@@ -180,13 +222,13 @@ _WEAK_FAMILIES = st.builds(
 
 
 @settings(max_examples=40, deadline=None)
-@given(fam=st.builds(
-    # b at most 90% of the way to the strict line: closer, the peak of a
-    # small a moves out to x where a walk passes the 10^6 term cap
-    # (ROADMAP item 3), and that of a large a past x_max
-    lambda a, frac: PowerLawFamily.from_ab(a, -2.0 + frac * (a + 1.0)),
-    st.floats(0.05, 4.0), st.floats(0.001, 0.9),
-))
+@given(fam=st.floats(0.05, 4.0).flatmap(lambda a: st.builds(
+    # b at most 90% of the way to the strict line for a < 1, 99% for
+    # a >= 1: closer, the peak of a small a moves out to x where a walk
+    # passes the 10^6 term cap (ROADMAP item 3)
+    lambda frac: PowerLawFamily.from_ab(a, -2.0 + frac * (a + 1.0)),
+    st.floats(0.001, 0.99 if a >= 1.0 else 0.9),
+)))
 def test_m_estimate_reads_its_own_walks(fam):
     # m is the largest F any walk of the estimate returned, attained
     # exactly at attained_at, and the error bar is the spread over the
@@ -241,18 +283,39 @@ def test_weak_F_bound_falls_below_the_peak():
 @pytest.mark.parametrize("grid", [20, 200, 400])
 @pytest.mark.parametrize("x_max", [1e4, 1e6, 1e8])
 def test_stopped_scan_matches_full_scan(grid, x_max, monkeypatch):
-    # every row the bound skips lies below a scanned one, so m, its error
-    # bar and the maximizer are bit for bit those of the full grid
+    # _F_scan over any increasing grid: the rows it scans before the bound
+    # stops it are the full scan's first rows, bit for bit, and every row
+    # it skips lies below the largest scanned one
     from quartzeq import powerlaw
 
-    stopped = [estimate_m_with_error(PowerLawFamily.from_ab(a, b), x_max, grid)
-               for a, b, *_ in _M_PINS]
+    xs = np.geomspace(1e-3, x_max, grid)
+    slices = [xs[i:i + powerlaw._SLICE] for i in range(0, grid, powerlaw._SLICE)]
+
+    def rows(fam):
+        return [v for _, vals in powerlaw._F_scan(fam, slices) for v in vals]
+
+    fams = [PowerLawFamily.from_ab(a, b) for a, b, *_ in _M_PINS]
+    stopped = [rows(fam) for fam in fams]
+    monkeypatch.setattr(powerlaw, "_weak_F_bound", lambda fam, x: math.inf)
+    for fam, got in zip(fams, stopped):
+        full = rows(fam)
+        assert len(full) == grid and got == full[:len(got)]
+        assert max(got) == max(full)
+
+
+def test_stopped_m_estimate_matches_full_scan(monkeypatch):
+    # every row the bound skips lies below a scanned one, so m, its error
+    # bar and the maximizer are bit for bit those of the full scan, which
+    # ends at x = 1e6 (row 199): the bound stopped the pins after 125 or
+    # 150 grid rows
+    from quartzeq import powerlaw
+
+    stopped = [estimate_m_with_error(PowerLawFamily.from_ab(a, b)) for a, b, *_ in _M_PINS]
     monkeypatch.setattr(powerlaw, "_weak_F_bound", lambda fam, x: math.inf)
     for (a, b, *_), (est, err, evals) in zip(_M_PINS, stopped):
-        full_est, full_err, full_evals = estimate_m_with_error(
-            PowerLawFamily.from_ab(a, b), x_max, grid)
+        full_est, full_err, full_evals = estimate_m_with_error(PowerLawFamily.from_ab(a, b))
         assert (est.m, err, est.attained_at) == (full_est.m, full_err, full_est.attained_at)
-        assert evals <= full_evals
+        assert full_evals - evals in (200 - 150, 200 - 125)
 
 
 def test_stopped_scan_answers_past_the_series_ceiling(monkeypatch):
