@@ -32,7 +32,6 @@ from .coefficients import (
 from .series import (
     BoundedValue,
     EquilibriumProfile,
-    GridSpec,
     evaluate,
     F_equilibrium,
     cohort_profile,
@@ -91,7 +90,7 @@ __all__ = [
     "IntegrationError",
     "CoefficientFamily", "PiecewiseConstantFamily", "PowerLawFamily",
     "TabulatedFamily", "family_from_config", "load_family",
-    "BoundedValue", "EquilibriumProfile", "GridSpec", "evaluate",
+    "BoundedValue", "EquilibriumProfile", "evaluate",
     "F_equilibrium", "cohort_profile", "audit_G_identity", "audit_d_identity",
     "DEFAULT_TOL", "DEFAULT_TERM_CAP",
     "RootReport", "F_piecewise", "stationary_point", "alpha_star",

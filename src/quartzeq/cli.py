@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Every verb resolves its inputs into a RunConfig, runs the corresponding
-library call, and emits machine-readable output (JSON documents or CSV
-rows) with the fully-resolved config echoed in a header, so any output
-file is self-describing and reruns are reproducible.  Floats are
-serialized with repr, the shortest digit string that round-trips
-exactly (at most 17 significant digits), which also makes payloads
-byte-identical across runs on one platform.
+Every verb resolves its inputs into a config record (verb, family,
+numerics, out, format), runs the corresponding library call, and emits
+machine-readable output (JSON documents or CSV rows) with that record
+echoed in a header, so any output file is self-describing and reruns are
+reproducible; every flag a verb takes changes what it computes or writes.
+Floats are serialized with repr, the shortest digit string that
+round-trips exactly (at most 17 significant digits), which also makes
+payloads byte-identical across runs on one platform.
 
 Exit codes: 0 success (and, for `reproduce`, all checks passed);
 1 failed checks; 2 usage errors; 3 numeric failures (unreached
@@ -26,6 +27,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import acceptance
 from .coefficients import (
@@ -47,14 +50,13 @@ from .powerlaw import (
 from .series import (
     DEFAULT_TERM_CAP,
     DEFAULT_TOL,
-    GridSpec,
     audit_G_identity,
     audit_d_identity,
     evaluate,
 )
 from .asymptotics import K_direct, K_expansion_refined
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 _EXIT_CHECK_FAILED = 1
 _EXIT_USAGE = 2
@@ -62,19 +64,10 @@ _EXIT_NUMERIC = 3
 _EXIT_BROKEN_PIPE = 141
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Fully-resolved invocation record echoed into every output."""
-
-    verb: str
-    family: dict | None
-    numerics: dict
-    out: str | None
-    format: str
-    seed: int
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+def _config(args, family: dict | None, numerics: dict, fmt: str) -> dict:
+    """The fully-resolved invocation record echoed into every output."""
+    return {"verb": args.verb, "family": family, "numerics": numerics,
+            "out": args.out, "format": fmt}
 
 
 def _json_dump(doc: dict) -> str:
@@ -94,10 +87,9 @@ def _emit(text: str, out: str | None) -> None:
                 fh.write("\n")
 
 
-def _csv_text(config: RunConfig, header: list[str], rows) -> str:
+def _csv_text(config: dict, header: list[str], rows) -> str:
     buf = io.StringIO()
-    buf.write("# config: " + json.dumps(config.as_dict(), sort_keys=True,
-                                        allow_nan=False) + "\n")
+    buf.write("# config: " + json.dumps(config, sort_keys=True, allow_nan=False) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -106,23 +98,36 @@ def _csv_text(config: RunConfig, header: list[str], rows) -> str:
 
 
 def _resolve_family(args) -> tuple[CoefficientFamily, dict]:
-    """Family instance plus the resolved config document describing it."""
-    if getattr(args, "family_config", None):
+    """Family instance plus the config document describing it.
+
+    A family comes from exactly one source: --family-config alone, --a and
+    --b with --family power_law, or --k and --N (defaults 1 and 1) with
+    --family piecewise or no --family; a family flag that source does not
+    read is a usage error.
+    """
+    if args.family_config:
+        source, reads = "--family-config", ()
+    elif args.family == "power_law":
+        source, reads = "--family power_law", ("family", "a", "b")
+    else:
+        source, reads = "the piecewise family", ("family", "k", "N")
+    unread = [f"--{dest}" for dest in ("family", "k", "N", "a", "b")
+              if getattr(args, dest) is not None and dest not in reads]
+    if unread:
+        raise DomainError(f"{source} does not read {', '.join(unread)}: "
+                          "a family comes from one source")
+    if args.family_config:
         fam = load_family(args.family_config)
-        return fam, dict(fam.describe())
-    kind = getattr(args, "family", None)
-    if kind in (None, "piecewise", "piecewise_constant"):
-        k = args.k if args.k is not None else 1.0
-        N = args.N if args.N is not None else 1
-        doc = {"kind": "piecewise_constant", "k": k, "N": N}
-        return family_from_config(doc), doc
-    if kind == "power_law":
-        if args.a is None or args.b is None:
-            raise DomainError("--family power_law needs both --a and --b "
-                              "(other exponents and index-0 rates: --family-config)")
+    elif args.family != "power_law":
+        fam = family_from_config({"kind": "piecewise_constant",
+                                  "k": 1.0 if args.k is None else args.k,
+                                  "N": 1 if args.N is None else args.N})
+    elif args.a is None or args.b is None:
+        raise DomainError("--family power_law needs both --a and --b "
+                          "(other exponents and index-0 rates: --family-config)")
+    else:
         fam = PowerLawFamily.from_ab(a=args.a, b=args.b)
-        return fam, dict(fam.describe())
-    raise DomainError(f"unknown family kind {kind!r}; use --family-config for tables")
+    return fam, fam.describe()
 
 
 # ---------------------------------------------------------------- verbs
@@ -139,13 +144,20 @@ def _cmd_equilibrium(args) -> int:
         numerics["grid"] = {"x_min": args.x_min, "x_max": args.x_max,
                             "count": args.count, "spacing": args.spacing}
     fmt = args.format or ("json" if args.x is not None else "csv")
-    config = RunConfig("equilibrium", fam_doc, numerics, args.out, fmt, args.seed)
+    config = _config(args, fam_doc, numerics, fmt)
 
+    # argparse took finite numbers and an integer count; evaluate checks x >= 0
     if args.x is not None:
-        grid = GridSpec(args.x, args.x, 1, "linear")
-    else:
-        grid = GridSpec(args.x_min, args.x_max, args.count, args.spacing)
-    points = grid.points()
+        points = [args.x]
+    elif args.x_max < args.x_min:
+        raise DomainError("x_max must be >= x_min")
+    elif args.count < 1:
+        raise DomainError(f"count must be >= 1, got {args.count}")
+    elif args.spacing == "log" and args.x_min <= 0.0:
+        raise DomainError("log spacing requires x_min > 0")
+    else:  # one point is x_min either way
+        space = np.linspace if args.spacing == "linear" else np.geomspace
+        points = space(args.x_min, args.x_max, args.count)
     rows = [(float(x), bv.value, bv.tail_bound, bv.terms_used)
             for x, bv in zip(points, evaluate(fam, args.quantity, points, args.r,
                                               tol=tol, term_cap=args.term_cap))]
@@ -153,7 +165,7 @@ def _cmd_equilibrium(args) -> int:
         _emit(_csv_text(config, ["x", "value", "tail_bound", "terms_used"], rows),
               args.out)
     else:
-        doc = {"config": config.as_dict(),
+        doc = {"config": config,
                "rows": [{"x": x, "value": v, "tail_bound": t, "terms_used": n}
                         for x, v, t, n in rows]}
         _emit(_json_dump(doc), args.out)
@@ -165,10 +177,9 @@ def _cmd_roots(args) -> int:
         raise DomainError("roots requires --k, --N, --alpha and --r")
     numerics = {"alpha": args.alpha, "r": args.r, "tol": args.tol}
     fam_doc = {"kind": "piecewise_constant", "k": args.k, "N": args.N}
-    config = RunConfig("roots", fam_doc, numerics, args.out,
-                       args.format or "json", args.seed)
+    config = _config(args, fam_doc, numerics, args.format or "json")
     rep = solve_roots(args.k, args.N, args.r, args.alpha, tol=args.tol)
-    doc = {"config": config.as_dict()}
+    doc = {"config": config}
     doc.update(dataclasses.asdict(rep))
     doc["roots"] = list(doc["roots"])
     _emit(_json_dump(doc), args.out)
@@ -194,10 +205,9 @@ def _verdict_doc(verdict, extra: dict) -> dict:
 def _cmd_classify(args) -> int:
     fam = PowerLawFamily.from_ab(a=args.a, b=args.b)
     numerics = {"a": args.a, "b": args.b}
-    config = RunConfig("classify", dict(fam.describe()), numerics,
-                       args.out, args.format or "json", args.seed)
+    config = _config(args, fam.describe(), numerics, args.format or "json")
     verdict = classify_regime(fam)
-    doc = {"config": config.as_dict()}
+    doc = {"config": config}
     doc.update(_verdict_doc(verdict, {}))
     _emit(_json_dump(doc), args.out)
     return 0
@@ -209,8 +219,7 @@ def _cmd_threshold(args) -> int:
     if args.alpha is not None:
         numerics["alpha"] = args.alpha
         numerics["r"] = args.r
-    config = RunConfig("threshold", dict(fam.describe()), numerics,
-                       args.out, args.format or "json", args.seed)
+    config = _config(args, fam.describe(), numerics, args.format or "json")
     verdict, evals = _regime_verdict(fam)
     extra: dict = {}
     if verdict.regime is Regime.ALWAYS_EXISTS:
@@ -221,7 +230,7 @@ def _cmd_threshold(args) -> int:
     if args.alpha is not None:
         # answered from the verdict above and its m estimate: no second scan
         extra["existence"] = verdict.existence(_inflow_ratio(args.alpha, args.r))
-    doc = {"config": config.as_dict()}
+    doc = {"config": config}
     doc.update(_verdict_doc(verdict, extra))
     _emit(_json_dump(doc), args.out)
     return 0
@@ -232,7 +241,7 @@ def _cmd_asym(args) -> int:
     if args.compare_grid:
         numerics["compare_grid"] = args.compare_grid
     fmt = args.format or ("csv" if args.compare_grid else "json")
-    config = RunConfig("asym", None, numerics, args.out, fmt, args.seed)
+    config = _config(args, None, numerics, fmt)
     expansion = K_expansion_refined(args.a, args.b, depth=args.depth)
     record = {
         "variable": expansion.variable,
@@ -250,7 +259,7 @@ def _cmd_asym(args) -> int:
         _emit(_csv_text(config, ["x", "direct", "expansion", "residual"], rows),
               args.out)
     else:
-        doc = {"config": config.as_dict(), "expansion": record}
+        doc = {"config": config, "expansion": record}
         if rows:
             doc["comparison"] = [
                 {"x": x, "direct": d, "expansion": e, "residual": res}
@@ -265,12 +274,11 @@ def _cmd_identity_audit(args) -> int:
     if args.x is None:
         raise DomainError("identity-audit requires --x")
     numerics = {"x": args.x, "n_terms": args.n_terms}
-    config = RunConfig("identity-audit", fam_doc, numerics, args.out,
-                       args.format or "json", args.seed)
+    config = _config(args, fam_doc, numerics, args.format or "json")
     g_val, g_res = audit_G_identity(fam, args.x, n_terms=args.n_terms)
     d_val, d_res = audit_d_identity(fam, args.x, n_terms=args.n_terms)
     doc = {
-        "config": config.as_dict(),
+        "config": config,
         "G": {"value": g_val, "residual": g_res},
         "d": {"value": d_val, "residual": d_res},
     }
@@ -284,8 +292,7 @@ def _cmd_simulate(args) -> int:
         raise DomainError("simulate requires --alpha and --r")
     numerics = {"alpha": args.alpha, "r": args.r, "imax": args.imax,
                 "t_end": args.t_end, "x0": args.x0, "tol": args.tol}
-    config = RunConfig("simulate", fam_doc, numerics, args.out,
-                       args.format or "csv", args.seed)
+    config = _config(args, fam_doc, numerics, args.format or "csv")
     summary = integrate(fam, args.alpha, args.r,
                         initial_state(args.imax, x=args.x0), args.t_end,
                         tol=args.tol)
@@ -296,7 +303,7 @@ def _cmd_simulate(args) -> int:
         for j in range(summary.n_steps)
     ]
     summary_doc = {
-        "config": config.as_dict(),
+        "config": config,
         "converged": summary.converged,
         "t_final": summary.final.t,
         "x_final": summary.final.x,
@@ -324,17 +331,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    numerics = {"criteria": args.criterion or "all"}
-    config = RunConfig("reproduce", None, numerics, args.out,
-                       args.format or "text", args.seed)
+    numerics = {"criteria": args.criterion or "all", "seed": args.seed}
+    config = _config(args, None, numerics, args.format or "text")
     if args.criterion:
         results = [acceptance.run_criterion(n, args.seed) for n in args.criterion]
     else:
         results = acceptance.run_all(args.seed)
     all_passed = all(r.passed for r in results)
-    if config.format == "json":
+    if config["format"] == "json":
         doc = {
-            "config": config.as_dict(),
+            "config": config,
             "all_passed": all_passed,
             "results": [{"number": r.number, "title": r.title,
                          "passed": r.passed, "runtime_s": r.runtime_s,
@@ -342,7 +348,7 @@ def _cmd_reproduce(args) -> int:
         }
         _emit(_json_dump(doc), args.out)
     else:
-        lines = ["# config: " + json.dumps(config.as_dict(), sort_keys=True)]
+        lines = ["# config: " + json.dumps(config, sort_keys=True)]
         lines += [r.line for r in results]
         passed = sum(1 for r in results if r.passed)
         lines.append(f"{passed}/{len(results)} criteria passed")
@@ -357,7 +363,7 @@ def _add_family_flags(sub) -> None:
     sub.add_argument("--family", choices=["piecewise", "power_law"],
                      help="family kind (tables go through --family-config)")
     sub.add_argument("--family-config", metavar="FILE",
-                     help="JSON family document (overrides family flags)")
+                     help="JSON family document (takes no other family flag)")
     sub.add_argument("--k", type=_finite, help="piecewise uptake rate")
     sub.add_argument("--N", type=int, help="piecewise clearance horizon")
     sub.add_argument("--a", type=_finite, help="power-law scale exponent")
@@ -370,7 +376,6 @@ def _add_common_flags(sub, formats: tuple[str, ...], *, tol: bool = False,
     them; --format lists only what the verb writes."""
     sub.add_argument("--out", metavar="PATH", help="output path (default stdout)")
     sub.add_argument("--format", choices=formats)
-    sub.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
     if tol:
         sub.add_argument("--tol", type=_finite, default=DEFAULT_TOL)
     if term_cap:
@@ -465,8 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = subs.add_parser("reproduce", help="run the acceptance checks")
     _add_common_flags(rep, ("text", "json"))
-    rep.add_argument("--criterion", type=int, action="append",
-                     metavar="N", help="run only criterion N (repeatable)")
+    rep.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    rep.add_argument("--criterion", type=int, action="append", metavar="N",
+                     choices=[num for num, *_ in acceptance.CRITERIA],
+                     help="run only criterion N (repeatable)")
     rep.set_defaults(func=_cmd_reproduce)
 
     return parser

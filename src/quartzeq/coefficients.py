@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -115,9 +116,15 @@ class CoefficientFamily:
 
 def _power_law_inf_from(a: float, b: float, m: int) -> float:
     """inf over integer i >= m of i^a + i^b, by monotonicity analysis."""
+    def at(t: float) -> float:  # past the doubles, the largest double still bounds it below
+        try:
+            return min(t ** a + t ** b, sys.float_info.max)
+        except OverflowError:
+            return sys.float_info.max
+
     if b >= 0.0:
         # both exponents nonnegative: nondecreasing in i
-        return float(m) ** a + float(m) ** b
+        return at(float(m))
     if a == 0.0:
         # 1 + i^b strictly decreasing; infimum is the limit
         return 1.0
@@ -127,7 +134,7 @@ def _power_law_inf_from(a: float, b: float, m: int) -> float:
     except OverflowError:
         t_star = math.inf
     if t_star <= m:
-        return float(m) ** a + float(m) ** b
+        return at(float(m))
     if t_star == math.inf:
         # t* lies past the float range (a tiny): the real minimum, taken
         # through logs, bounds the infimum over integers from below
@@ -135,7 +142,7 @@ def _power_law_inf_from(a: float, b: float, m: int) -> float:
         return (math.exp(log_ratio * (a / (a - b)))
                 + math.exp(log_ratio * (b / (a - b))))
     candidates = {m, int(math.floor(t_star)), int(math.ceil(t_star))}
-    return min(float(c) ** a + float(c) ** b for c in candidates if c >= m)
+    return min(at(float(c)) for c in candidates if c >= m)
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,6 @@ from .errors import ConsistencyError, ConvergenceError, DomainError
 __all__ = [
     "BoundedValue",
     "EquilibriumProfile",
-    "GridSpec",
     "evaluate",
     "F_equilibrium",
     "cohort_profile",
@@ -290,8 +289,10 @@ def evaluate(fam: CoefficientFamily, quantity: str, xs, r: float = 1.0, *,
     one walk: row k is, bit for bit, the one-x call evaluate(fam, quantity,
     [xs[k]], r)[0]; r scales kM and iqM only, and their tol the scaled sum.
     Every x, then r where it scales, is checked before the walk, and a
-    ConvergenceError is the one-x error at the first x that fails.  Then,
-    with cross_check, F's rows are balance-checked in the order of xs.
+    ConvergenceError is the one-x error at the first x that fails.  Then, in
+    the order of xs, a row with a sum that is not finite (a weight past the
+    doubles) raises ConvergenceError, and with cross_check F's rows are
+    balance-checked.
     """
     recipe = _RECIPES.get(quantity)
     if recipe is None:
@@ -319,8 +320,13 @@ def evaluate(fam: CoefficientFamily, quantity: str, xs, r: float = 1.0, *,
     block = _q_block(fam, lambda idx, *drg: [None if k is None else idx * drg[k]
                                              for k in picks])
     walks = blocked_sum(block, stop, pos, tols, cap=term_cap, name=recipe.name)
-    if len(picks) > 1:
-        for x, walk in zip(pos, walks):
+    for x, walk in zip(pos, walks):
+        # the balance test cannot see a nan: inf * 0 from a weight past the doubles
+        if not all(map(math.isfinite, walk.sums)):
+            raise ConvergenceError(f"{recipe.name} is not finite at x={x} within "
+                                   f"{walk.n} terms: a term passed the doubles",
+                                   series=recipe.name, x=x, terms_used=walk.n)
+        if len(picks) > 1:
             _check_balance(fam, x, walk)
     rows = map(recipe.finish, walks, denoms, prefs)
     if pos is xs:
@@ -450,36 +456,3 @@ def audit_d_identity(fam: CoefficientFamily, x: float, n_terms: int) -> tuple[fl
                        cap=n_terms)[0]
     s = walk.sums[0]
     return s, abs(s + x * walk.q_n - x)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Evaluation grid {x_min, x_max, count, spacing: linear|log}."""
-
-    x_min: float
-    x_max: float
-    count: int
-    spacing: str = "log"
-
-    def __post_init__(self):
-        if self.spacing not in ("linear", "log"):
-            raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise DomainError("grid endpoints must be finite")
-        if self.x_max < self.x_min:
-            raise DomainError("x_max must be >= x_min")
-        if not isinstance(self.count, (int, np.integer)):
-            raise DomainError(f"count must be an integer, got {self.count!r}")
-        if self.count < 1:
-            raise DomainError(f"count must be >= 1, got {self.count}")
-        if self.spacing == "log" and self.x_min <= 0.0:
-            raise DomainError("log spacing requires x_min > 0")
-        if self.x_min < 0.0:
-            raise DomainError("x_min must be >= 0")
-
-    def points(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.x_min])
-        if self.spacing == "linear":
-            return np.linspace(self.x_min, self.x_max, self.count)
-        return np.geomspace(self.x_min, self.x_max, self.count)

@@ -209,6 +209,31 @@ class TestEquilibrium:
         assert lines[1] == "x,value,tail_bound,terms_used"
         assert len(lines) == 2 + 4
 
+    def test_grid_rows_follow_spec(self):
+        code, out, _ = run(["equilibrium", "--x-min", "0.1", "--x-max", "10", "--count", "7",
+                            "--format", "json"])
+        assert code == 0
+        xs = [row["x"] for row in json.loads(out)["rows"]]
+        assert len(xs) == 7 and xs[0] == 0.1 and xs[-1] == pytest.approx(10.0)
+        assert all(xs[i] < xs[i + 1] for i in range(6))
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--x-min", "1", "--x-max", "0.5"], "x_max must be >= x_min"),
+        (["--count", "0"], "count must be >= 1, got 0"),
+        (["--x-min", "0", "--spacing", "log"], "log spacing requires x_min > 0"),
+    ], ids=["x_max-below-x_min", "count-0", "log-from-0"])
+    def test_bad_grid_rejected(self, flags, message):
+        code, out, err = run(["equilibrium", *flags])
+        assert code == 2 and out == ""
+        assert err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("flags", [["--spacing", "cubic"], ["--count", "2.5"]],
+                             ids=["spacing-cubic", "count-2.5"])
+    def test_bad_grid_flag_rejected(self, flags):
+        code, out, err = run_exit(["equilibrium", *flags])
+        assert code == 2 and out == ""
+        assert f"argument {flags[0]}: invalid" in err
+
     def test_term_cap_exhaustion_is_numeric_error(self):
         # sum k_i M_i at kx = 1e5 decays by kx/(kx+1) per term, so ten terms
         # cannot reach the tolerance
@@ -281,7 +306,34 @@ class TestEquilibrium:
         assert code == 2 and out == ""
         assert err.startswith("usage error: --family power_law needs both --a and --b")
 
+    @pytest.mark.parametrize("verb,flags,message", [
+        ("equilibrium", ["--a", "2", "--b", "0"],
+         "the piecewise family does not read --a, --b"),
+        ("equilibrium", ["--family", "piecewise", "--k", "1", "--b", "0"],
+         "the piecewise family does not read --b"),
+        ("equilibrium", ["--family", "power_law", "--a", "2", "--b", "0", "--k", "3"],
+         "--family power_law does not read --k"),
+        ("equilibrium", ["--family-config", "FILE", "--N", "2"],
+         "--family-config does not read --N"),
+        ("identity-audit", ["--family-config", "FILE", "--family", "piecewise"],
+         "--family-config does not read --family"),
+        ("simulate", ["--family", "power_law", "--a", "2", "--b", "0", "--N", "1",
+                      "--alpha", "0.2", "--r", "1"],
+         "--family power_law does not read --N"),
+    ], ids=["ab-piecewise-default", "b-piecewise", "k-power-law", "N-config",
+            "family-config", "simulate-N-power-law"])
+    def test_family_from_two_sources_is_usage_error(self, verb, flags, message, tmp_path):
+        # a family flag the family does not read would be silently dropped
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"kind": "piecewise_constant", "k": 1.0, "N": 1}))
+        flags = [str(path) if f == "FILE" else f for f in flags]
+        x = ["--x", "1"] if verb != "simulate" else []
+        code, out, err = run([verb, *flags, *x])
+        assert code == 2 and out == ""
+        assert err == f"usage error: {message}: a family comes from one source\n"
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_float_overflow_is_numeric_error(self, tmp_path):
         # (a, b) = (80, 79 - 1e-8): past i ~ 7e3, i^a is beyond the doubles
         path = tmp_path / "fam.json"
@@ -289,7 +341,9 @@ class TestEquilibrium:
                                     "q_exp": 1.00000001, "k_exp": 78.99999999}))
         code, out, err = run(["equilibrium", "--family-config", str(path), "--x", "1e290"])
         assert code == 3 and out == ""
-        assert json.loads(err)["error"] == "OverflowError"
+        diag = json.loads(err)
+        assert diag["error"] == "ConvergenceError"
+        assert (diag["detail"]["series"], diag["detail"]["x"]) == ("H_series", 1e290)
 
     def test_piecewise_f_at_large_kx(self):
         # F is exact after N terms; its check must not need the slowly
@@ -382,6 +436,18 @@ class TestReproduce:
         check(doc, "reproduce.schema.json")
         assert doc["all_passed"] is True
         assert doc["results"][0]["number"] == 8
+
+    @pytest.mark.parametrize("criterion", ["11", "0"])
+    def test_unknown_criterion_is_usage_error(self, criterion, tmp_path):
+        # exit 1 means failed checks, so a criterion that does not exist is not one
+        code, out, err = run_exit(["reproduce", "--criterion", criterion])
+        assert code == 2 and out == ""
+        assert "argument --criterion: invalid choice: " + criterion in err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"criterion": [8, int(criterion)]}))
+        code, out, err = run_exit(["--config", str(cfg), "reproduce"])
+        assert code == 2 and out == ""
+        assert "argument --criterion: invalid choice: " + criterion in err
 
 
 class TestConfigFile:
@@ -557,6 +623,14 @@ _PIECEWISE = ["--family", "piecewise", "--k", "1", "--N", "1"]
          "--t-end", "1", "--term-cap", "10"],
         ["reproduce", "--criterion", "8", "--tol", "1e-6"],
         ["reproduce", "--criterion", "8", "--term-cap", "10"],
+        ["equilibrium", "--x", "1", "--seed", "1"],
+        ["roots", "--k", "1", "--N", "1", "--alpha", "0.2", "--r", "1", "--seed", "1"],
+        ["classify", "--a", "2", "--b", "0", "--seed", "1"],
+        ["threshold", "--a", "2", "--b", "0", "--seed", "1"],
+        ["asym", "--a", "1", "--b", "-1", "--seed", "1"],
+        ["identity-audit", *_PIECEWISE, "--x", "1", "--seed", "1"],
+        ["simulate", *_PIECEWISE, "--alpha", "0.2", "--r", "1", "--imax", "5",
+         "--t-end", "1", "--seed", "1"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
@@ -566,3 +640,27 @@ def test_flag_the_verb_does_not_read_is_rejected(argv):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments: " + argv[-2] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibrium", "--x", "1"],
+    ["equilibrium", "--count", "3"],
+    ["roots", "--k", "1", "--N", "1", "--alpha", "0.2", "--r", "1"],
+    ["classify", "--a", "2", "--b", "0"],
+    ["threshold", "--a", "2", "--b", "1"],
+    ["asym", "--a", "1", "--b", "-1", "--compare-grid", "100"],
+    ["identity-audit", "--x", "1"],
+    ["simulate", *_PIECEWISE, "--alpha", "0.2", "--r", "1", "--imax", "5", "--t-end", "1"],
+    ["reproduce", "--criterion", "8", "--seed", "7"],
+], ids=["equilibrium-json", "equilibrium-csv", "roots", "classify", "threshold", "asym",
+        "identity-audit", "simulate", "reproduce"])
+def test_only_reproduce_echoes_a_seed(argv):
+    # the config schema lists every key a config may carry, and seed is not
+    # one: only reproduce reads a seed, and it echoes it in its numerics
+    code, out, _ = run(argv)
+    assert code == 0
+    line = next((ln for ln in out.splitlines() if ln.startswith("# config: ")), None)
+    config = json.loads(line[len("# config: "):]) if line else json.loads(out)["config"]
+    jsonschema.validate(config, schema("config.schema.json"))
+    assert "seed" not in config
+    assert config["numerics"].get("seed") == (7 if argv[0] == "reproduce" else None)

@@ -44,6 +44,16 @@ def test_regime_split_at_b_equals_a_minus_one(a, offset, expected):
     assert verdict.b == pytest.approx(a - 1.0 + offset)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_m_scan_past_the_doubles_is_a_convergence_error():
+    # i^60 passes the doubles near i = 1.4e5, before the weak scan's
+    # bound stops it
+    with pytest.raises(ConvergenceError) as err:
+        estimate_m_with_error(PowerLawFamily.from_ab(60, 58.9999999))
+    assert err.value.series == "H_series" and err.value.x > 0.0
+
+
 def test_classification_needs_summable_series():
     # b = -2 makes the equilibrium series non-summable
     fam = PowerLawFamily(p_exp=2.0, q_exp=0.0, k_exp=0.0)
