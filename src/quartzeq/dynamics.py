@@ -20,14 +20,18 @@ state, equilibrium or not).
 
 Integration is LSODA (scipy's odeint), which switches between Adams
 and BDF by measured stiffness, with the analytic arrowhead Jacobian.
-The rhs and the Jacobian are evaluated by kernels that write into
-buffers they own, so the integrator's callbacks, called about a
-thousand times a run, allocate nothing.  Each integrate call makes its
-own kernels, and odeint copies what a callback returns before calling
-it again; the public functions make a kernel per call and return
-nothing it later overwrites.  One kernel evaluates one state or a stack
-of them with the same operations, so a stacked rhs is bit for bit the
-per-state one.
+The rhs and the Jacobian are evaluated by kernels that are odeint's
+callbacks as they are: they take its (t, y), with the state vector
+y = (x, M_0..M_imax, flux), and their coefficient rows are padded with
+a zero at the x slot and at the flux slot, so each multiplies into y
+whole.  They write into buffers they own, so the callbacks, called
+about a thousand times a run, allocate nothing.  Each integrate call
+makes its own kernels, and odeint copies what a callback returns before
+calling it again; the public functions make a kernel per call and
+return nothing it later overwrites.  One rhs kernel evaluates one state
+or a stack of them with the same operations, and dx's two sums are one
+np.vecdot row per state, so a stacked rhs is bit for bit the per-state
+one.
 The trajectory is sampled on an even grid of 201 times whose spacing is
 also the step cap; convergence to equilibrium is declared when the
 instantaneous rhs norm stays at or below 1e-10 over the last 100
@@ -91,10 +95,14 @@ class SystemState:
         return float(np.arange(len(self.M)) @ self.M)
 
 
+def _check_i_max(i_max) -> None:
+    if not isinstance(i_max, (int, np.integer)) or i_max < 1:
+        raise DomainError(f"i_max must be an integer >= 1, got {i_max!r}")
+
+
 def initial_state(i_max: int = DEFAULT_I_MAX, x: float = 0.0) -> SystemState:
     """Empty-lung initial condition with the given truncation size."""
-    if i_max < 1:
-        raise DomainError(f"i_max must be >= 1, got {i_max}")
+    _check_i_max(i_max)
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"x must be finite and >= 0, got {x}")
     return SystemState(t=0.0, x=x, M=np.zeros(i_max + 1))
@@ -102,8 +110,7 @@ def initial_state(i_max: int = DEFAULT_I_MAX, x: float = 0.0) -> SystemState:
 
 def state_from_profile(profile: EquilibriumProfile, i_max: int) -> SystemState:
     """State holding an equilibrium cohort profile (zero-padded to i_max)."""
-    if i_max < 1:
-        raise DomainError(f"i_max must be >= 1, got {i_max}")
+    _check_i_max(i_max)
     M = np.zeros(i_max + 1)
     n = min(len(profile.M), i_max + 1)
     M[:n] = profile.M[:n]
@@ -111,93 +118,116 @@ def state_from_profile(profile: EquilibriumProfile, i_max: int) -> SystemState:
 
 
 class _Arrays:
-    """Coefficient arrays for one truncation size, evaluated once."""
+    """Coefficient rows for one truncation size, evaluated once.
+
+    Each row is laid out like odeint's state vector y = (x, M_0..M_imax,
+    flux), with a zero at the x slot and at the flux slot, so a kernel
+    multiplies it into y whole.
+    """
 
     def __init__(self, fam: CoefficientFamily, i_max: int):
+        k, p, q = fam.rates_through(i_max)
         idx = np.arange(i_max + 1)
-        self.k, self.p, self.q = fam.rates_through(i_max)
-        self.iq = idx * self.q
-        self.ip = idx * self.p
-        self.pq = self.p + self.q
+
+        def padded(row: np.ndarray) -> np.ndarray:
+            return np.concatenate(([0.0], row, [0.0]))
+
+        # (k, i q): the rows of dx's two sums, which one vecdot takes
+        self.k_iq = np.stack((padded(k), padded(idx * q)))
+        self.k = self.k_iq[0]
+        self.pq = padded(p + q)
+        self.ip = padded(idx * p)
         self.i_max = i_max
 
 
-def _rhs_kernel(arr: _Arrays, alpha: float, r: float, rows: int | None = None):
-    """The rhs kernel: a function (x, M) -> (dx, dM, dflux) into buffers it owns.
+def _state_vector(state: SystemState) -> np.ndarray:
+    """odeint's state vector (x, M_0..M_imax, flux) of a state."""
+    y = np.empty(state.i_max + 3)
+    y[0], y[1:-1], y[-1] = state.x, state.M, state.flux_log
+    return y
 
-    Made for one state (rows None) or for a C-contiguous stack of
-    ``rows`` states, with x holding one value per row.  A call fills and
-    returns one array laid out as (dx, dM_0..dM_imax, dflux) along its
-    last axis; the next call overwrites it.  Every expression keeps one
-    operand order and every sum is numpy's pairwise sum over one
-    contiguous row, so a stack gives bit for bit the values of its rows
-    taken one at a time.
+
+def _rhs_kernel(arr: _Arrays, alpha: float, r: float, rows: int | None = None):
+    """The rhs kernel: a function (t, y) -> dy/dt into a buffer it owns.
+
+    y is odeint's state vector (x, M_0..M_imax, flux) for rows None, or a
+    C-contiguous stack of ``rows`` of them; t is unread.  A call fills and
+    returns one array of y's shape, which the next call overwrites.  Six
+    ufunc calls do the work over the padded rows:
+
+        kM = k y,   (sum k M, sum i q M) = vecdot((k, i q), y),
+        dM_i = x (kM_{i-1} - kM_i) - (p_i + q_i) M_i,
+
+    where kM at the x slot is zero and stands in for kM_{-1}.  Then
+    dx = alpha - x sum k M + sum i q M, dM_0 gains the inflow r and
+    dflux = (i_max + 1) x kM_imax.  Every expression keeps one operand
+    order and each sum is one vecdot row per state, so a stack gives bit
+    for bit the values of its rows taken one at a time.
     """
-    n_m = arr.i_max + 1
     lead = () if rows is None else (rows,)
-    k, iq, pq0, pq_rest, top = arr.k, arr.iq, arr.pq[0], arr.pq[1:], arr.i_max + 1
-    kM, xkM, prod = (np.empty(lead + (n_m,)) for _ in range(3))
-    out = np.empty(lead + (n_m + 2,))
-    # the first entry, the last entry and the rest of each state: a scalar
-    # or a column, and a vector or a stack
+    k, k_iq, pq, top = arr.k, arr.k_iq, arr.pq, arr.i_max + 1
+    kM, prod, out = (np.empty(lead + (arr.i_max + 3,)) for _ in range(3))
+    sums = np.empty(lead + (2,))
+    # the first and last entry of each state (or of its two sums): a
+    # scalar, or a column of the stack
     first = 0 if rows is None else (slice(None), 0)
     last = -1 if rows is None else (slice(None), -1)
-    rest = slice(1, None) if rows is None else (slice(None), slice(1, None))
-    dM = out[..., 1:1 + n_m]
-    # the cohorts i >= 1 and their i - 1 neighbours
-    dM_rest, prod_rest = dM[..., 1:], prod[..., 1:]
-    xkM_prev, xkM_rest = xkM[..., :-1], xkM[..., 1:]
-    # x is a scalar or one value per row; on the transposes it scales
+    # the cohort slots, and the slots one before them
+    dM, prod_M, kM_M, kM_prev = out[..., 1:-1], prod[..., 1:-1], kM[..., 1:-1], kM[..., :-2]
+    # x is a scalar or one value per row; on the transpose it scales
     # every cohort of its own state in either case
-    kM_T, xkM_T = kM.T, xkM.T
+    dM_T = dM.T
 
-    def kernel(x, M: np.ndarray) -> np.ndarray:
-        np.multiply(k, M, kM)
-        np.multiply(iq, M, prod)
-        # dx = alpha - x sum k M + sum i q M
-        out[first] = alpha - x * np.add.reduce(kM, -1) + np.add.reduce(prod, -1)
-        # dM_0 = r - x k_0 M_0 - pq_0 M_0,
-        # dM_i = x k_{i-1} M_{i-1} - x k_i M_i - pq_i M_i
-        np.multiply(x, kM_T, xkM_T)
-        dM[first] = r - xkM[first] - pq0 * M[first]
-        np.multiply(pq_rest, M[rest], prod_rest)
-        np.subtract(xkM_prev, xkM_rest, dM_rest)
-        np.subtract(dM_rest, prod_rest, dM_rest)
-        # dflux = (i_max + 1) x k_imax M_imax
-        out[last] = top * x * kM[last]
+    def kernel(t, y: np.ndarray) -> np.ndarray:
+        x = y[first]
+        np.multiply(k, y, kM)
+        # a stack pairs each state with both rows
+        np.vecdot(k_iq, y if rows is None else y[:, None, :], out=sums)
+        np.subtract(kM_prev, kM_M, dM)
+        np.multiply(x, dM_T, dM_T)
+        np.multiply(pq, y, prod)
+        np.subtract(dM, prod_M, dM)
+        out[first] = alpha - x * sums[first] + sums[last]
+        dM[first] += r
+        out[last] = top * x * kM_M[last]
         return out
 
     return kernel
 
 
 def _jacobian_kernel(arr: _Arrays):
-    """The Jacobian kernel: (x, M) -> d(dx, dM, dflux)/d(x, M, flux) into one matrix.
+    """The Jacobian kernel: (t, y) -> d(dy/dt)/dy into one matrix.
 
+    y is odeint's state vector (x, M_0..M_imax, flux); t is unread.
     Arrowhead: a dense x row and column around a lower-bidiagonal cohort
     block; the flux tally feeds back into nothing, so its column is zero.
     A call writes only those entries, the rest staying zero from the
     allocation, and returns the matrix the next call overwrites.
     """
     n_m = arr.i_max + 1
-    k, iq, pq, top = arr.k, arr.iq, arr.pq, arr.i_max + 1
-    kM = np.empty(n_m)
+    k_y, top = arr.k, arr.i_max + 1
+    # the rows at the cohort slots
+    k, iq, pq = arr.k[1:-1], arr.k_iq[1, 1:-1], arr.pq[1:-1]
+    kM = np.empty(n_m + 2)
+    kM_M, kM_prev = kM[1:-1], kM[:-2]
     J = np.zeros((n_m + 2, n_m + 2))
-    row0, col0 = J[0, 1:1 + n_m], J[2:1 + n_m, 0]
+    row0, col0 = J[0, 1:1 + n_m], J[1:1 + n_m, 0]
     # writable views of the cohort block's diagonal and sub-diagonal
     diag = np.einsum("ii->i", J[1:1 + n_m, 1:1 + n_m])
     sub = np.einsum("ii->i", J[2:1 + n_m, 1:n_m])
 
-    def kernel(x, M: np.ndarray) -> np.ndarray:
-        np.multiply(k, M, kM)
-        J[0, 0] = -np.add.reduce(kM)
+    def kernel(t, y: np.ndarray) -> np.ndarray:
+        x = y[0]
+        np.multiply(k_y, y, kM)
+        J[0, 0] = -np.add.reduce(kM_M)
         np.multiply(x, k, row0)
         np.subtract(iq, row0, row0)
-        J[1, 0] = -kM[0]
-        np.subtract(kM[:-1], kM[1:], col0)
+        # kM at the x slot is zero and stands in for kM_{-1}
+        np.subtract(kM_prev, kM_M, col0)
         np.multiply(-x, k, diag)
         np.subtract(diag, pq, diag)
         np.multiply(x, k[:-1], sub)
-        J[-1, 0] = top * kM[-1]
+        J[-1, 0] = top * kM_M[-1]
         J[-1, n_m] = top * x * k[-1]
         return J
 
@@ -221,10 +251,11 @@ def conservation_residual(fam: CoefficientFamily, alpha: float, r: float,
     """
     _check_rates(alpha, r)
     arr = _Arrays(fam, state.i_max)
-    d = _rhs_kernel(arr, alpha, r)(state.x, state.M)
+    y = _state_vector(state)
+    d = _rhs_kernel(arr, alpha, r)(state.t, y)
     dM = d[1:-1]
     lhs = float(d[0]) + float(np.arange(len(dM)) @ dM)
-    rhs_val = alpha - float(np.sum(arr.ip * state.M)) - float(d[-1])
+    rhs_val = alpha - float(np.sum(arr.ip * y)) - float(d[-1])
     return abs(lhs - rhs_val)
 
 
@@ -265,38 +296,40 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
     last 100 samples, i.e. over the final half of the run.  Near an
     equilibrium that norm measures the integrator's own global error, so
     tol must sit well below the threshold; the default leaves two orders
-    of headroom.  A sampled component below -1e-12, or any solver failure
-    (excess work, repeated error or convergence failures), raises
-    IntegrationError.
+    of headroom.  An initial state with a non-finite or negative time, or
+    a non-finite or a below -1e-12 x, cohort or tally, raises DomainError
+    before the run.  A sampled component that is not finite or is below
+    -1e-12, or any solver failure (excess work, repeated error or
+    convergence failures), raises IntegrationError.
 
-    The rhs and Jacobian callbacks handed to the integrator allocate
-    nothing: each fills and returns a buffer made once for this call, and
-    odeint copies what a callback returns before it calls one again.  The
+    The rhs and Jacobian kernels are odeint's callbacks as they are: they
+    take its (t, y), with y = (x, M_0..M_imax, flux), and multiply
+    coefficient rows padded to y's layout into it.  They allocate nothing:
+    each fills and returns a buffer made once for this call, and odeint
+    copies what a callback returns before it calls one again.  The
     buffers are owned by this call alone, so concurrent or nested calls
-    share nothing.
+    share nothing.  The sampled rhs norms come from one call of the rhs
+    kernel on the stack of samples, bit for bit the per-state values.
     """
     # imported here: it is most of the package's import time, and only
     # integration needs it
     from scipy.integrate import ODEintWarning, odeint
 
     _check_rates(alpha, r)
+    y0 = _state_vector(initial)
+    if not (math.isfinite(initial.t) and initial.t >= 0.0):
+        raise DomainError(f"the initial time must be finite and >= 0, got {initial.t}")
+    if not np.all(np.isfinite(y0)):
+        raise DomainError("the initial x, cohorts and flux tally must be finite")
+    lowest = float(np.min(y0[:-1]))
+    if lowest < NEGATIVITY_TOLERANCE:
+        raise DomainError(f"the initial x and cohorts must be >= {NEGATIVITY_TOLERANCE}, "
+                          f"got {lowest}")
     if not (math.isfinite(t_end) and t_end > initial.t):
         raise DomainError(f"t_end must exceed the initial time, got {t_end}")
     if not (0.0 < tol <= 1e-4):
         raise DomainError(f"tol must lie in (0, 1e-4], got {tol}")
     arr = _Arrays(fam, initial.i_max)
-    n_m = initial.i_max + 1
-    # odepack copies what f and jac return before it calls either again,
-    # so both may return the buffer their kernel refills on the next call
-    rhs_one, jacobian = _rhs_kernel(arr, alpha, r), _jacobian_kernel(arr)
-
-    def f(t, y):
-        return rhs_one(y[0], y[1:1 + n_m])
-
-    def jac(t, y):
-        return jacobian(y[0], y[1:1 + n_m])
-
-    y0 = np.concatenate(([initial.x], initial.M, [initial.flux_log]))
     # Sample and cap the step on one grid whose final half is exactly the
     # convergence window (last 100 samples); without the cap, steps
     # balloon near an equilibrium and the window reaches back into the
@@ -309,8 +342,11 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
     # sample interval fails long transients, so the steps go uncapped.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)
+        # odepack copies what f and Dfun return before it calls either
+        # again, so both may return the buffer their kernel refills
         ys, info = odeint(
-            f, y0, t, Dfun=jac, tfirst=True, full_output=True,
+            _rhs_kernel(arr, alpha, r), y0, t, Dfun=_jacobian_kernel(arr),
+            tfirst=True, full_output=True,
             rtol=tol, atol=max(tol * 1e-3, 1e-14), hmax=max_step,
             mxstep=np.iinfo(np.int32).max,
         )
@@ -321,21 +357,23 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
         t_stop = float(reached[np.argmax(reached < t[1:])])
         raise IntegrationError(f"integration stopped at t={t_stop}: {info['message']}")
 
-    min_component = float(np.min(ys[:, : 1 + n_m]))
+    finite = np.all(np.isfinite(ys), axis=1)
+    if not np.all(finite):
+        raise IntegrationError(f"the state is not finite at t={float(t[np.argmin(finite)])}")
+    min_component = float(np.min(ys[:, :-1]))
     if min_component < NEGATIVITY_TOLERANCE:
         raise IntegrationError(
             f"state component fell to {min_component}, below the "
             f"{NEGATIVITY_TOLERANCE} nonnegativity tolerance"
         )
 
-    Ms = np.ascontiguousarray(ys[:, 1:1 + n_m])
-    d = _rhs_kernel(arr, alpha, r, rows=len(t))(ys[:, 0], Ms)
-    norms = np.maximum(np.abs(d[:, 0]), np.max(np.abs(d[:, 1:1 + n_m]), axis=1))
+    d = _rhs_kernel(arr, alpha, r, rows=len(t))(t, ys)
+    norms = np.maximum(np.abs(d[:, 0]), np.max(np.abs(d[:, 1:-1]), axis=1))
     converged = bool(np.all(norms[-CONVERGENCE_STEPS:] <= CONVERGENCE_THRESHOLD))
 
     final = SystemState(
         t=float(t[-1]), x=float(ys[-1, 0]),
-        M=ys[-1, 1:1 + n_m].copy(), flux_log=float(ys[-1, -1]),
+        M=ys[-1, 1:-1].copy(), flux_log=float(ys[-1, -1]),
     )
     return TrajectorySummary(
         final=final,
@@ -345,8 +383,8 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
         n_steps=len(t),
         t=t,
         x_series=ys[:, 0].copy(),
-        cells_series=np.sum(Ms, axis=1),
-        load_series=Ms @ np.arange(n_m),
+        cells_series=np.sum(ys[:, 1:-1], axis=1),
+        load_series=ys[:, 1:-1] @ np.arange(initial.i_max + 1),
         rhs_norm_series=norms,
         solver_steps=int(info["nst"][-1]),
         rhs_evals=int(info["nfe"][-1]),
@@ -367,22 +405,23 @@ def equilibrium_residual(fam: CoefficientFamily, alpha: float, r: float,
     n = len(profile.M) - 1
     if n < 1:
         raise DomainError("profile too short; need cohorts through i_max >= 1")
-    state = SystemState(t=0.0, x=profile.x, M=np.asarray(profile.M, dtype=float))
+    y = _state_vector(SystemState(t=0.0, x=profile.x, M=np.asarray(profile.M, dtype=float)))
     arr = _Arrays(fam, n)
-    d = _rhs_kernel(arr, alpha, r)(state.x, state.M)
+    d = _rhs_kernel(arr, alpha, r)(0.0, y)
     norm = max(abs(float(d[0])), float(np.max(np.abs(d[1:-1]))))
 
     x = profile.x
     rb = x / (x + fam.d_inf_beyond(n)) if x > 0 else 0.0
-    km_top = arr.k[n] * float(profile.M[-1])
+    km_top = arr.k[n + 1] * float(profile.M[-1])
     t_k = km_top * rb / (1.0 - rb) if rb < 1.0 else math.inf
     s = fam.iq_ratio_sup(n) * rb
-    iq_top = n * arr.q[n] * float(profile.M[-1])
+    iq_top = arr.k_iq[1, n + 1] * float(profile.M[-1])
     if s < 1.0:
         # first omitted term is at most iq_ratio * last kept, then geometric
         t_q = max(iq_top, 1e-300) * s / (1.0 - s) if s > 0 else 0.0
     else:
         t_q = math.inf
-    scale = alpha + x * float(np.sum(arr.k * state.M)) + float(np.sum(arr.iq * state.M))
+    sum_kM, sum_iqM = np.vecdot(arr.k_iq, y)
+    scale = alpha + x * float(sum_kM) + float(sum_iqM)
     budget = x * t_k + t_q + 64.0 * np.finfo(float).eps * (scale + 1.0)
     return norm, budget

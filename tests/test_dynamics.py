@@ -1,9 +1,11 @@
 """Truncated-system integration: fixed points, balance identity, truncation audit."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, is_dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from quartzeq.dynamics import (
     _Arrays,
     _jacobian_kernel,
     _rhs_kernel,
+    _state_vector,
     conservation_residual,
     equilibrium_residual,
     initial_state,
@@ -32,7 +35,7 @@ GOLDEN_LO = (3.0 - math.sqrt(5.0)) / 2.0
 
 def test_rhs_at_empty_state():
     state = initial_state(5)
-    d = _rhs_kernel(_Arrays(FAM, state.i_max), 0.3, 1.0)(state.x, state.M)
+    d = _rhs_kernel(_Arrays(FAM, state.i_max), 0.3, 1.0)(state.t, _state_vector(state))
     assert d[0] == 0.3
     assert d[1] == 1.0
     assert not d[2:].any()
@@ -44,20 +47,20 @@ def test_stacked_rhs_matches_one_state_at_a_time():
     for fam in (PiecewiseConstantFamily(0.7, 4),
                 PowerLawFamily(p_exp=0.3, q_exp=1.1, k_exp=0.4, k0=2.0, p0=0.5, q0=0.25)):
         arr = _Arrays(fam, 40)
-        ys = rng.random((42, 300)) * np.geomspace(1e-12, 3.0, 300)
-        xs, stack = ys[0], np.ascontiguousarray(ys[1:].T)
-        d = _rhs_kernel(arr, 0.3, 1.0, rows=300)(xs, stack)
+        # 300 states (x, M_0..M_40, flux), each scaled as a whole
+        ys = np.ascontiguousarray((rng.random((43, 300)) * np.geomspace(1e-12, 3.0, 300)).T)
+        d = _rhs_kernel(arr, 0.3, 1.0, rows=300)(0.0, ys)
         dx, dM, dflux = d[:, 0], d[:, 1:-1], d[:, -1]
         one_state = _rhs_kernel(arr, 0.3, 1.0)
-        for j in range(ys.shape[1]):
-            d_j = one_state(float(xs[j]), ys[1:, j])
+        for j in range(len(ys)):
+            d_j = one_state(0.0, ys[j])
             dx_j, dM_j, dflux_j = d_j[0], d_j[1:-1], d_j[-1]
             assert dx[j] == dx_j and dflux[j] == dflux_j
             assert np.array_equal(dM[j], dM_j)
 
 
 def _full_rhs(arr, y):
-    return _rhs_kernel(arr, 0.3, 1.0)(y[0], y[1:-1]).copy()
+    return _rhs_kernel(arr, 0.3, 1.0)(0.0, y).copy()
 
 
 @pytest.mark.parametrize("fam", [
@@ -72,7 +75,7 @@ def test_jacobian_matches_central_differences(fam):
     h = 0.25
     for _ in range(5):
         y = rng.random(43) * np.geomspace(3.0, 1e-6, 43)
-        J = _jacobian_kernel(arr)(y[0], y[1:-1])
+        J = _jacobian_kernel(arr)(0.0, y)
         fd = np.empty_like(J)
         for j in range(len(y)):
             e = np.zeros_like(y)
@@ -82,39 +85,41 @@ def test_jacobian_matches_central_differences(fam):
 
 
 def _reference_rhs_kernel(arr, alpha, r, rows=None):
-    """The allocate-per-call rhs the buffered kernel replaced, as one array.
+    """The buffered rhs kernel's operations, allocating per call.
 
-    Same call shape as dynamics._rhs_kernel, so it can stand in for it.
+    Same call shape as dynamics._rhs_kernel, so it can stand in for it:
+    (t, y) over the state vector (x, M_0..M_imax, flux) or a stack of them.
     """
-    def kernel(x, M):
-        kM = arr.k * M
-        dx = alpha - x * kM.sum(axis=-1) + (arr.iq * M).sum(axis=-1)
-        xc = np.asarray(x)[..., None]
-        dM = np.empty_like(M)
-        dM[..., 0] = r - x * kM[..., 0] - arr.pq[0] * M[..., 0]
-        dM[..., 1:] = xc * kM[..., :-1] - xc * kM[..., 1:] - arr.pq[1:] * M[..., 1:]
-        dflux = (arr.i_max + 1) * x * kM[..., -1]
-        return np.concatenate((np.asarray(dx)[..., None], dM,
-                               np.asarray(dflux)[..., None]), axis=-1)
+    def kernel(t, y):
+        x = y[..., 0]
+        kM = arr.k * y
+        sum_kM, sum_iqM = np.moveaxis(np.vecdot(arr.k_iq, y[..., None, :]), -1, 0)
+        dy = np.empty_like(y)
+        dy[..., 0] = alpha - x * sum_kM + sum_iqM
+        # kM at the x slot is zero and stands in for kM_{-1}
+        dy[..., 1:-1] = x[..., None] * (kM[..., :-2] - kM[..., 1:-1]) - arr.pq[1:-1] * y[..., 1:-1]
+        dy[..., 1] += r
+        dy[..., -1] = (arr.i_max + 1) * x * kM[..., -2]
+        return dy
 
     return kernel
 
 
 def _reference_jacobian_kernel(arr):
-    """The allocate-per-call Jacobian the buffered kernel replaced."""
-    def kernel(x, M):
-        n_m = len(M)
-        kM = arr.k * M
+    """The buffered Jacobian kernel's entries, allocating per call."""
+    def kernel(t, y):
+        x, n_m = y[0], len(y) - 2
+        k, iq, pq = arr.k[1:-1], arr.k_iq[1, 1:-1], arr.pq[1:-1]
+        kM = arr.k * y
         J = np.zeros((n_m + 2, n_m + 2))
-        J[0, 0] = -np.sum(kM)
-        J[0, 1:1 + n_m] = arr.iq - x * arr.k
-        J[1, 0] = -kM[0]
-        J[2:1 + n_m, 0] = kM[:-1] - kM[1:]
+        J[0, 0] = -np.sum(kM[1:-1])
+        J[0, 1:1 + n_m] = iq - x * k
+        J[1:1 + n_m, 0] = kM[:-2] - kM[1:-1]
         cohorts = np.arange(1, 1 + n_m)
-        J[cohorts, cohorts] = -x * arr.k - arr.pq
-        J[cohorts[1:], cohorts[:-1]] = x * arr.k[:-1]
-        J[-1, 0] = (arr.i_max + 1) * kM[-1]
-        J[-1, n_m] = (arr.i_max + 1) * x * arr.k[-1]
+        J[cohorts, cohorts] = -x * k - pq
+        J[cohorts[1:], cohorts[:-1]] = x * k[:-1]
+        J[-1, 0] = (arr.i_max + 1) * kM[-2]
+        J[-1, n_m] = (arr.i_max + 1) * x * k[-1]
         return J
 
     return kernel
@@ -147,23 +152,87 @@ _xs = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(1e3, 1e300))
 _cohort = st.one_of(st.floats(0.0, 1e3), st.just(0.0), st.floats(0.0, 2.2e-308))
 
 
+# a state vector (x, M_0..M_imax, flux) with i_max + 1 = n + 1 cohorts
+def _state_vectors(n):
+    return st.tuples(_xs, st.lists(_cohort, min_size=n + 1, max_size=n + 1), _cohort).map(
+        lambda s: np.array([s[0], *s[1], s[2]]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_families, st.integers(1, 40).flatmap(
-    lambda n: st.lists(st.tuples(_xs, st.lists(_cohort, min_size=n + 1, max_size=n + 1)),
-                       min_size=3, max_size=3)),
+    lambda n: st.lists(_state_vectors(n), min_size=3, max_size=3)),
        st.floats(0.0, 10.0), st.floats(0.0, 10.0))
 def test_buffered_kernels_match_the_reference_bit_for_bit(fam, states, alpha, r):
-    arr = _Arrays(fam, len(states[0][1]) - 1)
-    xs = np.array([x for x, _ in states])
-    stack = np.array([M for _, M in states])
+    arr = _Arrays(fam, len(states[0]) - 3)
+    stack = np.array(states)
     one_state, jacobian = _rhs_kernel(arr, alpha, r), _jacobian_kernel(arr)
     with np.errstate(all="ignore"):  # large x overflows alike on both sides
-        for x, M in states:
-            M = np.array(M)
-            assert _bits(one_state(x, M)) == _bits(_reference_rhs_kernel(arr, alpha, r)(x, M))
-            assert _bits(jacobian(x, M)) == _bits(_reference_jacobian_kernel(arr)(x, M))
-        assert (_bits(_rhs_kernel(arr, alpha, r, rows=3)(xs, stack))
-                == _bits(_reference_rhs_kernel(arr, alpha, r)(xs, stack)))
+        for y in states:
+            assert _bits(one_state(0.0, y)) == _bits(_reference_rhs_kernel(arr, alpha, r)(0.0, y))
+            assert _bits(jacobian(0.0, y)) == _bits(_reference_jacobian_kernel(arr)(0.0, y))
+        assert (_bits(_rhs_kernel(arr, alpha, r, rows=3)(0.0, stack))
+                == _bits(_reference_rhs_kernel(arr, alpha, r)(0.0, stack)))
+
+
+_UNIT_ROUNDOFF = Fraction(1, 2 ** 53)
+_HALF_SUBNORMAL = Fraction(1, 2 ** 1075)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_families, st.integers(1, 40).flatmap(_state_vectors),
+       st.floats(0.0, 10.0), st.floats(0.0, 10.0))
+def test_rhs_is_within_its_rounding_envelope(fam, y, alpha, r):
+    """Each rhs component against exact rational arithmetic on the same floats.
+
+    With unit roundoff u = eps / 2 and eta = 2^-1075, a rounded product
+    or quotient is v (1 + d) + e with |d| <= u and |e| <= eta, and a
+    rounded sum is v (1 + d).  Count the roundings each term of a
+    component passes through; L = i_max + 3 is the state length.
+
+    * dM_i, i >= 1, = x (kM_{i-1} - kM_i) - pq_i M_i: an x k M term takes
+      its product, the difference, the x scaling and the last
+      subtraction, 4 roundings; pq_i M_i takes 2.
+    * dM_0 = (x (0 - kM_0) - pq_0 M_0) + r: 4 roundings at most.
+    * dx = (alpha - x S_k) + S_iq, each S a vecdot of L products: a dot
+      product of length L, summed in any order, with or without fused
+      multiply-adds, puts each term through at most L roundings; the
+      x scaling and the two outer sums add 3.
+    * dflux = ((i_max + 1) x) kM_imax: 3 roundings.
+
+    So every term's relative error is at most gamma_m = m u / (1 - m u)
+    with m = L + 3, and each component lies within c eps times the sum of
+    its terms' magnitudes, c = (L + 3) / (2 (1 - (L + 3) u)).
+
+    Underflow adds at most eta per rounded product or fused multiply-add:
+    L in each vecdot, those of S_k then scaled by x, and one for x S_k;
+    in dM_i two kM then scaled by x, and two more; in dflux one kM scaled
+    by (i_max + 1) x, and one more ((i_max + 1) x itself is exact when
+    subnormal).  So (x + 1) (L + 2) eta bounds each component's share,
+    with room for the relative factors.  A component whose terms sum past
+    the largest double may overflow; it is then only checked to have
+    done so legitimately.
+    """
+    arr = _Arrays(fam, len(y) - 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _rhs_kernel(arr, alpha, r)(0.0, y)
+    L = len(y)
+    m = L + 3
+    c_eps = m * _UNIT_ROUNDOFF / (1 - m * _UNIT_ROUNDOFF)
+    x, ys = Fraction(y[0]), [Fraction(v) for v in y]
+    k, iq, pq = ([Fraction(v) for v in row] for row in (arr.k, arr.k_iq[1], arr.pq))
+    kM = [a * b for a, b in zip(k, ys)]
+    # the terms of dx, of dM_0..dM_imax and of dflux
+    terms = [[Fraction(alpha)] + [-x * v for v in kM] + [a * b for a, b in zip(iq, ys)]]
+    terms += [[x * kM[j - 1], -x * kM[j], -pq[j] * ys[j]] for j in range(1, L - 1)]
+    terms[1].append(Fraction(r))
+    terms.append([(L - 2) * x * kM[-2]])
+    absolute = (x + 1) * (L + 2) * _HALF_SUBNORMAL
+    for j, (value, parts) in enumerate(zip(got, terms)):
+        scale = sum(abs(t) for t in parts)
+        if not math.isfinite(value):
+            assert scale * (1 + c_eps) >= Fraction(sys.float_info.max), j
+            continue
+        assert abs(Fraction(value) - sum(parts)) <= c_eps * scale + absolute, j
 
 
 _REFERENCE_RUNS = [
@@ -380,7 +449,7 @@ def test_equilibrium_profile_is_stationary():
     state = state_from_profile(prof, 60)
     assert state.i_max == 60
     assert state.M[41:].tolist() == [0.0] * 20
-    d = _rhs_kernel(_Arrays(FAM, state.i_max), 0.2, 1.0)(state.x, state.M)
+    d = _rhs_kernel(_Arrays(FAM, state.i_max), 0.2, 1.0)(state.t, _state_vector(state))
     assert abs(d[0]) < 1e-10
 
 
@@ -412,6 +481,48 @@ class TestValidation:
     def test_truncation_floor(self):
         with pytest.raises(DomainError):
             initial_state(0)
+
+    def test_truncation_must_be_an_integer(self):
+        with pytest.raises(DomainError, match="integer"):
+            initial_state(2.5)
+        with pytest.raises(DomainError, match="integer"):
+            state_from_profile(cohort_profile(FAM, 1.0, 1.0, 4), 2.5)
+
+    @pytest.mark.parametrize("start", [
+        SystemState(t=0.0, x=float("nan"), M=np.zeros(5)),
+        SystemState(t=0.0, x=0.0, M=np.array([0.0, float("nan"), 0.0, 0.0, 0.0])),
+        SystemState(t=0.0, x=float("inf"), M=np.zeros(5)),
+        SystemState(t=0.0, x=0.0, M=np.zeros(5), flux_log=float("nan")),
+        SystemState(t=float("nan"), x=0.0, M=np.zeros(5)),
+        SystemState(t=-1.0, x=0.0, M=np.zeros(5)),
+        SystemState(t=0.0, x=-0.5, M=np.zeros(5)),
+        SystemState(t=0.0, x=0.0, M=np.array([0.0, -1e-6, 0.0, 0.0, 0.0])),
+    ], ids=["nan_x", "nan_cohort", "inf_x", "nan_flux", "nan_t", "negative_t",
+            "negative_x", "negative_cohort"])
+    def test_invalid_initial_state_rejected(self, start):
+        # a NaN x or cohort used to run to t_end and return converged=False
+        with pytest.raises(DomainError, match="initial"):
+            integrate(PiecewiseConstantFamily(1, 1), 0.2, 1.0, start, 10.0)
+
+    def test_state_within_the_negativity_tolerance_continues(self):
+        # a final state may hold components down to -1e-12, and integrate
+        # accepts any state it returns
+        start = SystemState(t=0.0, x=0.0, M=np.array([0.0, -1e-13, 0.0, 0.0, 0.0]))
+        assert integrate(FAM, 0.2, 1.0, start, 10.0).final.t == 10.0
+
+
+def test_non_finite_samples_raise(monkeypatch):
+    import scipy.integrate
+
+    def nan_odeint(func, y0, t, **kwargs):
+        # a run that reports success but leaves NaN from the third sample on
+        ys = np.zeros((len(t), len(y0)))
+        ys[2:, 0] = np.nan
+        return ys, {"message": "Integration successful.", "nst": [1], "nfe": [1], "nje": [1]}
+
+    monkeypatch.setattr(scipy.integrate, "odeint", nan_odeint)
+    with pytest.raises(IntegrationError, match=r"not finite at t=0\.1\b"):
+        integrate(FAM, 0.2, 1.0, initial_state(5), 10.0)
 
 
 def test_import_leaves_scipy_integrate_unloaded():
