@@ -68,5 +68,11 @@ quartzeq simulate --family piecewise --k 1 --N 2 --alpha 0.2 --r 1 --imax 20 --t
 
 echo '{"k": 1.0, "N": 1, "alpha": 0.2, "r": 1.0}' > run.json
 quartzeq --config run.json roots
+# README's golden roots at alpha 0.2, the tangent at 0.25 and no root at 0.3
+quartzeq roots --k 1 --N 1 --alpha 0.2 --r 1 | python -c "import json, sys; assert json.load(sys.stdin)['roots'] == [0.3819660112501051, 2.6180339887498936]"
+quartzeq roots --k 1 --N 1 --alpha 0.25 --r 1 | python -c "import json, sys; assert json.load(sys.stdin)['classification'] == 'tangent'"
+quartzeq roots --k 1 --N 1 --alpha 0.3 --r 1 | python -c "import json, sys; assert json.load(sys.stdin)['classification'] == 'no_roots'"
+# two roots at N = 100000: the peak is one O(N) pass
+quartzeq roots --k 1 --N 100000 --alpha 1 --r 1
 echo '{"a": 2, "b": 0}' > classify.json
 quartzeq --config classify.json classify

@@ -275,6 +275,8 @@ def K_direct(a: float, b: float, x: float, *, tol: float = DEFAULT_TOL,
     This is H with d_j = j^a and rho_i = i^b.  With start > 0 it is the
     exact tail of K beyond the start index, summed in the same one walk:
     the weight is 0 up to start, and no ratio bound is claimed there.
+    Such a tail can be far below 1, so the walk stops at tol times
+    min(1, T), T its first term (start+1)^{b+1} prod_{j<=start+1} x/(x+j^a).
     term_cap counts the terms past start.
     """
     _check_a(a)
@@ -296,6 +298,9 @@ def K_direct(a: float, b: float, x: float, *, tol: float = DEFAULT_TOL,
         c, d = ((n + 1.0) / n) ** max(b + 1.0, 0.0), (n + 1.0) ** a
         return lambda x: c * x / (x + d)
 
+    if start:  # T only scales tol, so it is summed in logs without care for rounding
+        log_q = float(np.log1p(np.arange(1.0, start + 2.0) ** a / x).sum())
+        tol *= math.exp(min(0.0, (b + 1.0) * math.log(start + 1.0) - log_q))
     walk = blocked_sum(block, stop, [x], [tol], cap=start + term_cap,
                        name="K_direct")[0]
     return certified(walk, start=start)

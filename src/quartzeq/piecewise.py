@@ -11,10 +11,25 @@ x = 0, rises to a single interior maximum, and decays like
 N(N+1)/(2kx); equilibria at dust inflow alpha and supply r are the
 solutions of F(x) = alpha/r, so there are two, one (tangent), or none
 according to alpha/r versus the peak value.
+
+The peak's y* and F_max depend on N alone and are computed once per N.
+solve_roots bisects each root to adjacent floats, evaluating F only
+inside a certified band around it.  F_piecewise is within _F_REL_ERR
+(relative) of the exact F at the rounded kx; the exact F rises up to its
+peak and falls past it, and the rounded kx never falls as x grows.  So
+where F_piecewise clears alpha/r by the margin _BAND_MARGIN = 64
+_F_REL_ERR, the exact F clears it by more than twice _F_REL_ERR.  If that
+holds above alpha/r at x* and at the band's end on x*'s side, it holds at
+every x between them; if it holds below alpha/r at the band's far end, it
+holds at every x beyond it.  Every midpoint the bisection skips therefore
+takes the side an evaluation would give it, and none is an exact zero:
+the roots are bit for bit those of the bisection that evaluates every
+midpoint.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -32,6 +47,14 @@ __all__ = [
 ]
 
 NEAR_THRESHOLD_BAND = 10.0  # multiples of tol, relative to the peak value
+
+# F_piecewise's relative error against the exact F at the rounded kx, for any
+# kx and N, which the tests pin against 50-digit references
+_F_REL_ERR = 1e-14
+# how far F_piecewise must clear alpha/r, relative, at a root's band ends and
+# at x* (see the module docstring)
+_BAND_MARGIN = 64 * _F_REL_ERR
+_NEWTON_STEPS = 8  # per root; a band needs Newton to settle within them
 
 # Below this u = (N+1) log1p(1/kx), F_piecewise sums series instead of
 # the closed form, whose two terms cancel by a factor of about 4/u there.
@@ -117,9 +140,20 @@ def _stationary_polynomial(N: int, y: float) -> float:
     return 1.0 - (N + 1) ** 2 * yn + N * (2 * N + 3) * yn * y - N * (N + 1) * yn * y * y
 
 
-def _bisect_to_adjacent(f, lo: float, hi: float, f_lo: float) -> float:
-    """Bisect a sign change down to adjacent floats; exact zeros returned."""
-    f_hi = f(hi)
+def _bisect_to_adjacent(f, lo: float, hi: float, f_lo: float, band=None) -> float:
+    """Bisect a sign change down to adjacent floats; exact zeros returned.
+
+    band = (x_lo, x_hi), when given, certifies that f is nonzero with lo's
+    sign at every x <= x_lo in [lo, hi] and with hi's sign at every
+    x >= x_hi.  A midpoint (or hi itself) outside the band then takes its
+    side without a call to f, so the midpoints and the result are exactly
+    those of the bisection without a band, and f is evaluated only inside
+    it.  solve_roots certifies its bands (_root_band) from F_piecewise's
+    relative error _F_REL_ERR and the margin _BAND_MARGIN: see the module
+    docstring.
+    """
+    x_lo, x_hi = band or (-math.inf, math.inf)
+    f_hi = f(hi) if hi < x_hi else -f_lo
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -130,6 +164,12 @@ def _bisect_to_adjacent(f, lo: float, hi: float, f_lo: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return mid if lo < mid < hi else lo
+        if mid <= x_lo:
+            lo = mid
+            continue
+        if mid >= x_hi:
+            hi = mid
+            continue
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
@@ -139,6 +179,16 @@ def _bisect_to_adjacent(f, lo: float, hi: float, f_lo: float) -> float:
             hi = mid
 
 
+@functools.lru_cache(maxsize=256)
+def _peak(N: int) -> tuple[float, float]:
+    """(y*, F_max) for N >= 1: in y = kx/(kx+1) the peak of F depends on N alone."""
+    y_star = _bisect_to_adjacent(
+        lambda y: _stationary_polynomial(N, y), 0.0, (N + 1) / (N + 2),
+        _stationary_polynomial(N, 0.0)
+    )
+    return y_star, _F_piecewise_y(N, y_star)
+
+
 def stationary_point(k: float, N: int) -> tuple[float, float, float]:
     """(y*, x*, F_max): location and height of the peak of F.
 
@@ -146,13 +196,8 @@ def stationary_point(k: float, N: int) -> tuple[float, float, float]:
     no stationary point.
     """
     _check_kN(k, N, min_N=1)
-    upper = (N + 1) / (N + 2)
-    y_star = _bisect_to_adjacent(
-        lambda y: _stationary_polynomial(N, y), 0.0, upper, _stationary_polynomial(N, 0.0)
-    )
-    x_star = y_star / (k * (1.0 - y_star))
-    f_max = _F_piecewise_y(N, y_star)
-    return y_star, x_star, f_max
+    y_star, f_max = _peak(N)
+    return y_star, y_star / (k * (1.0 - y_star)), f_max
 
 
 def alpha_star(k: float, N: int, r: float) -> float:
@@ -177,6 +222,98 @@ class RootReport:
     F_max: float
     alpha_star: float
     near_threshold: bool
+
+
+def _root_guesses(k: float, N: int, phi: float, y_star: float,
+                  f_max: float) -> tuple[float, float]:
+    """First guesses at the two roots of F(x) = phi < F_max, for _root_band.
+
+    Near the peak F follows its parabola in y, of curvature
+    p_N'(y*)/(1-y*)^2 there.  Lower down F ~ kx on the left and, with
+    z = 1/(kx+1), F = A z (1 - B z + O(z^2)) on the right, A = N(N+1)/2,
+    B = (2N+1)/3.  A guess can be nan or off the bracket; Newton's
+    safeguard then starts inside it.
+    """
+    curv = N * (N + 1) * y_star ** (N - 1) * (
+        (2 * N + 3) * y_star - (N + 1) - (N + 2) * y_star * y_star)
+    if phi > 0.5 * f_max and curv < 0.0:
+        dy = math.sqrt(2.0 * (f_max - phi) / -curv) * (1.0 - y_star)
+        return _x_of_y(k, y_star - dy), _x_of_y(k, y_star + dy)
+    z = phi / (0.5 * N * (N + 1))
+    z *= 1.0 + (2 * N + 1) / 3.0 * z
+    return phi / k, (1.0 / z - 1.0) / k if z > 0.0 else math.inf
+
+
+def _x_of_y(k: float, y: float) -> float:
+    """x = y / (k (1 - y)) for y in (0, 1), else nan."""
+    den = k * (1.0 - y)
+    return y / den if y > 0.0 and den > 0.0 else math.nan
+
+
+def _root_band(k: float, N: int, phi: float, a: float, b: float,
+               x: float, rising: bool) -> tuple[float, float] | None:
+    """A certified band (x_lo, x_hi) around the root of F(x) = phi in (a, b).
+
+    F rises through the root if rising (a = 0, b = x*) and falls through
+    it otherwise (a = x*, b = inf); F(x*) must clear phi by _BAND_MARGIN.
+    Safeguarded Newton steps on ln F = ln phi in ln x, from the guess x
+    and with F'(x) = k p_N(y), estimate the root.  An end of the band is
+    kept only where F_piecewise clears phi by _BAND_MARGIN on its side;
+    one that does not is widened until it does, and one that leaves (a, b)
+    is dropped (+-inf).  None when Newton does not settle.
+    """
+    a0, b0 = a, b
+
+    def inside(x: float) -> float:  # x, or else a bisection of (a, b) in ln x
+        if a < x < b:
+            return x
+        if a == 0.0:
+            return 0.5 * b
+        return 2.0 * a if b == math.inf else math.sqrt(a) * math.sqrt(b)
+
+    x = inside(x)
+    for _ in range(_NEWTON_STEPS):
+        f = _F_piecewise(k, N, x)
+        if not f > 0.0:
+            return None
+        if (f < phi) == rising:
+            a = x
+        else:
+            b = x
+        kx = k * x
+        y = kx / (kx + 1.0)
+        p = _stationary_polynomial(N, y)
+        # p_N's rounding error swamps p_N, which cancels as y -> 1, only far
+        # out on the right flank, where ln F falls like -ln x
+        p_err = 8.0 * sys.float_info.epsilon * (N + 1) ** 2 * y**N
+        slope, p_rel = (kx * p / f, p_err / abs(p)) if abs(p) > 2.0 * p_err else (-1.0, 1.0)
+        step = math.inf  # a slope of the wrong sign: bisect instead
+        if (slope > 0.0) == rising:
+            step = math.log(max(phi / f, sys.float_info.min)) / slope
+        if abs(step) < 1e-6:  # x e^step is then within about step^2 of the root
+            x *= math.exp(step)
+            break
+        x = inside(x * math.exp(step) if abs(step) < 1.0 else math.nan)
+    else:
+        return None
+    # x is off by about step^2 and by step times the slope's relative error
+    c0 = 4.0 * step * step + 2.0 * abs(step) * p_rel + 2.0 * _BAND_MARGIN / abs(slope)
+
+    def end(sign: float) -> float:
+        # the end above the root of a rising F, or below that of a falling
+        # one, lies on the peak's side: there F must exceed phi
+        above = (sign > 0.0) == rising
+        c = c0
+        while True:
+            x_end = x * (1.0 + sign * c)
+            if not a0 < x_end < b0:
+                return sign * math.inf
+            f = _F_piecewise(k, N, x_end)
+            if (f >= phi * (1.0 + _BAND_MARGIN)) if above else (f <= phi * (1.0 - _BAND_MARGIN)):
+                return x_end
+            c *= 16.0
+
+    return end(-1.0), end(1.0)
 
 
 def solve_roots(k: float, N: int, r: float, alpha: float, *,
@@ -209,18 +346,31 @@ def solve_roots(k: float, N: int, r: float, alpha: float, *,
     def g(x: float) -> float:
         return _F_piecewise(k, N, x) - phi
 
-    left = _bisect_to_adjacent(g, 0.0, x_star, -phi)
+    # a band needs F(x*) clear of alpha/r, which a tol far below the margin
+    # may not leave; without one the bisections evaluate every midpoint
+    f_star = _F_piecewise(k, N, x_star)
+    left_band = right_band = None
+    if f_star >= phi * (1.0 + _BAND_MARGIN):
+        guess_l, guess_r = _root_guesses(k, N, phi, y_star, f_max)
+        left_band = _root_band(k, N, phi, 0.0, x_star, guess_l, True)
+        right_band = _root_band(k, N, phi, x_star, math.inf, guess_r, False)
+    left = _bisect_to_adjacent(g, 0.0, x_star, -phi, left_band)
+    x_lo, x_hi = right_band or (-math.inf, math.inf)
+
+    def above(x: float) -> bool:  # g(x) >= 0, read from the band outside it
+        return x <= x_lo or (x < x_hi and g(x) >= 0.0)
+
     # F decreases past x_star: F(x_top) >= alpha/r leaves no right root up to x_top
     x_top = 0.5 * sys.float_info.max / max(k, 1.0)
     hi = min(2.0 * x_star, x_top)
-    while g(hi) >= 0.0:
+    while above(hi):
         if hi == x_top:
             raise ConvergenceError(
                 f"F stays above alpha/r={phi!r} at every finite x up to {x_top!r}",
                 series="piecewise_roots", x=x_top,
             )
         hi = min(2.0 * hi, x_top)
-    right = _bisect_to_adjacent(g, x_star, hi, g(x_star))
+    right = _bisect_to_adjacent(g, x_star, hi, f_star - phi, right_band)
     return RootReport(k, N, r, alpha, 2, (left, right), "two_roots",
                       x_star, f_max, a_star, False)
 

@@ -270,6 +270,16 @@ def test_k_tail_beyond_start_contains_30_digit_sum(a, b, x, start):
         assert abs(mpmath.mpf(k.value) - ref) <= k.tail_bound
 
 
+def test_k_tail_beyond_start_is_relatively_tight():
+    # a tail past start stops at tol relative to its first kept term, not at
+    # the absolute tol, which one term of 3.2e-18 already met
+    k = K_direct(2.0, 0.7, 1e3, start=63)
+    assert k.tail_bound / k.value <= 1e-9
+    with mpmath.workdps(30):
+        ref = mpmath.fsum(_k_terms_30_digits(2.0, 0.7, 1e3)[63:])
+        assert abs(mpmath.mpf(k.value) - ref) <= k.tail_bound
+
+
 class TestExpansionContainer:
     def test_evaluate_with_log_term(self):
         exp = AsymptoticExpansion(

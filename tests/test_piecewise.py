@@ -1,15 +1,20 @@
 """Piecewise-constant family: closed forms, stationary point, root solving."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quartzeq.coefficients import PiecewiseConstantFamily
 from quartzeq.errors import ConvergenceError, DomainError
 from quartzeq.piecewise import (
+    _F_REL_ERR,
     F_piecewise,
+    RootReport,
+    _F_piecewise,
     _F_piecewise_y,
     _stationary_polynomial,
     alpha_star,
@@ -71,9 +76,158 @@ def test_closed_form_against_50_digit_reference(N):
                 y = kx / (kx + 1)
                 exact = kx * (1 - y ** (N + 1)) - (N + 1) * y ** (N + 1)
                 got = F_piecewise(k, N, x)
-                assert abs(got - exact) <= 1e-14 * exact, (k, x, got, exact)
+                assert abs(got - exact) <= _F_REL_ERR * exact, (k, x, got, exact)
     # far out F = N(N+1)/(2kx) (1 + O(N/kx)), with nothing left to underflow
     assert F_piecewise(1.0, N, 1e200) == pytest.approx(N * (N + 1) / 2e200, rel=1e-14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.floats(0.3, 3.0), N=st.integers(1, 5000), log_kx=st.floats(-3.0, 12.0),
+       frac=st.floats(1e-6, 0.999))
+def test_F_piecewise_error_bound_holds(k, N, log_kx, frac):
+    # the premise of solve_roots' band certificate: F_piecewise within
+    # _F_REL_ERR of the exact F at the rounded kx, here at a random kx and at
+    # both roots of F = frac * F_max
+    xs = [10.0**log_kx / k, *solve_roots(k, N, 1.0, frac * stationary_point(k, N)[2]).roots]
+    with mpmath.workdps(50):
+        for x in xs:
+            kx = mpmath.mpf(k * x)  # rounded as F_piecewise rounds it
+            y = kx / (kx + 1)
+            exact = kx * (1 - y ** (N + 1)) - (N + 1) * y ** (N + 1)
+            assert abs(F_piecewise(k, N, x) - exact) <= _F_REL_ERR * exact, (k, N, x)
+
+
+def _reference_bisect(f, lo, hi, f_lo):
+    """The bisection to adjacent floats that evaluates every midpoint."""
+    f_hi = f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise DomainError(f"no sign change on [{lo}, {hi}]")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid if lo < mid < hi else lo
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _reference_stationary_point(k, N):
+    """stationary_point with the peak bisected afresh on every call."""
+    y_star = _reference_bisect(lambda y: _stationary_polynomial(N, y), 0.0, (N + 1) / (N + 2),
+                               _stationary_polynomial(N, 0.0))
+    return y_star, y_star / (k * (1.0 - y_star)), _F_piecewise_y(N, y_star)
+
+
+def _reference_solve_roots(k, N, r, alpha, tol=1e-12):
+    """solve_roots as plain bisections that evaluate F at every midpoint."""
+    y_star, x_star, f_max = _reference_stationary_point(k, N)
+    a_star = r * f_max
+    phi = alpha / r
+    if abs(phi - f_max) <= 10.0 * tol * f_max:
+        return RootReport(k, N, r, alpha, 1, (x_star,), "tangent", x_star, f_max, a_star, True)
+    if phi > f_max:
+        return RootReport(k, N, r, alpha, 0, (), "no_roots", x_star, f_max, a_star, False)
+
+    def g(x):
+        return _F_piecewise(k, N, x) - phi
+
+    left = _reference_bisect(g, 0.0, x_star, -phi)
+    x_top = 0.5 * sys.float_info.max / max(k, 1.0)
+    hi = min(2.0 * x_star, x_top)
+    while g(hi) >= 0.0:
+        if hi == x_top:
+            raise ConvergenceError(
+                f"F stays above alpha/r={phi!r} at every finite x up to {x_top!r}",
+                series="piecewise_roots", x=x_top,
+            )
+        hi = min(2.0 * hi, x_top)
+    right = _reference_bisect(g, x_star, hi, g(x_star))
+    return RootReport(k, N, r, alpha, 2, (left, right), "two_roots",
+                      x_star, f_max, a_star, False)
+
+
+def _criterion_3_cases():
+    """(k, N, alpha/r) over criterion 3's sweep, with r = 1."""
+    rng = np.random.default_rng(3 + 3)
+    cases = [(1.0, 1, phi) for phi in (0.2, 0.25, 0.3)]
+    for _ in range(50):
+        k = float(10.0 ** rng.uniform(-0.7, 0.7))
+        N = int(rng.integers(1, 9))
+        fm = stationary_point(k, N)[2]
+        cases += [(k, N, mult * fm) for mult in (0.5, 0.9, 0.999, 1.001, 1.5)]
+    return cases
+
+
+class TestReference:
+    """solve_roots and stationary_point against the plain bisections, bit for bit."""
+
+    def test_criterion_3_sweep(self):
+        reports = [solve_roots(k, N, 1.0, phi) for k, N, phi in _criterion_3_cases()]
+        assert reports == [_reference_solve_roots(k, N, 1.0, phi)
+                           for k, N, phi in _criterion_3_cases()]
+        assert sum(rep.count == 2 for rep in reports) == 151
+
+    def test_random_cases_up_to_N_5000(self):
+        # alpha/r from far below the peak to past it: 1 +- 1e-11 are the
+        # edges of the tangent band at the default tol, 1 - 2e-11 just outside
+        rng = np.random.default_rng(22)
+        mults = (1e-6, 0.5, 0.999, 1 - 2e-11, 1 - 1e-11, 1 + 1e-11, 1.05)
+        count = 0
+        for _ in range(300):
+            k = float(10.0 ** rng.uniform(-0.7, 0.7))
+            N = int(np.exp(rng.uniform(0.0, math.log(5000.5))))
+            fm = stationary_point(k, N)[2]
+            for mult in mults:
+                r = float(10.0 ** rng.uniform(-1, 1))
+                alpha = mult * fm * r
+                rep = solve_roots(k, N, r, alpha)
+                assert rep == _reference_solve_roots(k, N, r, alpha), (k, N, mult)
+                count += rep.count == 2
+        assert count >= 3 * 300
+
+    def test_tol_that_leaves_no_margin(self):
+        # a tol far below the band margin lets alpha/r come within 1e-13 of
+        # the peak, where F(x*) does not clear the margin, no band is
+        # certified and every midpoint is evaluated; at 1 - 1e-12 it does
+        for k, N in ((1.0, 1), (0.4, 7), (2.5, 300)):
+            fm = stationary_point(k, N)[2]
+            for mult in (1 - 1e-12, 1 - 1e-13, 1 - 1e-14):
+                rep = solve_roots(k, N, 1.0, mult * fm, tol=1e-16)
+                assert rep == _reference_solve_roots(k, N, 1.0, mult * fm, tol=1e-16)
+
+    def test_bands_hold_when_newton_misleads(self, monkeypatch):
+        # a slope a million times too steep stops Newton at its first guess,
+        # far from the root: the checks at the band ends, not Newton, keep
+        # every report exact (the peak bisection reads only p_N's sign)
+        from quartzeq import piecewise
+
+        p_N = piecewise._stationary_polynomial
+        monkeypatch.setattr(piecewise, "_stationary_polynomial", lambda N, y: 1e6 * p_N(N, y))
+        for k, N, phi in _criterion_3_cases():
+            assert solve_roots(k, N, 1.0, phi) == _reference_solve_roots(k, N, 1.0, phi)
+
+    def test_overflowing_bracket_message(self):
+        for k in (1.0, 3.0):
+            with pytest.raises(ConvergenceError) as new:
+                solve_roots(k, 1, 1.0, 1e-310)
+            with pytest.raises(ConvergenceError) as ref:
+                _reference_solve_roots(k, 1, 1.0, 1e-310)
+            assert str(new.value) == str(ref.value)
+
+    def test_stationary_point_at_new_k_with_cached_N(self):
+        for N in (1, 7, 20, 5000):
+            stationary_point(1.3, N)  # the peak of this N is now cached
+            for k in (0.21, 1.0, 4.7):
+                assert stationary_point(k, N) == _reference_stationary_point(k, N)
+                assert alpha_star(k, N, 2.0) == 2.0 * _reference_stationary_point(k, N)[2]
 
 
 class TestStationaryPoint:
@@ -151,13 +305,7 @@ class TestSolveRoots:
         # F_piecewise's checks, and the reports do not depend on them
         from quartzeq import piecewise
 
-        rng = np.random.default_rng(3 + 3)
-        cases = [(1.0, 1, phi) for phi in (0.2, 0.25, 0.3)]
-        for _ in range(50):
-            k = float(10.0 ** rng.uniform(-0.7, 0.7))
-            N = int(rng.integers(1, 9))
-            fm = stationary_point(k, N)[2]
-            cases += [(k, N, mult * fm) for mult in (0.5, 0.9, 0.999, 1.001, 1.5)]
+        cases = _criterion_3_cases()
         fast = [solve_roots(k, N, 1.0, phi) for k, N, phi in cases]
         unchecked = piecewise._F_piecewise
 
