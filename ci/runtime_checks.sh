@@ -57,6 +57,11 @@ quartzeq equilibrium --family piecewise --k 1.5 --N 3 > piecewise.csv
 quartzeq equilibrium --family-config table.json > table.csv
 cmp <(tail -n +2 piecewise.csv) <(tail -n +2 table.csv)
 
+# one walk gives both identity-audit residuals, G and d, each within 1e-10
+audit_ok="import json, sys; doc = json.load(sys.stdin); assert doc['G']['residual'] <= 1e-10 and doc['d']['residual'] <= 1e-10, doc"
+quartzeq identity-audit --family power_law --a 2 --b 0 --x 3 | python -c "$audit_ok"
+quartzeq identity-audit --family-config table.json --x 3 | python -c "$audit_ok"
+
 # the K expansion: one Euler-Maclaurin generator, one residue routine
 quartzeq asym --a 0.7 --b -0.4 --depth 4 --compare-grid 1000,100000
 # a monomial within 1e-13 of a Gamma pole takes the merged log term

@@ -35,8 +35,7 @@ from .series import (
     evaluate,
     F_equilibrium,
     cohort_profile,
-    audit_G_identity,
-    audit_d_identity,
+    identity_audit,
     DEFAULT_TOL,
     DEFAULT_TERM_CAP,
 )
@@ -91,7 +90,7 @@ __all__ = [
     "CoefficientFamily", "PiecewiseConstantFamily", "PowerLawFamily",
     "TabulatedFamily", "family_from_config", "load_family",
     "BoundedValue", "EquilibriumProfile", "evaluate",
-    "F_equilibrium", "cohort_profile", "audit_G_identity", "audit_d_identity",
+    "F_equilibrium", "cohort_profile", "identity_audit",
     "DEFAULT_TOL", "DEFAULT_TERM_CAP",
     "RootReport", "F_piecewise", "stationary_point", "alpha_star",
     "solve_roots", "sum_kM_closed", "sum_iqM_closed",

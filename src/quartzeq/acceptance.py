@@ -30,7 +30,7 @@ from .dynamics import conservation_residual, initial_state, integrate
 from .piecewise import (F_piecewise, alpha_star, solve_roots, stationary_point,
                         sum_iqM_closed, sum_kM_closed)
 from .powerlaw import Regime, classify_regime
-from .series import audit_G_identity, audit_d_identity, evaluate
+from .series import evaluate, identity_audit
 from .asymptotics import (
     K_direct,
     R_expansion,
@@ -111,8 +111,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     for trial in range(100):
         fam = _random_family(rng)
         x = float(10.0 ** rng.uniform(-2.0, 3.0))
-        rg = audit_G_identity(fam, x, n_terms=200)[1]
-        rd = audit_d_identity(fam, x, n_terms=200)[1]
+        (_, rg), (_, rd) = identity_audit(fam, x, n_terms=200)
         worst = max(worst, rg, rd)
         chk.expect(rg <= 1e-10, f"G residual {rg:.2e} at trial {trial}")
         chk.expect(rd <= 1e-10, f"d residual {rd:.2e} at trial {trial}")

@@ -102,19 +102,6 @@ class AsymptoticExpansion:
             for term in self.terms
         )
 
-    @property
-    def leading(self) -> ExpansionTerm:
-        """Dominant term in the expansion's own limit.
-
-        Highest power as x -> oo, lowest as v -> 0; at equal power a log
-        factor dominates in both limits.
-        """
-        if not self.terms:
-            raise DomainError("empty expansion has no leading term")
-        if self.variable == "x->oo":
-            return max(self.terms, key=lambda tm: (tm.power, tm.log_power))
-        return max(self.terms, key=lambda tm: (-tm.power, tm.log_power))
-
     def __str__(self) -> str:
         var = "x" if self.variable == "x->oo" else "v"
         log_sym = "log(x)" if self.variable == "x->oo" else "log(1/v)"
@@ -133,9 +120,9 @@ def _check_a(a: float) -> None:
         raise DomainError(f"a must be finite and >= 0, got {a}")
 
 
-def R_sum_direct(a: float, A: float, v: float, *, tol: float = DEFAULT_TOL,
-                 term_cap: int = DEFAULT_TERM_CAP) -> BoundedValue:
-    """sum_{i>=1} i^A exp(-v i^{a+1}) with a certified truncation bound.
+def R_sum_direct(a: float, A: float, v: float) -> BoundedValue:
+    """sum_{i>=1} i^A exp(-v i^{a+1}) with a certified truncation bound, to
+    the default tol and term cap.
 
     exp(-v i^{a+1}) is walked as the running product of the factors
     exp(-v (j^{a+1} - (j-1)^{a+1})).  Past index n the term ratio is at most
@@ -156,7 +143,8 @@ def R_sum_direct(a: float, A: float, v: float, *, tol: float = DEFAULT_TOL,
     def stop(n):
         return lambda v: ((n + 1.0) / n) ** max(A, 0.0) * math.exp(-v * p * n**a)
 
-    walk = blocked_sum(block, stop, [v], [tol], cap=term_cap, name="R_sum")[0]
+    walk = blocked_sum(block, stop, [v], [DEFAULT_TOL], cap=DEFAULT_TERM_CAP,
+                       name="R_sum")[0]
     return certified(walk)
 
 

@@ -50,9 +50,8 @@ from .powerlaw import (
 from .series import (
     DEFAULT_TERM_CAP,
     DEFAULT_TOL,
-    audit_G_identity,
-    audit_d_identity,
     evaluate,
+    identity_audit,
 )
 from .asymptotics import K_direct, K_expansion_refined
 
@@ -275,8 +274,7 @@ def _cmd_identity_audit(args) -> int:
         raise DomainError("identity-audit requires --x")
     numerics = {"x": args.x, "n_terms": args.n_terms}
     config = _config(args, fam_doc, numerics, args.format or "json")
-    g_val, g_res = audit_G_identity(fam, args.x, n_terms=args.n_terms)
-    d_val, d_res = audit_d_identity(fam, args.x, n_terms=args.n_terms)
+    (g_val, g_res), (d_val, d_res) = identity_audit(fam, args.x, n_terms=args.n_terms)
     doc = {
         "config": config,
         "G": {"value": g_val, "residual": g_res},

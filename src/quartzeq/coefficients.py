@@ -8,9 +8,19 @@ Derived quantities used throughout the package:
     rho_i = p_i / k_i
     g_i   = q_i / k_i
 
-Standing hypothesis: z = inf_i d_i > 0.  The series certify their tails
-through ``d_inf_beyond(n)``, the infimum of d_i over i > n, so
-min(d0, d_inf_beyond(0)) is z.
+Standing hypothesis: z = inf_i d_i > 0.  Every certified series sums
+terms T_i = w_i Q_i(x), Q_i = prod_{j=1..i} x/(x + d_j), for a weight w_i:
+the unit weight, i rho_i, i g_i or 1/k_i (the cohort sizes).  A family
+certifies their tails through two hooks: ``d_inf_beyond(n)``, the infimum
+of d_i over i > n (so min(d0, d_inf_beyond(0)) is z), and
+``step_sup(weight, n)``, the sup of w_{i+1}/w_i over i >= n for the weight
+named "rho", "g" or "k".  ``step_bound(weight, n)`` forms from them the
+one step ratio every tail bound reads,
+
+    s(x) = step_sup(weight, n) * x / (x + d_inf_beyond(n)) >= T_{i+1}/T_i
+
+for every i >= n, and a tail past T_n is at most T_n s / (1 - s) once
+s < 1.
 
 Accessor contract: ``rates(idx)`` returns the arrays (k, p, q) and
 ``ratios(idx)`` the derived arrays (d, rho, g) in their per-kind exact
@@ -90,24 +100,30 @@ class CoefficientFamily:
     # -- tail-certification hooks -----------------------------------------
 
     def d_inf_beyond(self, n: int) -> float:
-        """inf of d_i over i > n (i >= 1); used for certified step ratios."""
+        """inf of d_i over i > n (i >= 1)."""
         raise NotImplementedError
 
-    def iq_ratio_sup(self, n: int) -> float:
-        """sup over i >= n of w_{i+1}/w_i for w_i = i * g_i.
+    def step_sup(self, weight: str, n: int) -> float:
+        """sup over i >= n of w_{i+1}/w_i for w_i = i rho_i ("rho"), i g_i
+        ("g") or 1/k_i ("k").
 
         Returns math.inf while the weight may still jump from zero to a
         positive value, and 0.0 once every later weight vanishes.
         """
         raise NotImplementedError
 
-    def irho_ratio_sup(self, n: int) -> float:
-        """Same contract as iq_ratio_sup for w_i = i * rho_i."""
-        raise NotImplementedError
+    def step_bound(self, weight: str | None, n: int):
+        """x -> s(x) >= T_{i+1}/T_i for every i >= n, T_i = w_i Q_i(x).
 
-    def m_ratio_sup(self, n: int) -> float:
-        """sup over i >= n of k_i / k_{i+1} (cohort-profile tail factor)."""
-        raise NotImplementedError
+        s(x) = step_sup(weight, n) * x / (x + d_inf_beyond(n)), with a sup
+        of 1 for the unit weight (None); a sup of 0 or inf is returned as
+        the constant it is, whatever x.
+        """
+        sup = 1.0 if weight is None else self.step_sup(weight, n)
+        if not 0.0 < sup < math.inf:
+            return lambda x: sup
+        d = self.d_inf_beyond(n)
+        return lambda x: sup * x / (x + d)
 
     def describe(self) -> dict:
         """Config-style mapping that reconstructs the family."""
@@ -208,20 +224,18 @@ class PowerLawFamily(CoefficientFamily):
         # Python's; they round up to 2 ulps apart, and 4 eps down covers that
         return _power_law_inf_from(self.a, self.b, max(n + 1, 1)) * (1.0 - 2.0**-50)
 
-    def iq_ratio_sup(self, n):
-        # w_i = i^(1+a); the step factor decreases toward 1
-        return ((n + 1.0) / n) ** (1.0 + self.a)
-
-    def irho_ratio_sup(self, n):
-        s = 1.0 + self.b
-        if s <= 0.0:
-            return 1.0
-        return ((n + 1.0) / n) ** s
-
-    def m_ratio_sup(self, n):
-        if n == 0:
-            return max(self.k0, 2.0 ** self.k_exp)
-        return ((n + 1.0) / n) ** self.k_exp
+    def step_sup(self, weight, n):
+        # w_i = i^e: the step ((i+1)/i)^e decreases toward 1, and is at most 1
+        # for e <= 0; w_0 = 0 < w_1 = 1 for i rho and i g
+        if weight == "k":
+            if n == 0:
+                return max(self.k0, 2.0 ** self.k_exp)
+            e = self.k_exp
+        elif n == 0:
+            return math.inf
+        else:
+            e = 1.0 + (self.b if weight == "rho" else self.a)
+        return ((n + 1.0) / n) ** max(e, 0.0)
 
     def describe(self):
         return {
@@ -283,10 +297,10 @@ class TabulatedFamily(CoefficientFamily):
 
     @cached_property
     def _suffix(self):
-        """Over i >= n, for each n < L (the table length): inf d_i, sup
-        w_{i+1}/w_i for w = i rho and w = i g, and sup k_i/k_{i+1}.
+        """Over i >= n, for each n < L (the table length): inf d_i under
+        "d", and step_sup's sup of w_{i+1}/w_i under each weight's name.
 
-        Past the table the steps are 1 for k and (i+1)/i for a positive
+        Past the table the steps are 1 for 1/k and (i+1)/i for a positive
         weight, largest at i = L - 1, so entry L - 1 covers the whole tail.
         """
         d, rho, g = self._drg
@@ -302,27 +316,20 @@ class TabulatedFamily(CoefficientFamily):
                                       np.where(v[1:] > 0.0, np.inf, 0.0),
                                       ((i + 1) / i) * (v[1:] / v[:-1])))
         steps.append(np.append(k[:-1] / k[1:], 1.0))
-        return (np.minimum.accumulate(d[::-1])[::-1],
-                *(np.maximum.accumulate(s[::-1])[::-1] for s in steps))
+        return dict(zip(("d", "rho", "g", "k"),
+                        (np.minimum.accumulate(d[::-1])[::-1],
+                         *(np.maximum.accumulate(s[::-1])[::-1] for s in steps))))
 
     def d_inf_beyond(self, n):
-        return self._suffix[0].item(min(n + 1, self._kpq.shape[1] - 1))
+        return self._suffix["d"].item(min(n + 1, self._kpq.shape[1] - 1))
 
-    def m_ratio_sup(self, n):
-        return self._suffix[3].item(min(n, self._kpq.shape[1] - 1))
-
-    def _weight_ratio_sup(self, row, n):
-        """sup over i >= n of w_{i+1}/w_i for w_i = i * (d, rho, g)[row]_i."""
-        sups = self._suffix[row]
+    def step_sup(self, weight, n):
+        sups = self._suffix[weight]
         if n < len(sups):
             return sups.item(n)
-        return (n + 1.0) / n if self._drg[row, -1] > 0.0 else 0.0
-
-    def irho_ratio_sup(self, n):
-        return self._weight_ratio_sup(1, n)
-
-    def iq_ratio_sup(self, n):
-        return self._weight_ratio_sup(2, n)
+        if weight == "k":
+            return 1.0
+        return (n + 1.0) / n if self._drg[1 if weight == "rho" else 2, -1] > 0.0 else 0.0
 
     def describe(self):
         k, p, q = self._kpq.tolist()

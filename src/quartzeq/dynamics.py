@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientFamily
-from .errors import DomainError, IntegrationError
-from .series import EquilibriumProfile
+from .errors import DomainError, IntegrationError, _check_x
+from .series import EquilibriumProfile, _geometric_tail
 
 __all__ = [
     "SystemState",
@@ -103,8 +103,7 @@ def _check_i_max(i_max) -> None:
 def initial_state(i_max: int = DEFAULT_I_MAX, x: float = 0.0) -> SystemState:
     """Empty-lung initial condition with the given truncation size."""
     _check_i_max(i_max)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"x must be finite and >= 0, got {x}")
+    _check_x(x)
     return SystemState(t=0.0, x=x, M=np.zeros(i_max + 1))
 
 
@@ -411,16 +410,10 @@ def equilibrium_residual(fam: CoefficientFamily, alpha: float, r: float,
     norm = max(abs(float(d[0])), float(np.max(np.abs(d[1:-1]))))
 
     x = profile.x
-    rb = x / (x + fam.d_inf_beyond(n)) if x > 0 else 0.0
-    km_top = arr.k[n + 1] * float(profile.M[-1])
-    t_k = km_top * rb / (1.0 - rb) if rb < 1.0 else math.inf
-    s = fam.iq_ratio_sup(n) * rb
-    iq_top = arr.k_iq[1, n + 1] * float(profile.M[-1])
-    if s < 1.0:
-        # first omitted term is at most iq_ratio * last kept, then geometric
-        t_q = max(iq_top, 1e-300) * s / (1.0 - s) if s > 0 else 0.0
-    else:
-        t_q = math.inf
+    # the tails past the last kept terms k_n M_n and n q_n M_n
+    km_top, iq_top = arr.k_iq[:, n + 1] * float(profile.M[-1])
+    t_k = _geometric_tail(km_top, fam.step_bound(None, n)(x))
+    t_q = _geometric_tail(max(iq_top, 1e-300), fam.step_bound("g", n)(x))
     sum_kM, sum_iqM = np.vecdot(arr.k_iq, y)
     scale = alpha + x * float(sum_kM) + float(sum_iqM)
     budget = x * t_k + t_q + 64.0 * np.finfo(float).eps * (scale + 1.0)

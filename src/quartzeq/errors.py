@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that
+raise DomainError with the same message in every module."""
+
+import math
 
 
 class QuartzeqError(Exception):
@@ -38,3 +41,15 @@ class ConsistencyError(QuartzeqError, ArithmeticError):
 
 class IntegrationError(QuartzeqError, RuntimeError):
     """The dynamical integration violated a hard invariant (e.g. positivity)."""
+
+
+def _check_x(x: float) -> float:
+    """x as a float, after checking that it is finite and >= 0."""
+    if not (math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"x must be finite and >= 0, got {x}")
+    return float(x)
+
+
+def _check_r(r: float) -> None:
+    if not (math.isfinite(r) and r > 0.0):
+        raise DomainError(f"r must be finite and positive, got {r}")

@@ -34,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _check_r, _check_x
 
 __all__ = [
     "F_piecewise",
@@ -92,8 +92,7 @@ def F_piecewise(k: float, N: int, x: float) -> float:
     for every kx and N.
     """
     _check_kN(k, N)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"x must be finite and >= 0, got {x}")
+    _check_x(x)
     return _F_piecewise(k, N, x)
 
 
@@ -202,8 +201,7 @@ def stationary_point(k: float, N: int) -> tuple[float, float, float]:
 
 def alpha_star(k: float, N: int, r: float) -> float:
     """Critical inflow: equilibria exist iff alpha <= alpha_star = r F_max."""
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"r must be finite and positive, got {r}")
+    _check_r(r)
     return r * stationary_point(k, N)[2]
 
 
@@ -325,8 +323,7 @@ def solve_roots(k: float, N: int, r: float, alpha: float, *,
     flag near_threshold records that the count is resolution-limited.
     """
     _check_kN(k, N, min_N=1)
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"r must be finite and positive, got {r}")
+    _check_r(r)
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"alpha must be finite and positive, got {alpha}")
     if not (0.0 < tol < 1e-2):
@@ -378,20 +375,16 @@ def solve_roots(k: float, N: int, r: float, alpha: float, *,
 def sum_kM_closed(k: float, N: int, x: float, r: float) -> float:
     """sum_i k_i M_i = r k, independent of x (every p_i + q_i equals 1)."""
     _check_kN(k, N)
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"r must be finite and positive, got {r}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"x must be finite and >= 0, got {x}")
+    _check_r(r)
+    _check_x(x)
     return r * k
 
 
 def sum_iqM_closed(k: float, N: int, x: float, r: float) -> float:
     """sum_i i q_i M_i = r y^{N+1} (kx + N + 1), y = kx/(kx+1)."""
     _check_kN(k, N)
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"r must be finite and positive, got {r}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"x must be finite and >= 0, got {x}")
+    _check_r(r)
+    _check_x(x)
     if x == 0.0:
         return 0.0
     kx = k * x

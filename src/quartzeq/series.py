@@ -16,8 +16,8 @@ and the equilibrium function itself is F(x) = H(x) / (x + d_0).
 
 One kernel, blocked_sum, walks the Q_i in blocks once, from i = 1 and
 Q_0 = 1, and sums every requested weight in that pass: each sum is
-math.fsum of its block sums.  The audits and the direct sums of the
-asymptotics module call it too.  Each block reads the family once: one
+math.fsum of its block sums.  The identity audit and the direct sums of
+the asymptotics module call it too.  Each block reads the family once: one
 ratios(idx) call gives the d_i of the factors and the rho_i and g_i of
 the weights.  One walk can carry many x, one row each: a
 block's factors and weights are computed once for all rows, each row keeps
@@ -27,7 +27,8 @@ kM or iqM over many x in one such walk, from a table with one recipe per
 quantity; evaluate(fam, quantity, [x], r)[0] is the one-x value, and
 F_equilibrium the one-x F.
 
-Truncation control: past an index n where the certified step-ratio bound
+Truncation control: past an index n where the family's certified step
+bound (CoefficientFamily.step_bound)
     s_n = [sup_{i>=n} w_{i+1}/w_i] * x / (x + inf_{i>n} d_i)
 drops below 1, the tail is at most t_n * s_n / (1 - s_n).  Reported
 tail bounds add a standard floating-point envelope on top of the
@@ -42,11 +43,12 @@ tests, at the index n where H stopped, the exact finite-n cohort balance
 
 against its rounding envelope.  It verifies the summed products and that
 d = rho + g; it does not verify the truncation bound, which rests on the
-family's ratio certificate alone.  All functions are pure.
+family's step bound alone.  All functions are pure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -55,7 +57,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .coefficients import CoefficientFamily
-from .errors import ConsistencyError, ConvergenceError, DomainError
+from .errors import ConsistencyError, ConvergenceError, DomainError, _check_r, _check_x
 
 __all__ = [
     "BoundedValue",
@@ -63,8 +65,7 @@ __all__ = [
     "evaluate",
     "F_equilibrium",
     "cohort_profile",
-    "audit_G_identity",
-    "audit_d_identity",
+    "identity_audit",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -233,16 +234,9 @@ def _q_block(fam: CoefficientFamily, weights):
     return block
 
 
-def _check_x(x: float) -> float:
-    """x as a float, after checking that it is finite and >= 0."""
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"x must be finite and >= 0, got {x}")
-    return float(x)
-
-
-def _check_r(r: float) -> None:
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"r must be finite and positive, got {r}")
+def _geometric_tail(t: float, s: float) -> float:
+    """Bound on the tail past a term t whose later steps are at most s."""
+    return t * s / (1.0 - s) if s < 1.0 else math.inf
 
 
 def _finish_sum(walk: _Walk, denom: float, pref: float) -> BoundedValue:
@@ -260,8 +254,7 @@ class _Recipe(NamedTuple):
     """How evaluate walks one quantity and finishes each row; the sums past the
     first feed F's cross-check."""
 
-    weights: tuple[int | None, ...]  # per sum, i times (d, rho, g)[k], or 1 for None
-    ratio_sup: Callable[[CoefficientFamily, int], float]  # of the first weight
+    weights: tuple[str | None, ...]  # per sum, i rho_i ("rho"), i g_i ("g") or 1 (None)
     name: str  # the series a ConvergenceError names
     scaled: bool  # checks r and scales tol by pref = r / (x + d_0), else pref = 1
     at_zero: Callable[[CoefficientFamily, float], BoundedValue]  # fam, r
@@ -269,15 +262,15 @@ class _Recipe(NamedTuple):
 
 
 _RECIPES = {
-    "F": _Recipe((1, None, 2), lambda fam, n: fam.irho_ratio_sup(n), "H_series", False,
+    "F": _Recipe(("rho", None, "g"), "H_series", False,
                  lambda fam, r: BoundedValue(0.0, 0.0, 0), _finish_F),
-    "H": _Recipe((1,), lambda fam, n: fam.irho_ratio_sup(n), "H_series", False,
+    "H": _Recipe(("rho",), "H_series", False,
                  lambda fam, r: BoundedValue(0.0, 0.0, 0), _finish_sum),
     # Q_0 = 1 is the head of the flux series and counts as a term
-    "kM": _Recipe((None,), lambda fam, n: 1.0, "sum_kM", True,
+    "kM": _Recipe((None,), "sum_kM", True,
                   lambda fam, r: BoundedValue(r * fam.k0 / (fam.p0 + fam.q0), 0.0, 1),
                   lambda walk, denom, pref: certified(walk, pref, head=1.0, start=-1)),
-    "iqM": _Recipe((2,), lambda fam, n: fam.iq_ratio_sup(n), "sum_iqM", True,
+    "iqM": _Recipe(("g",), "sum_iqM", True,
                    lambda fam, r: BoundedValue(0.0, 0.0, 1), _finish_sum),
 }
 
@@ -309,16 +302,9 @@ def evaluate(fam: CoefficientFamily, quantity: str, xs, r: float = 1.0, *,
     else:
         prefs, tols = [1.0] * len(pos), [tol] * len(pos)
     picks = recipe.weights if cross_check else recipe.weights[:1]
-
-    def stop(n):
-        sup = recipe.ratio_sup(fam, n)
-        if not 0.0 < sup < math.inf:
-            return lambda x: sup
-        d = fam.d_inf_beyond(n)
-        return lambda x: sup * x / (x + d)
-
-    block = _q_block(fam, lambda idx, *drg: [None if k is None else idx * drg[k]
-                                             for k in picks])
+    block = _q_block(fam, lambda idx, d, rho, g: [
+        None if w is None else idx * (rho if w == "rho" else g) for w in picks])
+    stop = functools.partial(fam.step_bound, recipe.weights[0])
     walks = blocked_sum(block, stop, pos, tols, cap=term_cap, name=recipe.name)
     for x, walk in zip(pos, walks):
         # the balance test cannot see a nan: inf * 0 from a weight past the doubles
@@ -335,7 +321,6 @@ def evaluate(fam: CoefficientFamily, quantity: str, xs, r: float = 1.0, *,
 
 
 def F_equilibrium(fam: CoefficientFamily, x: float, *,
-                  tol: float = DEFAULT_TOL, term_cap: int = DEFAULT_TERM_CAP,
                   cross_check: bool = True) -> BoundedValue:
     """Equilibrium function F(x) = H(x) / (x + d_0).
 
@@ -353,10 +338,10 @@ def F_equilibrium(fam: CoefficientFamily, x: float, *,
     is raised.  That verifies the summed products against d and that the
     family's ratios have d = rho + g.  It does not verify the
     truncation bound of the omitted tail, which rests on the family's
-    ratio certificate (irho_ratio_sup, d_inf_beyond).
+    step bound (step_bound("rho", n)).  The tol and term cap are
+    evaluate's defaults.
     """
-    return evaluate(fam, "F", [x], tol=tol, term_cap=term_cap,
-                    cross_check=cross_check)[0]
+    return evaluate(fam, "F", [x], cross_check=cross_check)[0]
 
 
 def _check_balance(fam: CoefficientFamily, x: float, walk: _Walk) -> None:
@@ -413,46 +398,28 @@ def cohort_profile(fam: CoefficientFamily, x: float, r: float, n: int) -> Equili
             if mi < _UNDERFLOW_FLOOR:
                 break
             m.append(mi)
-    arr = np.array(m)
+    # M_i is r/(x+d_0) Q_i/k_i: the weight 1/k
     n_kept = len(m) - 1
-    last = m[-1]
-    if x == 0.0:
-        tail = 0.0
-    else:
-        s = fam.m_ratio_sup(n_kept) * x / (x + fam.d_inf_beyond(n_kept))
-        tail = last * s / (1.0 - s) if s < 1.0 else math.inf
-    return EquilibriumProfile(x=x, r=r, M=arr, tail_mass_bound=tail)
+    tail = 0.0 if x == 0.0 else _geometric_tail(m[-1], fam.step_bound("k", n_kept)(x))
+    return EquilibriumProfile(x=x, r=r, M=np.array(m), tail_mass_bound=tail)
 
 
-def audit_G_identity(fam: CoefficientFamily, x: float, n_terms: int) -> tuple[float, float]:
-    """Check the telescoping identity 1 - S_n = (n+1) Q_n.
+def identity_audit(fam: CoefficientFamily, x: float,
+                   n_terms: int) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Check two telescoping identities of the Q_i over i <= n = n_terms.
 
-    S_n = (1/x) sum_{i<=n} (i d_i - x) prod_{j<=i} x/(x+d_j).  Returns
-    (S_n, |1 - S_n - (n+1) Q_n|).  At x = 0 every term vanishes and the
-    identity is trivially satisfied, so (0, 0) is returned.
+    G: S_n = (1/x) sum_{i<=n} (i d_i - x) Q_i satisfies 1 - S_n = (n+1) Q_n;
+    d: D_n = sum_{i<=n} d_i Q_i satisfies D_n = x - x Q_n.  One walk sums
+    both.  Returns ((S_n, |1 - S_n - (n+1) Q_n|), (D_n, |D_n + x Q_n - x|)).
+    At x = 0 every term vanishes and both identities hold trivially, so
+    ((0, 0), (0, 0)) is returned.
     """
     _check_x(x)
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     if x == 0.0:
-        return 0.0, 0.0
-    walk = blocked_sum(_q_block(fam, lambda idx, d, rho, g: ((idx * d - x) / x,)),
+        return (0.0, 0.0), (0.0, 0.0)
+    walk = blocked_sum(_q_block(fam, lambda idx, d, rho, g: ((idx * d - x) / x, d)),
                        None, [x], cap=n_terms)[0]
-    s = walk.sums[0]
-    return s, abs(1.0 - s - (n_terms + 1) * walk.q_n)
-
-
-def audit_d_identity(fam: CoefficientFamily, x: float, n_terms: int) -> tuple[float, float]:
-    """Check sum_{i<=n} d_i prod_{j<=i} x/(x+d_j) = x - x Q_n.
-
-    Returns (partial_sum, |partial_sum + x Q_n - x|); (0, 0) at x = 0.
-    """
-    _check_x(x)
-    if n_terms < 1:
-        raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    if x == 0.0:
-        return 0.0, 0.0
-    walk = blocked_sum(_q_block(fam, lambda idx, d, rho, g: (d,)), None, [x],
-                       cap=n_terms)[0]
-    s = walk.sums[0]
-    return s, abs(s + x * walk.q_n - x)
+    s, ds = walk.sums
+    return (s, abs(1.0 - s - (n_terms + 1) * walk.q_n)), (ds, abs(ds + x * walk.q_n - x))

@@ -69,8 +69,8 @@ class TestPiecewiseConstant:
             for n in range(1, 2001):
                 closed = (1.0 / k, 1.0, math.inf if n <= N else (n + 1.0) / n,
                           0.0 if n >= N else (n + 1.0) / n)
-                assert (fam.d_inf_beyond(n), fam.m_ratio_sup(n), fam.iq_ratio_sup(n),
-                        fam.irho_ratio_sup(n)) == closed
+                assert (fam.d_inf_beyond(n), fam.step_sup("k", n), fam.step_sup("g", n),
+                        fam.step_sup("rho", n)) == closed
 
 
 class TestPowerLaw:
@@ -237,16 +237,79 @@ def test_tail_infimum_below_the_next_512_d(fam, n):
     assert fam.d_inf_beyond(n) <= probed
 
 
-@given(_any_family, st.integers(1, 2000))
-def test_ratio_sups_cover_weight_growth(fam, n):
-    """The m, iq and irho ratio sups dominate every step at i >= n."""
-    idx = np.arange(n, n + 32)
+@given(_any_family, st.integers(1, 2000), st.floats(-3.0, 8.0))
+def test_ratio_sups_cover_weight_growth(fam, n, log10_x):
+    """step_sup dominates every step w_{i+1}/w_i at i >= n, and step_bound
+    every term ratio T_{i+1}/T_i = (w_{i+1}/w_i) x/(x + d_{i+1}), for the
+    unit weight, i rho_i, i g_i and 1/k_i over the 32 indices from n."""
+    idx = np.arange(n, n + 33)
+    x = 10.0 ** log10_x
     k = fam.rates(idx)[0]
-    assert np.all(k[:-1] / k[1:] <= fam.m_ratio_sup(n) * (1 + 1e-12))
-    _, rho, g = fam.ratios(idx)
-    for v, sup in ((g, fam.iq_ratio_sup(n)), (rho, fam.irho_ratio_sup(n))):
-        w = idx * v
+    d, rho, g = fam.ratios(idx)
+    for weight, w in ((None, np.ones(len(idx))), ("rho", idx * rho), ("g", idx * g),
+                      ("k", 1.0 / k)):
+        sup = 1.0 if weight is None else fam.step_sup(weight, n)
+        s = fam.step_bound(weight, n)(x)
         if np.any((w[:-1] == 0.0) & (w[1:] > 0.0)):
-            assert sup == math.inf
-        steps = w[1:][w[:-1] > 0.0] / w[:-1][w[:-1] > 0.0]
+            assert sup == s == math.inf
+        live = w[:-1] > 0.0
+        with np.errstate(over="ignore"):  # a step past the doubles needs an inf sup
+            steps = w[1:][live] / w[:-1][live]
         assert np.all(steps <= sup * (1 + 1e-12))
+        assert np.all(steps * (x / (x + d[1:][live])) <= s * (1 + 1e-12))
+
+
+def _reference_power_law_sups(fam, n):
+    """The power-law ratio sups (k, g, rho) at n >= 1 as the family once
+    wrote one hook per weight."""
+    m = ((n + 1.0) / n) ** fam.k_exp
+    iq = ((n + 1.0) / n) ** (1.0 + fam.a)
+    s = 1.0 + fam.b
+    irho = 1.0 if s <= 0.0 else ((n + 1.0) / n) ** s
+    return m, iq, irho
+
+
+def _reference_table_sups(fam, n):
+    """The table's ratio sups (k, g, rho) as the per-weight hooks computed
+    them, in plain Python: the largest step at i >= n within the table, and
+    past it the step of the constant tail."""
+    k, p, q = fam._kpq.tolist()
+    top = len(k) - 1
+    m_steps = [k[i] / k[i + 1] for i in range(top)] + [1.0]
+    sups = [max(m_steps[min(n, top):])]
+    for v in ([gi / ki for gi, ki in zip(q, k)], [pi / ki for pi, ki in zip(p, k)]):
+        v = v + v[-1:]
+        steps = [(math.inf if v[i + 1] > 0.0 else 0.0) if i == 0 or v[i] == 0.0
+                 else ((i + 1) / i) * (v[i + 1] / v[i]) for i in range(top + 1)]
+        if n <= top:
+            sups.append(max(steps[n:]))
+        else:
+            sups.append((n + 1.0) / n if v[-1] > 0.0 else 0.0)
+    return tuple(sups)
+
+
+def test_step_sup_equals_the_per_weight_hooks():
+    """One weight-keyed hook gives, bit for bit, the sups the three
+    per-weight hooks gave, at every n in 0..5,000 of random families of each
+    kind; at n = 0 the power law's i rho and i g jump from w_0 = 0."""
+    rng = np.random.default_rng(23)
+    for _ in range(4):
+        a = float(rng.uniform(0.0, 3.0))
+        n_pw = int(rng.integers(0, 40))
+        length = int(rng.integers(1, 30))
+        kpq = [np.sort(rng.uniform(0.1, 10.0, length))[::-1],
+               np.sort(rng.uniform(0.01, 5.0, length))[::-1], rng.uniform(0.0, 5.0, length)]
+        kpq[2][rng.random(length) < 0.3] = 0.0
+        power_law = PowerLawFamily.from_ab(a, a - float(rng.uniform(0.0, 5.0)),
+                                           k0=float(rng.uniform(0.1, 3.0)))
+        cases = [(power_law, _reference_power_law_sups),
+                 (PiecewiseConstantFamily(float(rng.uniform(0.01, 100.0)), n_pw),
+                  _reference_table_sups),
+                 (TabulatedFamily(*kpq), _reference_table_sups)]
+        for fam, reference in cases:
+            for n in range(5001):
+                got = tuple(fam.step_sup(w, n) for w in ("k", "g", "rho"))
+                if n == 0 and reference is _reference_power_law_sups:
+                    assert got == (max(fam.k0, 2.0 ** fam.k_exp), math.inf, math.inf)
+                else:
+                    assert got == reference(fam, n), (fam, n)

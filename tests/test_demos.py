@@ -1,10 +1,13 @@
 """The public surface the demos and the package's ``__all__`` promise."""
 
+import ast
 import inspect
 import os
 import re
 import subprocess
 import sys
+from collections import defaultdict
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -59,4 +62,49 @@ def test_every_public_function_has_a_caller():
                    and (re.search(rf"\b{name}\(", text) or name in imported[path])]
         if not callers and name not in _AWAITING_CALLER:
             idle.append(name)
+    assert idle == []
+
+
+def _callers_outside_the_tests():
+    """Over the package, demos, benchmarks and README's python blocks: per
+    callee name, the most positional arguments and every keyword in some
+    call to it, and every attribute name read."""
+    texts = [path.read_text() for path in (*PACKAGE.glob("*.py"), *DEMOS,
+                                           *(ROOT / "benchmarks").glob("*.py"))]
+    texts += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    positional, keywords, attributes = defaultdict(int), defaultdict(set), set()
+    for text in texts:
+        tree = ast.parse(text)
+        aliases = {a.asname: a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                name = aliases.get(name, name)
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                positional[name] = max(positional[name], sys.maxsize if starred else len(node.args))
+                keywords[name].update(kw.arg for kw in node.keywords)
+    return positional, keywords, attributes
+
+
+def test_every_public_option_and_member_has_a_caller():
+    # each defaulted parameter of a public function must be set, by keyword
+    # or by position, in some call outside the tests, and each public method
+    # or property of a public class must be read there
+    positional, keywords, attributes = _callers_outside_the_tests()
+    idle = []
+    for name in quartzeq.__all__:
+        obj = getattr(quartzeq, name)
+        if inspect.isclass(obj):
+            idle += [f"{name}.{attr}" for attr, member in vars(obj).items()
+                     if not attr.startswith("_") and attr not in attributes
+                     and (inspect.isfunction(member) or isinstance(
+                         member, (property, classmethod, staticmethod, cached_property)))]
+        elif callable(obj):
+            params = inspect.signature(obj).parameters.values()
+            idle += [f"{name}({p.name}=)" for i, p in enumerate(params)
+                     if p.default is not p.empty and p.name not in keywords[name]
+                     and not (p.kind is p.POSITIONAL_OR_KEYWORD and i < positional[name])]
     assert idle == []

@@ -24,10 +24,9 @@ from quartzeq.coefficients import (
 from quartzeq.errors import ConsistencyError, ConvergenceError, DomainError
 from quartzeq.series import (
     F_equilibrium,
-    audit_d_identity,
-    audit_G_identity,
     cohort_profile,
     evaluate,
+    identity_audit,
 )
 
 # shared strategies: a family of each kind plus a positive evaluation point
@@ -230,12 +229,10 @@ def test_one_ratios_read_per_block(fam, monkeypatch):
     bv = F_equilibrium(fam, 1e5)
     assert len(_block_sizes(bv.terms_used)) > 2
     assert reads == _block_sizes(bv.terms_used)
-    # the audits walk to their term count with no stop test
-    for walk in (lambda: audit_G_identity(fam, 2.0, 1000),
-                 lambda: audit_d_identity(fam, 2.0, 1000)):
-        reads.clear()
-        walk()
-        assert reads == _block_sizes(1000)
+    # the audit walks to its term count with no stop test, once for both identities
+    reads.clear()
+    identity_audit(fam, 2.0, 1000)
+    assert reads == _block_sizes(1000)
 
 
 def test_cross_check_accepts_whole_grid():
@@ -248,8 +245,7 @@ def test_cross_check_accepts_whole_grid():
 @settings(max_examples=40, deadline=None)
 @given(families, st.floats(1e-2, 1e2))
 def test_identity_audits_vanish(fam, x):
-    _, g_resid = audit_G_identity(fam, x, n_terms=150)
-    _, d_resid = audit_d_identity(fam, x, n_terms=150)
+    (_, g_resid), (_, d_resid) = identity_audit(fam, x, n_terms=150)
     assert g_resid <= 1e-10
     assert d_resid <= 1e-10
 
@@ -347,10 +343,11 @@ _QUANTITY_R = [("F", 1.0), ("H", 1.0), ("kM", 1.0), ("kM", 2.5), ("iqM", 1.0), (
 
 
 def _one_x(fam, quantity, x, r, *, cross_check, **kwargs):
-    """The one-x entry point for quantity: F_equilibrium for F, else a one-x walk."""
-    if quantity == "F":
-        return F_equilibrium(fam, x, cross_check=cross_check, **kwargs)
-    return _one(fam, quantity, x, r, **kwargs)
+    """The one-x entry point for quantity: F_equilibrium for F at the default
+    tol and term cap, else a one-x walk."""
+    if quantity == "F" and not kwargs:
+        return F_equilibrium(fam, x, cross_check=cross_check)
+    return _one(fam, quantity, x, r, cross_check=cross_check, **kwargs)
 
 
 def _bits(bv):
@@ -426,13 +423,12 @@ class TestFValues:
         # no tail bound meets a negative or nan tol: every walk would run
         # to the term cap and raise ConvergenceError; a zero tol is met on
         # underflow
-        from quartzeq.asymptotics import K_direct, R_sum_direct
+        from quartzeq.asymptotics import K_direct
 
         fam = PowerLawFamily.from_ab(2.0, 0.0)
         calls = [lambda q=q, r=r: evaluate(fam, q, [1.0], r, tol=bad_tol)
                  for q, r in _QUANTITY_R]
-        calls += [lambda: K_direct(2.0, 0.0, 10.0, tol=bad_tol),
-                  lambda: R_sum_direct(1.0, 0.5, 0.1, tol=bad_tol)]
+        calls += [lambda: K_direct(2.0, 0.0, 10.0, tol=bad_tol)]
         for call in calls:
             with pytest.raises(DomainError, match="^tol must be >= 0, got "):
                 call()
@@ -444,14 +440,13 @@ class TestFValues:
     def test_term_cap_below_one_is_rejected_before_the_walk(self, bad_cap):
         # no walk of fewer than one term can meet a tol: each call would
         # raise ConvergenceError quoting the bad cap
-        from quartzeq.asymptotics import K_direct, R_sum_direct
+        from quartzeq.asymptotics import K_direct
 
         fam = PowerLawFamily.from_ab(2.0, 0.0)
         calls = [lambda q=q, r=r: evaluate(fam, q, [1.0], r, term_cap=bad_cap)
                  for q, r in _QUANTITY_R]
         calls += [lambda: K_direct(2.0, 0.0, 10.0, term_cap=bad_cap),
-                  lambda: K_direct(2.0, 0.7, 1e3, start=63, term_cap=bad_cap),
-                  lambda: R_sum_direct(1.0, 0.5, 0.1, term_cap=bad_cap)]
+                  lambda: K_direct(2.0, 0.7, 1e3, start=63, term_cap=bad_cap)]
         for call in calls:
             with pytest.raises(DomainError, match=f"^term_cap must be >= 1, got {bad_cap}$"):
                 call()
