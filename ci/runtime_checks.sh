@@ -46,6 +46,16 @@ python -c "from quartzeq import PowerLawFamily, count_equilibria_probe as p; pri
 # no scan (a scan of this family fails past the 10^6 term cap)
 python -c "from quartzeq import PowerLawFamily, count_equilibria_probe as p; assert p(PowerLawFamily.from_ab(0.054, -0.946), 1.2, 1.0) == (0, ())"
 
+# F at one x in one 64-term block: its interval value +- tail_bound holds
+# F_piecewise, widened by F_piecewise's own relative error (an interval, not
+# bytes, since power-law bits differ between numpy's SIMD paths)
+one_block="import json, sys; row = json.load(sys.stdin)['rows'][0]; assert row['terms_used'] == 64, row"
+in_interval="import json, sys; from quartzeq.piecewise import F_piecewise, _F_REL_ERR; row = json.load(sys.stdin)['rows'][0]; f = F_piecewise(1.3, 7, 2.0); assert abs(row['value'] - f) <= row['tail_bound'] + _F_REL_ERR * f, (row, f)"
+quartzeq equilibrium --family piecewise --k 1.3 --N 7 --x 2 --format json > one_block.json
+python -c "$one_block" < one_block.json
+python -c "$in_interval" < one_block.json
+quartzeq equilibrium --family power_law --a 1.5 --b 0.2 --x 3 --format json | python -c "$one_block"
+
 # each grid is one batched walk; F's rows are cross-checked
 quartzeq equilibrium --family power_law --a 2 --b 0 --x-min 1e-2 --x-max 1e6 --count 200
 quartzeq equilibrium --family piecewise --k 1 --N 2 --quantity kM --r 2 --spacing linear --x-min 0 --x-max 10 --count 21

@@ -134,17 +134,14 @@ def R_sum_direct(a: float, A: float, v: float) -> BoundedValue:
         raise DomainError(f"v must be finite and positive, got {v}")
     p = a + 1.0
 
-    def block(idx):
+    def block(idx, n):
         # (j-1)^p - j^p without cancellation; log1p(-1) = -inf gives -1 at j = 1
         with np.errstate(divide="ignore"):
             neg_step = idx ** p * np.expm1(p * np.log1p(-1.0 / idx))
-        return (lambda v: np.exp(v * neg_step)), (idx ** float(A),)
+        return ((lambda v: np.exp(v * neg_step)), (idx ** float(A))[None],
+                lambda v: ((n + 1.0) / n) ** max(A, 0.0) * math.exp(-v * p * n**a))
 
-    def stop(n):
-        return lambda v: ((n + 1.0) / n) ** max(A, 0.0) * math.exp(-v * p * n**a)
-
-    walk = blocked_sum(block, stop, [v], [DEFAULT_TOL], cap=DEFAULT_TERM_CAP,
-                       name="R_sum")[0]
+    walk = blocked_sum(block, [v], [DEFAULT_TOL], cap=DEFAULT_TERM_CAP, name="R_sum")[0]
     return certified(walk)
 
 
@@ -274,22 +271,22 @@ def K_direct(a: float, b: float, x: float, *, tol: float = DEFAULT_TOL,
     if term_cap < 1:  # blocked_sum's own check sees start + term_cap
         raise DomainError(f"term_cap must be >= 1, got {term_cap}")
 
-    def block(idx):
-        d, w = idx ** float(a), idx ** (b + 1.0)
-        if idx[0] <= start:
-            w[idx <= start] = 0.0
-        return (lambda x: x / (x + d)), (w,)
-
     def stop(n):
         if n <= start:  # the next weight may still jump from zero
             return lambda x: math.inf
         c, d = ((n + 1.0) / n) ** max(b + 1.0, 0.0), (n + 1.0) ** a
         return lambda x: c * x / (x + d)
 
+    def block(idx, n):
+        d, w = idx ** float(a), idx ** (b + 1.0)
+        if idx[0] <= start:
+            w[idx <= start] = 0.0
+        return (lambda x: x / (x + d)), w[None], stop(n)
+
     if start:  # T only scales tol, so it is summed in logs without care for rounding
         log_q = float(np.log1p(np.arange(1.0, start + 2.0) ** a / x).sum())
         tol *= math.exp(min(0.0, (b + 1.0) * math.log(start + 1.0) - log_q))
-    walk = blocked_sum(block, stop, [x], [tol], cap=start + term_cap,
+    walk = blocked_sum(block, [x], [tol], cap=start + term_cap,
                        name="K_direct")[0]
     return certified(walk, start=start)
 

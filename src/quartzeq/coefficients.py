@@ -23,9 +23,9 @@ for every i >= n, and a tail past T_n is at most T_n s / (1 - s) once
 s < 1.
 
 Accessor contract: ``rates(idx)`` returns the arrays (k, p, q) and
-``ratios(idx)`` the derived arrays (d, rho, g) in their per-kind exact
-form, both vectorised over index arrays with i >= 1; ``d_values(idx)`` is
-the first of the ratios.  A series block reads ``ratios`` once.
+``ratios(idx)`` one float (3, len(idx)) array of the derived rows [d; rho; g]
+in their per-kind exact form, both vectorised over index arrays with i >= 1;
+``d_values(idx)`` is row 0.  A series block reads ``ratios`` once.
 Cohort 0 is read from the attributes ``k0, p0, q0`` (with ``d0`` derived
 from them); ``rates_through(n)`` joins the two over 0..n.
 
@@ -84,8 +84,8 @@ class CoefficientFamily:
         """(k_i, p_i, q_i) at each index."""
         raise NotImplementedError
 
-    def ratios(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(d_i, rho_i, g_i) at each index, in the family's exact form."""
+    def ratios(self, idx: np.ndarray) -> np.ndarray:
+        """[d_i; rho_i; g_i] at each index as one (3, len(idx)) array, exact form."""
         raise NotImplementedError
 
     def d_values(self, idx: np.ndarray) -> np.ndarray:
@@ -130,17 +130,19 @@ class CoefficientFamily:
         raise NotImplementedError
 
 
+def _pow_sum(t: float, a: float, b: float) -> float:
+    """t^a + t^b; past the doubles, the largest double still bounds it below."""
+    try:
+        return min(t ** a + t ** b, sys.float_info.max)
+    except OverflowError:
+        return sys.float_info.max
+
+
 def _power_law_inf_from(a: float, b: float, m: int) -> float:
     """inf over integer i >= m of i^a + i^b, by monotonicity analysis."""
-    def at(t: float) -> float:  # past the doubles, the largest double still bounds it below
-        try:
-            return min(t ** a + t ** b, sys.float_info.max)
-        except OverflowError:
-            return sys.float_info.max
-
     if b >= 0.0:
         # both exponents nonnegative: nondecreasing in i
-        return at(float(m))
+        return _pow_sum(float(m), a, b)
     if a == 0.0:
         # 1 + i^b strictly decreasing; infimum is the limit
         return 1.0
@@ -150,7 +152,7 @@ def _power_law_inf_from(a: float, b: float, m: int) -> float:
     except OverflowError:
         t_star = math.inf
     if t_star <= m:
-        return at(float(m))
+        return _pow_sum(float(m), a, b)
     if t_star == math.inf:
         # t* lies past the float range (a tiny): the real minimum, taken
         # through logs, bounds the infimum over integers from below
@@ -158,7 +160,7 @@ def _power_law_inf_from(a: float, b: float, m: int) -> float:
         return (math.exp(log_ratio * (a / (a - b)))
                 + math.exp(log_ratio * (b / (a - b))))
     candidates = {m, int(math.floor(t_star)), int(math.ceil(t_star))}
-    return min(at(float(c)) for c in candidates if c >= m)
+    return min(_pow_sum(float(c), a, b) for c in candidates if c >= m)
 
 
 @dataclass(frozen=True)
@@ -188,14 +190,9 @@ class PowerLawFamily(CoefficientFamily):
             raise DomainError("p0 and q0 must be nonnegative")
         if self.p0 + self.q0 <= 0.0:
             raise DomainError("p0 + q0 must be positive (d_0 > 0 required)")
-
-    @property
-    def a(self) -> float:
-        return self.q_exp + self.k_exp
-
-    @property
-    def b(self) -> float:
-        return self.k_exp - self.p_exp
+        # a and b are read on every block; set once, they are plain attributes
+        object.__setattr__(self, "a", self.q_exp + self.k_exp)
+        object.__setattr__(self, "b", self.k_exp - self.p_exp)
 
     @classmethod
     def from_ab(cls, a: float, b: float, **index0) -> "PowerLawFamily":
@@ -217,7 +214,7 @@ class PowerLawFamily(CoefficientFamily):
     def ratios(self, idx):
         fi = idx.astype(float)
         ia, ib = fi ** self.a, fi ** self.b
-        return ia + ib, ib, ia
+        return np.array((ia + ib, ib, ia))
 
     def d_inf_beyond(self, n):
         # d_values raises i with numpy's pow and _power_law_inf_from with
@@ -286,14 +283,11 @@ class TabulatedFamily(CoefficientFamily):
     def __repr__(self):
         return f"TabulatedFamily(len={self._kpq.shape[1]})"
 
-    def _clipped(self, idx):
-        return np.minimum(idx, self._kpq.shape[1] - 1)
-
     def rates(self, idx):
-        return tuple(self._kpq[:, self._clipped(idx)])
+        return tuple(self._kpq.take(idx, axis=1, mode="clip"))
 
     def ratios(self, idx):
-        return tuple(self._drg[:, self._clipped(idx)])
+        return self._drg.take(idx, axis=1, mode="clip")
 
     @cached_property
     def _suffix(self):
@@ -329,7 +323,7 @@ class TabulatedFamily(CoefficientFamily):
             return sups.item(n)
         if weight == "k":
             return 1.0
-        return (n + 1.0) / n if self._drg[1 if weight == "rho" else 2, -1] > 0.0 else 0.0
+        return (n + 1.0) / n if self._drg.item(1 if weight == "rho" else 2, -1) > 0.0 else 0.0
 
     def describe(self):
         k, p, q = self._kpq.tolist()

@@ -18,8 +18,8 @@ One kernel, blocked_sum, walks the Q_i in blocks once, from i = 1 and
 Q_0 = 1, and sums every requested weight in that pass: each sum is
 math.fsum of its block sums.  The identity audit and the direct sums of
 the asymptotics module call it too.  Each block reads the family once: one
-ratios(idx) call gives the d_i of the factors and the rho_i and g_i of
-the weights.  One walk can carry many x, one row each: a
+ratios(idx) call gives the stacked block [d; rho; g], d for the factors and
+i [rho; g] as the weights of one product.  One walk can carry many x: a
 block's factors and weights are computed once for all rows, each row keeps
 its own sums and stop test and retires on its own, so every row's result
 is bit for bit that of a walk over its x alone.  evaluate computes F, H,
@@ -48,7 +48,6 @@ family's step bound alone.  All functions are pure.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -75,6 +74,7 @@ _EPS = sys.float_info.epsilon
 _UNDERFLOW_FLOOR = 2.3e-308  # just above the smallest normal double
 _TINY = 2.0**-1074  # spacing of the subnormal doubles
 _CHUNK = 2**14  # elements in one (rows x block) temporary of blocked_sum
+_cumprod = np.multiply.accumulate  # ndarray.cumprod's products, without its method call
 
 
 @dataclass(frozen=True)
@@ -116,83 +116,98 @@ class _Walk(NamedTuple):
     q_n: float  # the running product at n
 
 
-def blocked_sum(block, stop, xs, tols=None, *, cap: int,
+def blocked_sum(block, xs, tols=None, *, cap: int, unit: bool = False,
                 name: str = "series") -> list[_Walk]:
     """The certified summation kernel shared by every series in the package.
 
     Walks Q_i = prod_{j=1..i} f_j(x) over i = 1, ..., from Q_0 = 1, for every
     x in xs (one row each) in blocks of 64 doubling to 8192 indices, and sums
     w_i Q_i for each weight and row: a row keeps its block sums per weight and
-    adds them with math.fsum when it retires.  block(idx) does a block's
-    per-index work once and returns (fmap, weights): fmap maps x (a 0-d
-    array, or a column for many rows) to the factors, and weights holds one
-    array over idx per sum (None is the unit weight); the first block fixes
-    the number of sums.  Rows share the cumulative product in chunks of at
-    most 2^14 elements.
+    adds them with math.fsum when it retires.  block(idx, hi), hi = idx[-1],
+    does a block's per-index work once and returns (fmap, weights, bound):
+    fmap maps x (a float, or a column for many rows) to the factors; weights
+    is None or a 2-D array with one row over idx per sum, and with unit the
+    walk also sums the unit weight, after them; bound is None without tols,
+    else it maps x to a bound s on sup_{i>=hi} T_{i+1}/T_i for the terms T_i
+    of the first sum: 0 when every later term vanishes, >= 1 or inf while no
+    bound is known (as for a weight that can still jump from zero).  Rows
+    share the cumulative product in chunks of at most 2^14 elements.
 
-    With stop=None every row ends after index cap.  Otherwise stop(n) maps x
-    to a bound s on sup_{i>=n} T_{i+1}/T_i for the terms T_i of the first
-    weight's series: 0 when every later term vanishes, >= 1 or inf while no
-    bound is known (as for a weight that can still jump from zero).  tols
-    holds one tol per x.  A row retires at the first block boundary where
-    its tail T_n s / (1 - s) is at most its tol or its Q has underflowed,
-    exactly as a walk over its x alone would.  Returns one _Walk per x in
-    xs; a row still live at index cap raises ConvergenceError, for the first
-    such x, quoting that row's tol.  A tol that is negative or nan, which no
-    tail can meet, or a cap below 1 raises DomainError before the walk.
+    Without tols every row ends after index cap.  Otherwise tols holds one
+    tol per x, and a row retires at the first block boundary where its tail
+    T_n s / (1 - s) is at most its tol or its Q has underflowed, exactly as a
+    walk over its x alone would.  Returns one _Walk per x in xs; a row still
+    live at index cap raises ConvergenceError, for the first such x, quoting
+    that row's tol.  A tol that is negative or nan, which no tail can meet,
+    or a cap below 1 raises DomainError before the walk.
     """
     for tol in tols or ():
         if not tol >= 0.0:
             raise DomainError(f"tol must be >= 0, got {tol}")
     if cap < 1:
         raise DomainError(f"term_cap must be >= 1, got {cap}")
-    walks: list[_Walk | None] = [None] * len(xs)
-    live = range(len(xs))  # the rows still walking, as indices into xs
-    qs = [1.0] * len(xs)  # each row's running product
-    parts: list[list[tuple]] = [[] for _ in xs]  # each row's block sums, a tuple per block
-    n, size = 0, 64
+    if len(xs) == 1:  # one row, straight-line: 1-D with a float x
+        x, parts, q, n, size = float(xs[0]), [], 1.0, 0, 64
+        while n < cap:
+            hi = min(n + size, cap)
+            fmap, ws, bound = block(np.arange(n + 1, hi + 1), hi)
+            qvals = _cumprod(fmap(x))
+            if n:  # the first block starts from Q_0 = 1
+                qvals = q * qvals
+            sums = [] if ws is None else np.add.reduce(terms := ws * qvals, -1).tolist()
+            if unit:
+                sums.append(float(np.add.reduce(qvals)))
+            parts.append(tuple(sums))
+            q = qvals.item(-1)
+            s = bound(x) if bound else math.inf
+            if s < 1.0:
+                # once Q has underflowed, the true tail is below any usable tol;
+                # the last term is Q_n itself when the unit weight is the only sum
+                tail = 0.0 if s == 0.0 or q < _UNDERFLOW_FLOOR else (
+                    q if ws is None else terms.item(0, -1)) * s / (1.0 - s)
+                if tail <= tols[0]:
+                    return [_Walk(_fsums(parts), tail, hi, q)]
+            n, size = hi, min(size * 2, 8192)
+        walks, live, qs, parts = [None], [0], [q], [parts]  # at cap: the shared end below
+    else:
+        walks = [None] * len(xs)
+        live = range(len(xs))  # the rows still walking, as indices into xs
+        qs = [1.0] * len(xs)  # each row's running product
+        parts = [[] for _ in xs]  # each row's block sums, a tuple per block
+        n, size = 0, 64
     while live and n < cap:
         hi = min(n + size, cap)
-        fmap, ws = block(np.arange(n + 1, hi + 1))
-        bound = None if stop is None else stop(hi)
+        fmap, ws, bound = block(np.arange(n + 1, hi + 1), hi)
         chunk = _CHUNK // size
         retired = False
         for rows in ((live,) if len(live) <= chunk else
                      [live[a:a + chunk] for a in range(0, len(live), chunk)]):
-            if len(rows) == 1:  # 1-D with a 0-d x: cheaper than a one-row column
-                i = rows[0]
-                qvals = fmap(np.array(xs[i], dtype=float)).cumprod()
-                if n:  # the first block starts from Q_0 = 1
-                    qvals = qs[i] * qvals
-                terms = [qvals if w is None else w * qvals for w in ws]
-                sums = (tuple(map(float, map(np.add.reduce, terms))),)
-                q_n = (qvals.item(-1),)
-                t_n = (terms[0].item(-1) if bound else 0.0,)
-            else:
-                x_c = np.array([xs[i] for i in rows], dtype=float)[:, None]
-                qvals = fmap(x_c).cumprod(-1)
-                if n:
-                    qvals = np.array([qs[i] for i in rows])[:, None] * qvals
-                terms = [qvals if w is None else w * qvals for w in ws]
-                sums = (list(zip(*[np.add.reduce(t, 1).tolist() for t in terms]))
-                        or [()] * len(rows))
-                q_n = qvals[:, -1].tolist()
-                t_n = terms[0][:, -1].tolist() if bound else [0.0] * len(rows)
-            for i, row_sums, q, t in zip(rows, sums, q_n, t_n):
+            x_c = np.array([xs[i] for i in rows], dtype=float)[:, None]
+            qvals = _cumprod(fmap(x_c), -1)
+            if n:
+                qvals = np.array([qs[i] for i in rows])[:, None] * qvals
+            cols, first = [], qvals
+            if ws is not None:
+                terms = ws[:, None] * qvals
+                cols, first = np.add.reduce(terms, -1).tolist(), terms[0]
+            if unit:
+                cols.append(np.add.reduce(qvals, -1).tolist())
+            t_n = first[:, -1].tolist() if bound else [0.0] * len(rows)
+            for i, row_sums, q, t in zip(rows, zip(*cols), qvals[:, -1].tolist(), t_n):
                 parts[i].append(row_sums)
                 qs[i] = q
                 s = bound(xs[i]) if bound else math.inf
                 if s < 1.0:
-                    # once Q has underflowed, the true tail is below any usable tol
                     tail = 0.0 if s == 0.0 or q < _UNDERFLOW_FLOOR else t * s / (1.0 - s)
                     if tail <= tols[i]:
                         walks[i] = _Walk(_fsums(parts[i]), tail, hi, q)
                         retired = True
         if retired:
             live = [i for i in live if walks[i] is None]
+        qvals = terms = first = None  # the chunk arrays go before the next block's are made
         n = hi
         size = min(size * 2, 8192)
-    if live and stop is not None:
+    if live and tols is not None:
         x = xs[live[0]]
         raise ConvergenceError(f"{name} did not reach tol={tols[live[0]]} within {cap} terms "
                                f"at x={x}", series=name, x=x, terms_used=cap)
@@ -226,14 +241,6 @@ def _certified_pair(walk: _Walk, pref: float = 1.0, head: float = 0.0) -> tuple[
     return value, pref * walk.trunc_tail + envelope + 4.0 * _EPS * abs(value)
 
 
-def _q_block(fam: CoefficientFamily, weights):
-    """blocked_sum's block for Q_i: one ratios read gives d and weights(idx, d, rho, g)."""
-    def block(idx):
-        d, rho, g = fam.ratios(idx)
-        return (lambda x: x / (x + d)), weights(idx, d, rho, g)
-    return block
-
-
 def _geometric_tail(t: float, s: float) -> float:
     """Bound on the tail past a term t whose later steps are at most s."""
     return t * s / (1.0 - s) if s < 1.0 else math.inf
@@ -251,10 +258,10 @@ def _finish_F(walk: _Walk, denom: float, pref: float) -> BoundedValue:
 
 
 class _Recipe(NamedTuple):
-    """How evaluate walks one quantity and finishes each row; the sums past the
-    first feed F's cross-check."""
+    """How evaluate walks one quantity and finishes each row."""
 
-    weights: tuple[str | None, ...]  # per sum, i rho_i ("rho"), i g_i ("g") or 1 (None)
+    weights: slice | None  # rows of ratios(idx) whose i-multiples weight the sums; None: 1
+    step: str | None  # step_bound's name for the weight of the first sum
     name: str  # the series a ConvergenceError names
     scaled: bool  # checks r and scales tol by pref = r / (x + d_0), else pref = 1
     at_zero: Callable[[CoefficientFamily, float], BoundedValue]  # fam, r
@@ -262,15 +269,15 @@ class _Recipe(NamedTuple):
 
 
 _RECIPES = {
-    "F": _Recipe(("rho", None, "g"), "H_series", False,
+    "F": _Recipe(slice(1, 2), "rho", "H_series", False,
                  lambda fam, r: BoundedValue(0.0, 0.0, 0), _finish_F),
-    "H": _Recipe(("rho",), "H_series", False,
+    "H": _Recipe(slice(1, 2), "rho", "H_series", False,
                  lambda fam, r: BoundedValue(0.0, 0.0, 0), _finish_sum),
     # Q_0 = 1 is the head of the flux series and counts as a term
-    "kM": _Recipe((None,), "sum_kM", True,
+    "kM": _Recipe(None, None, "sum_kM", True,
                   lambda fam, r: BoundedValue(r * fam.k0 / (fam.p0 + fam.q0), 0.0, 1),
                   lambda walk, denom, pref: certified(walk, pref, head=1.0, start=-1)),
-    "iqM": _Recipe(("g",), "sum_iqM", True,
+    "iqM": _Recipe(slice(2, 3), "g", "sum_iqM", True,
                    lambda fam, r: BoundedValue(0.0, 0.0, 1), _finish_sum),
 }
 
@@ -301,18 +308,25 @@ def evaluate(fam: CoefficientFamily, quantity: str, xs, r: float = 1.0, *,
         tols = [tol / pref if pref > 0 else tol for pref in prefs]
     else:
         prefs, tols = [1.0] * len(pos), [tol] * len(pos)
-    picks = recipe.weights if cross_check else recipe.weights[:1]
-    block = _q_block(fam, lambda idx, d, rho, g: [
-        None if w is None else idx * (rho if w == "rho" else g) for w in picks])
-    stop = functools.partial(fam.step_bound, recipe.weights[0])
-    walks = blocked_sum(block, stop, pos, tols, cap=term_cap, name=recipe.name)
+    checked = cross_check and quantity == "F"
+    # F's cross-check adds the sums of i g_i Q_i and Q_i to H's walk
+    weights, step = (slice(1, 3), "rho") if checked else recipe[:2]
+
+    def block(idx, hi):
+        drg = fam.ratios(idx)
+        d = drg[0]
+        return ((lambda x: x / (x + d)), None if weights is None else idx * drg[weights],
+                fam.step_bound(step, hi))
+
+    walks = blocked_sum(block, pos, tols, cap=term_cap, unit=checked or weights is None,
+                        name=recipe.name)
     for x, walk in zip(pos, walks):
         # the balance test cannot see a nan: inf * 0 from a weight past the doubles
         if not all(map(math.isfinite, walk.sums)):
             raise ConvergenceError(f"{recipe.name} is not finite at x={x} within "
                                    f"{walk.n} terms: a term passed the doubles",
                                    series=recipe.name, x=x, terms_used=walk.n)
-        if len(picks) > 1:
+        if checked:
             _check_balance(fam, x, walk)
     rows = map(recipe.finish, walks, denoms, prefs)
     if pos is xs:
@@ -355,7 +369,7 @@ def _check_balance(fam: CoefficientFamily, x: float, walk: _Walk) -> None:
     eps it has a factor 2 of headroom.  Below the normal range roundings are
     absolute, at most _TINY each, on terms weighted by at most x + n d_n.
     """
-    h_n, s1_n, siq_n = walk.sums
+    h_n, siq_n, s1_n = walk.sums
     n = walk.n
     inflow = x * (1.0 + s1_n)
     outflow = h_n + (n + 1) * x * walk.q_n
@@ -379,7 +393,7 @@ def cohort_profile(fam: CoefficientFamily, x: float, r: float, n: int) -> Equili
     M_0 = r / (k_0 x + p_0 + q_0), then
     M_i = M_{i-1} * k_{i-1} x / (k_i x + p_i + q_i).  Indices whose value
     underflows below the normal range are truncated and folded into
-    tail_mass_bound.
+    tail_mass_bound; at x = 0 all n cohorts past 0 are exact zeros, kept.
     """
     _check_x(x)
     _check_r(r)
@@ -390,14 +404,13 @@ def cohort_profile(fam: CoefficientFamily, x: float, r: float, n: int) -> Equili
     if denom0 <= 0.0:
         raise DomainError("k_0 x + p_0 + q_0 must be positive")
     m = [r / denom0]
-    if x > 0.0:
-        for i in range(1, n + 1):
-            num = k[i - 1] * x * m[-1]
-            den = k[i] * x + p[i] + q[i]
-            mi = num / den
-            if mi < _UNDERFLOW_FLOOR:
-                break
-            m.append(mi)
+    for i in range(1, n + 1):
+        num = k[i - 1] * x * m[-1]
+        den = k[i] * x + p[i] + q[i]
+        mi = num / den
+        if mi < _UNDERFLOW_FLOOR and x > 0.0:  # at x = 0 the zeros are exact
+            break
+        m.append(mi)
     # M_i is r/(x+d_0) Q_i/k_i: the weight 1/k
     n_kept = len(m) - 1
     tail = 0.0 if x == 0.0 else _geometric_tail(m[-1], fam.step_bound("k", n_kept)(x))
@@ -419,7 +432,11 @@ def identity_audit(fam: CoefficientFamily, x: float,
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     if x == 0.0:
         return (0.0, 0.0), (0.0, 0.0)
-    walk = blocked_sum(_q_block(fam, lambda idx, d, rho, g: ((idx * d - x) / x, d)),
-                       None, [x], cap=n_terms)[0]
+
+    def block(idx, hi):
+        d = fam.ratios(idx)[0]
+        return (lambda x: x / (x + d)), np.array(((idx * d - x) / x, d)), None
+
+    walk = blocked_sum(block, [x], cap=n_terms)[0]
     s, ds = walk.sums
     return (s, abs(1.0 - s - (n_terms + 1) * walk.q_n)), (ds, abs(ds + x * walk.q_n - x))

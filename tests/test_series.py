@@ -6,6 +6,7 @@ value + tail_bound never falls below it.  We cannot query the true
 sum directly, so a much tighter re-summation stands in for it.
 """
 
+import functools
 import math
 import sys
 import tracemalloc
@@ -21,7 +22,9 @@ from quartzeq.coefficients import (
     PowerLawFamily,
     TabulatedFamily,
 )
-from quartzeq.errors import ConsistencyError, ConvergenceError, DomainError
+from quartzeq import series
+from quartzeq.dynamics import equilibrium_residual
+from quartzeq.errors import ConsistencyError, ConvergenceError, DomainError, _check_r, _check_x
 from quartzeq.series import (
     F_equilibrium,
     cohort_profile,
@@ -190,8 +193,9 @@ class _SkewedD(PowerLawFamily):
     """d_i off from rho_i + g_i by one part in 1e9."""
 
     def ratios(self, idx):
-        d, rho, g = super().ratios(idx)
-        return d * (1.0 + 1e-9), rho, g
+        drg = super().ratios(idx)
+        drg[0] *= 1.0 + 1e-9
+        return drg
 
 
 @pytest.mark.parametrize("x", [1e-2, 1.0, 1e2, 1e4])
@@ -476,3 +480,194 @@ class TestFValues:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def test_cohort_profile_at_zero_keeps_every_cohort():
+    # at x = 0 the cohorts past 0 are exact zeros, not underflow: the profile
+    # keeps all n of them and is an exact equilibrium at alpha = 0
+    table = TabulatedFamily(k=(2.0, 1.0, 1.0), p=(1.0, 0.5, 0.2), q=(0.0, 0.1, 0.3))
+    for fam in (PowerLawFamily.from_ab(1.5, 0.2), PiecewiseConstantFamily(1.3, 2), table):
+        for n in (1, 10):
+            prof = cohort_profile(fam, 0.0, 2.0, n)
+            assert prof.M.tolist() == [2.0 / (fam.p0 + fam.q0)] + [0.0] * n
+            assert prof.tail_mass_bound == 0.0
+            norm, budget = equilibrium_residual(fam, 0.0, 2.0, prof)
+            assert norm == 0.0 <= budget
+
+
+# The kernel, evaluate and the two ratio reads as they were before each block
+# read one stacked [d; rho; g] array: the reference for bit identity.
+
+def _reference_ratios(fam, idx):
+    """(d, rho, g) as three arrays, read the way the families read them before."""
+    if isinstance(fam, PowerLawFamily):
+        fi = idx.astype(float)
+        ia, ib = fi ** fam.a, fi ** fam.b
+        return (ia + ib) * (1.0 + 1e-9 if isinstance(fam, _SkewedD) else 1.0), ib, ia
+    return tuple(fam._drg[:, np.minimum(idx, fam._kpq.shape[1] - 1)])
+
+
+def _reference_blocked_sum(block, stop, xs, tols=None, *, cap, name="series"):
+    for tol in tols or ():
+        if not tol >= 0.0:
+            raise DomainError(f"tol must be >= 0, got {tol}")
+    if cap < 1:
+        raise DomainError(f"term_cap must be >= 1, got {cap}")
+    walks = [None] * len(xs)
+    live = range(len(xs))
+    qs = [1.0] * len(xs)
+    parts = [[] for _ in xs]
+    n, size = 0, 64
+    while live and n < cap:
+        hi = min(n + size, cap)
+        fmap, ws = block(np.arange(n + 1, hi + 1))
+        bound = None if stop is None else stop(hi)
+        chunk = series._CHUNK // size
+        retired = False
+        for rows in ((live,) if len(live) <= chunk else
+                     [live[a:a + chunk] for a in range(0, len(live), chunk)]):
+            if len(rows) == 1:
+                i = rows[0]
+                qvals = fmap(np.array(xs[i], dtype=float)).cumprod()
+                if n:
+                    qvals = qs[i] * qvals
+                terms = [qvals if w is None else w * qvals for w in ws]
+                sums = (tuple(map(float, map(np.add.reduce, terms))),)
+                q_n = (qvals.item(-1),)
+                t_n = (terms[0].item(-1) if bound else 0.0,)
+            else:
+                x_c = np.array([xs[i] for i in rows], dtype=float)[:, None]
+                qvals = fmap(x_c).cumprod(-1)
+                if n:
+                    qvals = np.array([qs[i] for i in rows])[:, None] * qvals
+                terms = [qvals if w is None else w * qvals for w in ws]
+                sums = (list(zip(*[np.add.reduce(t, 1).tolist() for t in terms]))
+                        or [()] * len(rows))
+                q_n = qvals[:, -1].tolist()
+                t_n = terms[0][:, -1].tolist() if bound else [0.0] * len(rows)
+            for i, row_sums, q, t in zip(rows, sums, q_n, t_n):
+                parts[i].append(row_sums)
+                qs[i] = q
+                s = bound(xs[i]) if bound else math.inf
+                if s < 1.0:
+                    tail = (0.0 if s == 0.0 or q < series._UNDERFLOW_FLOOR
+                            else t * s / (1.0 - s))
+                    if tail <= tols[i]:
+                        walks[i] = series._Walk(series._fsums(parts[i]), tail, hi, q)
+                        retired = True
+        if retired:
+            live = [i for i in live if walks[i] is None]
+        n = hi
+        size = min(size * 2, 8192)
+    if live and stop is not None:
+        x = xs[live[0]]
+        raise ConvergenceError(f"{name} did not reach tol={tols[live[0]]} within {cap} terms "
+                               f"at x={x}", series=name, x=x, terms_used=cap)
+    for i in live:
+        walks[i] = series._Walk(series._fsums(parts[i]), 0.0, n, qs[i])
+    return walks
+
+
+# per sum, i rho_i ("rho"), i g_i ("g") or 1 (None); the sums past the first
+# feed F's cross-check
+_REFERENCE_WEIGHTS = {"F": ("rho", None, "g"), "H": ("rho",), "kM": (None,), "iqM": ("g",)}
+
+
+def _reference_evaluate(fam, quantity, xs, r=1.0, *, tol=series.DEFAULT_TOL,
+                        term_cap=series.DEFAULT_TERM_CAP, cross_check=True):
+    recipe = series._RECIPES.get(quantity)
+    if recipe is None:
+        raise DomainError(f"unknown quantity {quantity!r}; "
+                          f"expected one of {sorted(series._RECIPES)}")
+    weights = _REFERENCE_WEIGHTS[quantity]
+    xs = list(map(_check_x, xs))
+    pos = [x for x in xs if x > 0.0] if 0.0 in xs else xs
+    d0 = fam.d0
+    denoms = [x + d0 for x in pos]
+    if recipe.scaled:
+        _check_r(r)
+        prefs = [r / denom for denom in denoms]
+        tols = [tol / pref if pref > 0 else tol for pref in prefs]
+    else:
+        prefs, tols = [1.0] * len(pos), [tol] * len(pos)
+    picks = weights if cross_check else weights[:1]
+
+    def block(idx):
+        d, rho, g = _reference_ratios(fam, idx)
+        return (lambda x: x / (x + d)), [None if w is None else idx * (rho if w == "rho" else g)
+                                         for w in picks]
+
+    stop = functools.partial(fam.step_bound, weights[0])
+    walks = _reference_blocked_sum(block, stop, pos, tols, cap=term_cap, name=recipe.name)
+    for x, walk in zip(pos, walks):
+        if not all(map(math.isfinite, walk.sums)):
+            raise ConvergenceError(f"{recipe.name} is not finite at x={x} within "
+                                   f"{walk.n} terms: a term passed the doubles",
+                                   series=recipe.name, x=x, terms_used=walk.n)
+        if len(picks) > 1:
+            h_n, s1_n, siq_n = walk.sums
+            series._check_balance(fam, x, walk._replace(sums=(h_n, siq_n, s1_n)))
+    rows = map(recipe.finish, walks, denoms, prefs)
+    if pos is xs:
+        return list(rows)
+    return [next(rows) if x > 0.0 else recipe.at_zero(fam, r) for x in xs]
+
+
+def _table(k, p, q):
+    """A table from drawn rows: k and p non-increasing, p_i + q_i > 0."""
+    p = sorted(p, reverse=True)
+    return TabulatedFamily(k=sorted(k, reverse=True), p=p,
+                           q=[qi if pi + qi > 0.0 else 1.0 for pi, qi in zip(p, q)])
+
+
+_identity_families = st.one_of(
+    st.builds(PiecewiseConstantFamily, st.floats(0.1, 10.0), st.integers(0, 300)),
+    st.builds(PowerLawFamily.from_ab, st.floats(0.0, 4.0), st.floats(-2.0, 0.0)),
+    st.builds(PowerLawFamily, p_exp=st.floats(0.0, 3.0), q_exp=st.floats(0.0, 3.0),
+              k_exp=st.floats(0.0, 3.0), p0=st.floats(0.1, 2.0), q0=st.floats(0.0, 2.0),
+              k0=st.floats(0.1, 3.0)),
+    st.integers(1, 6).flatmap(lambda n: st.builds(
+        _table, *(st.lists(st.floats(lo, 3.0), min_size=n, max_size=n)
+                  for lo in (0.1, 0.0, 0.0)))),
+    st.builds(_SkewedD, p_exp=st.floats(0.5, 2.0), q_exp=st.floats(0.5, 2.0), k_exp=st.just(0.0)),
+)
+# x = 0, subnormal, and log-uniform over [1e-300, 1e8], more often over [1e-2, 1e8]
+_identity_xs = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310]),
+                         st.floats(-300.0, 8.0).map(lambda e: 10.0 ** e),
+                         st.floats(-2.0, 8.0).map(lambda e: 10.0 ** e))
+
+
+def _outcome(call):
+    """A call's BoundedValues bit for bit, or its error's type and message."""
+    try:
+        return [_bits(bv) for bv in call()]
+    except (ConvergenceError, ConsistencyError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # weights past the doubles
+@settings(max_examples=150, deadline=None)
+@given(_identity_families, st.lists(_identity_xs, min_size=1, max_size=6),
+       st.sampled_from(["F", "H", "kM", "iqM"]), st.sampled_from([1.0, 2.5, 0.3]),
+       st.booleans(), st.sampled_from([series.DEFAULT_TOL, 1e-6, 1e-15, 0.0, -1.0]),
+       st.sampled_from([series.DEFAULT_TERM_CAP, 1, 63, 64, 65, 200, 5000, 0]))
+def test_walks_equal_the_reference_bit_for_bit(fam, points, quantity, r, cross_check,
+                                               tol, term_cap):
+    kwargs = dict(tol=tol, term_cap=term_cap, cross_check=cross_check)
+    many = _outcome(lambda: evaluate(fam, quantity, points, r, **kwargs))
+    assert many == _outcome(lambda: _reference_evaluate(fam, quantity, points, r, **kwargs))
+    ones = [_outcome(lambda: evaluate(fam, quantity, [x], r, **kwargs)) for x in points]
+    assert ones == [_outcome(lambda: _reference_evaluate(fam, quantity, [x], r, **kwargs))
+                    for x in points]
+    if isinstance(many, list):  # every many-x row is its one-x call
+        assert [one[0] for one in ones] == many
+
+
+@given(_identity_families, st.integers(0, 400), st.integers(1, 200))
+def test_ratios_are_one_stacked_array(fam, start, count):
+    # index blocks that begin anywhere, cross a table's end and lie far past it
+    idx = np.arange(start + 1, start + count + 1)
+    drg = fam.ratios(idx)
+    assert isinstance(drg, np.ndarray) and drg.dtype == float and drg.shape == (3, count)
+    assert [row.tolist() for row in drg] == [row.tolist() for row in _reference_ratios(fam, idx)]
+    assert fam.d_values(idx).tolist() == drg[0].tolist()
