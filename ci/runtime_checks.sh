@@ -80,6 +80,20 @@ quartzeq asym --a 2 --b -1.9999999999999 --depth 4 --compare-grid 10000,100000
 quartzeq asym --a 15 --b 0 --depth 4 --compare-grid 10000,100000
 
 quartzeq simulate --family piecewise --k 1 --N 2 --alpha 0.2 --r 1 --imax 20 --t-end 100
+# simulate loads scipy's compiled LSODA extension on its own, never the
+# scipy.integrate package, and settles on this runner's scipy too
+python -c "
+import contextlib, io, json, sys
+from quartzeq.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(['simulate', '--family', 'piecewise', '--k', '1', '--N', '2', '--alpha', '0.2',
+                 '--r', '1', '--imax', '20', '--t-end', '100']) == 0
+summary = json.loads(out.getvalue().rsplit('# summary: ', 1)[1])
+assert summary['converged'], summary
+loaded = sorted(m for m in sys.modules if m.startswith('scipy.integrate'))
+assert loaded == ['scipy.integrate._odepack'], loaded
+"
 
 echo '{"k": 1.0, "N": 1, "alpha": 0.2, "r": 1.0}' > run.json
 quartzeq --config run.json roots

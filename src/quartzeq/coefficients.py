@@ -138,19 +138,28 @@ def _pow_sum(t: float, a: float, b: float) -> float:
         return sys.float_info.max
 
 
-def _power_law_inf_from(a: float, b: float, m: int) -> float:
-    """inf over integer i >= m of i^a + i^b, by monotonicity analysis."""
+def _power_law_t_star(a: float, b: float) -> float:
+    """Where t^a + t^b is least for a > 0 > b, (-b/a)^(1/(a-b)); inf past
+    the doubles, and nan for other exponents, where it has no interior
+    minimum."""
+    if not b < 0.0 < a:
+        return math.nan
+    try:
+        return (-b / a) ** (1.0 / (a - b))
+    except OverflowError:
+        return math.inf
+
+
+def _power_law_inf_from(a: float, b: float, t_star: float, m: int) -> float:
+    """inf over integer i >= m of i^a + i^b, by monotonicity analysis;
+    t_star is _power_law_t_star(a, b)."""
     if b >= 0.0:
         # both exponents nonnegative: nondecreasing in i
         return _pow_sum(float(m), a, b)
     if a == 0.0:
         # 1 + i^b strictly decreasing; infimum is the limit
         return 1.0
-    # interior minimum of t^a + t^b at t* = (-b/a)^(1/(a-b))
-    try:
-        t_star = (-b / a) ** (1.0 / (a - b))
-    except OverflowError:
-        t_star = math.inf
+    # interior minimum of t^a + t^b at t*
     if t_star <= m:
         return _pow_sum(float(m), a, b)
     if t_star == math.inf:
@@ -190,9 +199,12 @@ class PowerLawFamily(CoefficientFamily):
             raise DomainError("p0 and q0 must be nonnegative")
         if self.p0 + self.q0 <= 0.0:
             raise DomainError("p0 + q0 must be positive (d_0 > 0 required)")
-        # a and b are read on every block; set once, they are plain attributes
+        # a, b, t* and the exponent column (b, a) are read on every block;
+        # set once, they are plain attributes
         object.__setattr__(self, "a", self.q_exp + self.k_exp)
         object.__setattr__(self, "b", self.k_exp - self.p_exp)
+        object.__setattr__(self, "t_star", _power_law_t_star(self.a, self.b))
+        object.__setattr__(self, "_ba", np.array(((self.b,), (self.a,))))
 
     @classmethod
     def from_ab(cls, a: float, b: float, **index0) -> "PowerLawFamily":
@@ -213,13 +225,17 @@ class PowerLawFamily(CoefficientFamily):
 
     def ratios(self, idx):
         fi = idx.astype(float)
-        ia, ib = fi ** self.a, fi ** self.b
-        return np.array((ia + ib, ib, ia))
+        out = np.empty((3,) + fi.shape)
+        # rows 1 and 2, i^b and i^a, in one pow
+        np.power(fi, self._ba, out=out[1:])
+        np.add(out[2], out[1], out=out[0])
+        return out
 
     def d_inf_beyond(self, n):
         # d_values raises i with numpy's pow and _power_law_inf_from with
         # Python's; they round up to 2 ulps apart, and 4 eps down covers that
-        return _power_law_inf_from(self.a, self.b, max(n + 1, 1)) * (1.0 - 2.0**-50)
+        return (_power_law_inf_from(self.a, self.b, self.t_star, max(n + 1, 1))
+                * (1.0 - 2.0**-50))
 
     def step_sup(self, weight, n):
         # w_i = i^e: the step ((i+1)/i)^e decreases toward 1, and is at most 1

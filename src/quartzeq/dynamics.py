@@ -18,8 +18,14 @@ is auditable.  With it the truncated system satisfies the exact balance
 which doubles as an integration audit (it holds to a few ulp at any
 state, equilibrium or not).
 
-Integration is LSODA (scipy's odeint), which switches between Adams
-and BDF by measured stiffness, with the analytic arrowhead Jacobian.
+Integration is LSODA, which switches between Adams and BDF by measured
+stiffness, with the analytic arrowhead Jacobian.  It runs in scipy's
+compiled odeint driver, the scipy.integrate._odepack extension, which
+integrate loads on its own: importing the scipy.integrate package would
+also load scipy.special, scipy.optimize and scipy.sparse.linalg (about
+350 modules and 50 MB of resident memory), none of which this module
+uses.  The call passes the arguments scipy.integrate.odeint passes, so
+its trajectories and work counts are odeint's bit for bit.
 The rhs and the Jacobian are evaluated by kernels that are odeint's
 callbacks as they are: they take its (t, y), with the state vector
 y = (x, M_0..M_imax, flux), and their coefficient rows are padded with
@@ -40,8 +46,11 @@ samples, the final half of the run.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,6 +242,42 @@ def _jacobian_kernel(arr: _Arrays):
     return kernel
 
 
+@functools.cache
+def _odepack():
+    """scipy's compiled LSODA driver, scipy.integrate._odepack, alone.
+
+    Finding the scipy.integrate spec imports only the top-level scipy
+    package; the extension is then loaded from that package's directory
+    under its full name and registered, so a later import of
+    scipy.integrate reuses it, as this reuses one loaded before.
+    """
+    name = "scipy.integrate._odepack"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = importlib.util.find_spec("scipy.integrate").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(name, where)
+    if spec is None:
+        raise ImportError(f"no {name} extension in {', '.join(where)}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+# scipy.integrate.odeint's messages for LSODA's failures, the negative
+# istate values it returns in place of 2, success
+_ODEINT_MESSAGES = {
+    -1: "Excess work done on this call (perhaps wrong Dfun type).",
+    -2: "Excess accuracy requested (tolerances too small).",
+    -3: "Illegal input detected (internal error).",
+    -4: "Repeated error test failures (internal error).",
+    -5: "Repeated convergence failures (perhaps bad Jacobian or tolerances).",
+    -6: "Error weight became zero during problem.",
+    -7: "Internal workspace insufficient to finish (internal error).",
+    -8: "Run terminated (internal error).",
+}
+
+
 def _check_rates(alpha: float, r: float) -> None:
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise DomainError(f"alpha must be finite and >= 0, got {alpha}")
@@ -301,6 +346,12 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
     -1e-12, or any solver failure (excess work, repeated error or
     convergence failures), raises IntegrationError.
 
+    The solver is scipy's compiled odeint driver, loaded without the rest
+    of scipy.integrate (see _odepack) and called with the arguments
+    scipy.integrate.odeint passes it; its returned istate, 2 on success,
+    picks the message of an IntegrationError.  A test pins this call to
+    the public odeint bit for bit.
+
     The rhs and Jacobian kernels are odeint's callbacks as they are: they
     take its (t, y), with y = (x, M_0..M_imax, flux), and multiply
     coefficient rows padded to y's layout into it.  They allocate nothing:
@@ -310,10 +361,6 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
     share nothing.  The sampled rhs norms come from one call of the rhs
     kernel on the stack of samples, bit for bit the per-state values.
     """
-    # imported here: it is most of the package's import time, and only
-    # integration needs it
-    from scipy.integrate import ODEintWarning, odeint
-
     _check_rates(alpha, r)
     y0 = _state_vector(initial)
     if not (math.isfinite(initial.t) and initial.t >= 0.0):
@@ -339,22 +386,23 @@ def integrate(fam: CoefficientFamily, alpha: float, r: float,
     # measured stiffness; unlike solve_ivp's and ode's LSODA it keeps no
     # work array alive after the call.  Its default cap of 500 steps per
     # sample interval fails long transients, so the steps go uncapped.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ODEintWarning)
-        # odepack copies what f and Dfun return before it calls either
-        # again, so both may return the buffer their kernel refills
-        ys, info = odeint(
-            _rhs_kernel(arr, alpha, r), y0, t, Dfun=_jacobian_kernel(arr),
-            tfirst=True, full_output=True,
-            rtol=tol, atol=max(tol * 1e-3, 1e-14), hmax=max_step,
-            mxstep=np.iinfo(np.int32).max,
-        )
-    if info["message"] != "Integration successful.":
+    # odepack copies what f and Dfun return before it calls either again,
+    # so both may return the buffer their kernel refills; it overwrites y0
+    # with the last state, and y0 is this call's own.  The positional
+    # arguments after Dfun: col_deriv, ml, mu, full_output, rtol, atol,
+    # tcrit, h0, hmax, hmin, ixpr, mxstep, mxhnil, mxordn, mxords, tfirst.
+    ys, info, istate = _odepack().odeint(
+        _rhs_kernel(arr, alpha, r), y0, t, (), _jacobian_kernel(arr),
+        0, -1, -1, 1, tol, max(tol * 1e-3, 1e-14),
+        None, 0.0, max_step, 0.0, 0, np.iinfo(np.int32).max, 0, 12, 5, 1,
+    )
+    if istate != 2:
         # entries past the failed interval are unset; it is the first
         # whose reached time falls short of its sample time
         reached = info["tcur"]
         t_stop = float(reached[np.argmax(reached < t[1:])])
-        raise IntegrationError(f"integration stopped at t={t_stop}: {info['message']}")
+        raise IntegrationError(f"integration stopped at t={t_stop}: "
+                               f"{_ODEINT_MESSAGES[istate]}")
 
     finite = np.all(np.isfinite(ys), axis=1)
     if not np.all(finite):

@@ -1,11 +1,15 @@
 """Truncated-system integration: fixed points, balance identity, truncation audit."""
 
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -265,13 +269,16 @@ def test_integration_error_matches_the_reference_callbacks(monkeypatch):
     assert str(buffered.value) == str(reference.value)
 
 
-def test_work_counts_are_the_callback_calls(monkeypatch):
-    import scipy.integrate
+def _odepack_with(monkeypatch, odeint):
+    """Make integrate's solver the given stand-in for _odepack().odeint."""
+    monkeypatch.setattr(dynamics, "_odepack", lambda: SimpleNamespace(odeint=odeint))
 
-    real_odeint = scipy.integrate.odeint
+
+def test_work_counts_are_the_callback_calls(monkeypatch):
+    real_odeint = dynamics._odepack().odeint
     calls = {"f": 0, "jac": 0}
 
-    def counting_odeint(func, y0, t, Dfun, **kwargs):
+    def counting_odeint(func, y0, t, args, Dfun, *rest):
         def f(*args):
             calls["f"] += 1
             return func(*args)
@@ -280,15 +287,69 @@ def test_work_counts_are_the_callback_calls(monkeypatch):
             calls["jac"] += 1
             return Dfun(*args)
 
-        return real_odeint(f, y0, t, Dfun=jac, **kwargs)
+        return real_odeint(f, y0, t, args, jac, *rest)
 
-    monkeypatch.setattr(scipy.integrate, "odeint", counting_odeint)
+    _odepack_with(monkeypatch, counting_odeint)
     for fam, alpha, start, t_end in _REFERENCE_RUNS:
         calls.update(f=0, jac=0)
         summary = integrate(fam, alpha, 1.0, start, t_end)
         assert summary.rhs_evals == calls["f"]
         assert summary.jac_evals == calls["jac"] > 0
         assert 0 < summary.solver_steps <= summary.rhs_evals
+
+
+def _public_odeint_agrees(import_first: bool) -> None:
+    """integrate through _odepack against integrate through the public
+    scipy.integrate.odeint, called with the keywords integrate once passed
+    it; scipy.integrate is imported before the first integrate or after it.
+    Runs in a fresh interpreter (see the test below)."""
+    if import_first:
+        import scipy.integrate
+    before = [integrate(fam, alpha, 1.0, start, t_end)
+              for fam, alpha, start, t_end in _REFERENCE_RUNS]
+    with pytest.raises(IntegrationError) as tiny_tol:
+        integrate(FAM, 0.2, 1.0, initial_state(20), 100.0, tol=1e-300)
+    if not import_first:
+        assert "scipy.integrate" not in sys.modules
+        import scipy.integrate
+    assert dynamics._odepack() is sys.modules["scipy.integrate._odepack"]
+
+    istates = {message: istate for istate, message in dynamics._ODEINT_MESSAGES.items()}
+    istates["Integration successful."] = 2
+
+    def public_odeint(tol):
+        def odeint(func, y0, t, args, Dfun, *rest):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.integrate.ODEintWarning)
+                ys, info = scipy.integrate.odeint(
+                    func, y0, t, Dfun=Dfun, tfirst=True, full_output=True,
+                    rtol=tol, atol=max(tol * 1e-3, 1e-14), hmax=(t[-1] - t[0]) / 200,
+                    mxstep=np.iinfo(np.int32).max)
+            return ys, info, istates[info["message"]]
+        return odeint
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _odepack_with(monkeypatch, public_odeint(1e-12))
+        for got, (fam, alpha, start, t_end) in zip(before, _REFERENCE_RUNS):
+            assert _bits(got) == _bits(integrate(fam, alpha, 1.0, start, t_end))
+        _odepack_with(monkeypatch, public_odeint(1e-300))
+        with pytest.raises(IntegrationError) as public:
+            integrate(FAM, 0.2, 1.0, initial_state(20), 100.0, tol=1e-300)
+    assert "Excess accuracy requested (tolerances too small)." in str(tiny_tol.value)
+    assert str(tiny_tol.value) == str(public.value)
+
+
+@pytest.mark.parametrize("import_first", [True, False], ids=["imported_before", "imported_after"])
+def test_private_odeint_call_is_the_public_one(import_first):
+    # integrate calls scipy's private LSODA extension; a scipy that moves it
+    # or changes its arguments, results or messages fails here
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(Path(dynamics.__file__).resolve().parent.parent), str(tests))))
+    code = f"import test_dynamics; test_dynamics._public_odeint_agrees({import_first})"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-3000:]
 
 
 def test_samples_are_the_max_step_grid():
@@ -312,19 +373,14 @@ def test_samples_are_the_max_step_grid():
 
 
 def test_solver_failure_raises_without_warning(monkeypatch):
-    import scipy.integrate
-
-    def failing_odeint(func, y0, t, **kwargs):
+    def failing_odeint(func, y0, t, *rest):
         # fails in the fourth interval; odeint leaves later entries unset
-        warnings.warn("Repeated convergence failures.", scipy.integrate.ODEintWarning)
         tcur = np.full(len(t) - 1, 1e296)
         tcur[:3] = t[1:4]
         tcur[3] = 0.1875
-        info = {"message": "Repeated convergence failures (perhaps bad Jacobian or tolerances).",
-                "tcur": tcur}
-        return np.zeros((len(t), len(y0))), info
+        return np.zeros((len(t), len(y0))), {"tcur": tcur}, -5
 
-    monkeypatch.setattr(scipy.integrate, "odeint", failing_odeint)
+    _odepack_with(monkeypatch, failing_odeint)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match=r"t=0\.1875: Repeated convergence"):
@@ -512,33 +568,41 @@ class TestValidation:
 
 
 def test_non_finite_samples_raise(monkeypatch):
-    import scipy.integrate
-
-    def nan_odeint(func, y0, t, **kwargs):
+    def nan_odeint(func, y0, t, *rest):
         # a run that reports success but leaves NaN from the third sample on
         ys = np.zeros((len(t), len(y0)))
         ys[2:, 0] = np.nan
-        return ys, {"message": "Integration successful.", "nst": [1], "nfe": [1], "nje": [1]}
+        return ys, {"nst": [1], "nfe": [1], "nje": [1]}, 2
 
-    monkeypatch.setattr(scipy.integrate, "odeint", nan_odeint)
+    _odepack_with(monkeypatch, nan_odeint)
     with pytest.raises(IntegrationError, match=r"not finite at t=0\.1\b"):
         integrate(FAM, 0.2, 1.0, initial_state(5), 10.0)
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate is most of the import time and only integrate needs it;
-    # scipy.special is imported inside h10_closed_form, so no scipy module loads
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import quartzeq
-
-    src = str(Path(quartzeq.__file__).resolve().parent.parent)
+    # importing quartzeq loads no scipy module (scipy.special is imported
+    # inside h10_closed_form); integrating, and the simulate verb, load
+    # scipy's LSODA extension and none of scipy's heavy subpackages
+    src = str(Path(dynamics.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, quartzeq; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+    code = """if True:
+        import contextlib, io, sys
+        from quartzeq import PiecewiseConstantFamily, initial_state, integrate
+        from quartzeq.cli import main
+        integrate(PiecewiseConstantFamily(1.0, 1), 0.2, 1.0, initial_state(20), 100.0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--family", "piecewise", "--k", "1", "--N", "2",
+                         "--alpha", "0.2", "--r", "1", "--imax", "20", "--t-end", "100"]) == 0
+        heavy = ("scipy.integrate", "scipy.special", "scipy.sparse", "scipy.optimize",
+                 "scipy.linalg")
+        print(sorted(m for m in sys.modules if m.startswith(heavy)))
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "['scipy.integrate._odepack']"
