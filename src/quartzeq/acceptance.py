@@ -95,7 +95,7 @@ def _random_family(rng: np.random.Generator) -> CoefficientFamily:
             k_exp=float(rng.uniform(0.0, 1.5)),
         )
     n = int(rng.integers(5, 30))
-    # non-increasing tables keep the family's monotonicity conventions
+    # sorted draws, as when criterion 1 was frozen: they fix its inputs
     return TabulatedFamily(
         k=np.sort(rng.uniform(0.3, 3.0, n))[::-1],
         p=np.sort(rng.uniform(0.1, 2.0, n))[::-1],

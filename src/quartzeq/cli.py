@@ -38,12 +38,12 @@ from .coefficients import (
     load_family,
 )
 from .dynamics import initial_state, integrate
-from .errors import ConsistencyError, ConvergenceError, DomainError, IntegrationError
+from .errors import (ConsistencyError, ConvergenceError, DomainError, IntegrationError,
+                     _inflow_ratio)
 from .piecewise import solve_roots
 from .powerlaw import (
     SUPREMUM_AT_INFINITY,
     Regime,
-    _inflow_ratio,
     _regime_verdict,
     classify_regime,
 )

@@ -48,14 +48,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
-from .piecewise import _check_kN
+from .errors import DomainError, _check_kN
 
 __all__ = [
     "CoefficientFamily",
@@ -286,13 +284,6 @@ class TabulatedFamily(CoefficientFamily):
             raise DomainError("p and q entries must be finite and nonnegative")
         if not (p + q).min() > 0.0:
             raise DomainError("p_i + q_i must be positive for every stored i")
-        for name, arr in (("k", k), ("p", p)):
-            if (arr[1:] > arr[:-1] * (1.0 + 1e-12)).any():
-                warnings.warn(
-                    f"tabulated {name} is not non-increasing; downstream "
-                    "monotonicity-based arguments may not apply",
-                    stacklevel=2,
-                )
         self._drg = np.array([p + q, p, q]) / k
         self.k0, self.p0, self.q0 = kpq[:, 0].tolist()
 

@@ -67,8 +67,6 @@ __all__ = [
     "state_from_profile",
     "conservation_residual",
     "equilibrium_residual",
-    "CONVERGENCE_THRESHOLD",
-    "CONVERGENCE_STEPS",
 ]
 
 CONVERGENCE_THRESHOLD = 1e-10

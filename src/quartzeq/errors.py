@@ -3,6 +3,14 @@ raise DomainError with the same message in every module."""
 
 import math
 
+__all__ = [
+    "QuartzeqError",
+    "DomainError",
+    "ConvergenceError",
+    "ConsistencyError",
+    "IntegrationError",
+]
+
 
 class QuartzeqError(Exception):
     """Base class for all package-specific failures."""
@@ -53,3 +61,21 @@ def _check_x(x: float) -> float:
 def _check_r(r: float) -> None:
     if not (math.isfinite(r) and r > 0.0):
         raise DomainError(f"r must be finite and positive, got {r}")
+
+
+def _check_kN(k: float, N: int, *, min_N: int = 0) -> None:
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"k must be finite and positive, got {k}")
+    if not isinstance(N, (int,)) or isinstance(N, bool):
+        raise DomainError(f"N must be an integer, got {N!r}")
+    if N < min_N:
+        raise DomainError(f"N must be >= {min_N}, got {N}")
+
+
+def _inflow_ratio(alpha: float, r: float) -> float:
+    """alpha / r after checking that both are finite and positive."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(r) and r > 0.0):
+        raise DomainError(f"r must be positive, got {r}")
+    return alpha / r

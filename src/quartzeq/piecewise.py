@@ -34,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, _check_r, _check_x
+from .errors import ConvergenceError, DomainError, _check_kN, _check_r, _check_x
 
 __all__ = [
     "F_piecewise",
@@ -64,15 +64,6 @@ _SERIES_BELOW_U = 0.25
 # (w <= e^(1/8) - 1); the omitted terms are below 3e-18 of the leading one.
 _EXPM1_MINUS_U = tuple(1.0 / math.factorial(j + 2) for j in reversed(range(12)))
 _ATANH_MINUS_S = tuple(1.0 / (2 * j + 3) for j in reversed(range(7)))
-
-
-def _check_kN(k: float, N: int, *, min_N: int = 0) -> None:
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"k must be finite and positive, got {k}")
-    if not isinstance(N, (int,)) or isinstance(N, bool):
-        raise DomainError(f"N must be an integer, got {N!r}")
-    if N < min_N:
-        raise DomainError(f"N must be >= {min_N}, got {N}")
 
 
 def F_piecewise(k: float, N: int, x: float) -> float:

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import PowerLawFamily
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _inflow_ratio
 from .series import evaluate
 
 __all__ = [
@@ -236,15 +236,6 @@ def estimate_m_with_error(params: PowerLawFamily) -> tuple[MEstimate, float, int
     if verdict.regime is Regime.ALWAYS_EXISTS:
         raise DomainError("no finite m in the AlwaysExists regime (F is unbounded)")
     return MEstimate(verdict.m_estimate, verdict.m_attained_at), verdict.m_error_bar, evals
-
-
-def _inflow_ratio(alpha: float, r: float) -> float:
-    """alpha / r after checking that both are finite and positive."""
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"r must be positive, got {r}")
-    return alpha / r
 
 
 def _regime_verdict(params: PowerLawFamily) -> tuple[RegimeVerdict, int]:

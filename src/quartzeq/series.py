@@ -65,6 +65,8 @@ __all__ = [
     "F_equilibrium",
     "cohort_profile",
     "identity_audit",
+    "DEFAULT_TOL",
+    "DEFAULT_TERM_CAP",
 ]
 
 DEFAULT_TOL = 1e-12

@@ -75,7 +75,6 @@ def _sin_half_pi(s: float) -> float:
     return -value if (m % 2) else value
 
 
-@lru_cache(maxsize=8192)
 def zeta(s: float) -> float:
     """Riemann zeta on the real axis (s != 1)."""
     s = float(s)
@@ -119,7 +118,6 @@ def bernoulli_fraction(n: int) -> Fraction:
     return -sum(math.comb(n + 1, j) * bernoulli_fraction(j) for j in range(n)) / (n + 1)
 
 
-@lru_cache(maxsize=8192)
 def harmonic(k: int) -> float:
     """H_k = sum_{j<=k} 1/j, H_0 = 0."""
     if k < 0:

@@ -1,5 +1,6 @@
 """Coefficient family contracts: derived rates, tail infima, config round-trips."""
 
+import ast
 import json
 import math
 import warnings
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from quartzeq import coefficients
 from quartzeq.coefficients import (
     PiecewiseConstantFamily,
     PowerLawFamily,
@@ -121,10 +123,6 @@ class TestTabulated:
         d1, d7 = fam.d_values(idx)
         assert d7 == d1 == pytest.approx(0.6)
 
-    def test_non_monotone_table_warns(self):
-        with pytest.warns(UserWarning, match="non-increasing"):
-            TabulatedFamily(k=(1.0, 2.0), p=(1.0, 1.0), q=(0.0, 0.0))
-
     def test_monotone_table_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -213,9 +211,7 @@ _any_family = st.one_of(
     st.builds(PiecewiseConstantFamily, st.floats(0.01, 100.0), st.integers(0, 50)),
     st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 5.0))
     .map(lambda a_gap: PowerLawFamily.from_ab(a_gap[0], a_gap[0] - a_gap[1])),
-    # non-increasing k and p, so the table raises no monotonicity warning
-    _tables.map(lambda kpq: TabulatedFamily(sorted(kpq[0], reverse=True),
-                                            sorted(kpq[1], reverse=True), kpq[2])),
+    _tables.map(lambda kpq: TabulatedFamily(*kpq)),
 )
 
 
@@ -313,3 +309,12 @@ def test_step_sup_equals_the_per_weight_hooks():
                     assert got == (max(fam.k0, 2.0 ** fam.k_exp), math.inf, math.inf)
                 else:
                     assert got == reference(fam, n), (fam, n)
+
+
+def test_coefficients_imports_no_sibling_but_errors():
+    """The families sit below every other module: their input checks come
+    from errors, so building a family loads no solver."""
+    tree = ast.parse(open(coefficients.__file__).read())
+    siblings = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert siblings == ["errors"]

@@ -10,6 +10,7 @@ import functools
 import math
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -176,6 +177,58 @@ def test_power_law_intervals_contain_high_precision_sums(a, u, x):
     fam = PowerLawFamily.from_ab(a, b)
     h, skm, siqm = _power_law_exact(a, b, x)
     assert _encloses(_one(fam, "H", x), h)
+    assert _encloses(_one(fam, "kM", x), skm)
+    assert _encloses(_one(fam, "iqM", x), siqm)
+
+
+def _table_exact(k, p, q, x):
+    """(F, sum k_i M_i, sum i q_i M_i) at r = 1 of a table with 30 digits:
+    the stored rows summed, then past the table, where d is constant and
+    Q_i geometric with ratio c = x/(x + d_{L-1}), the tails in closed form."""
+    with mpmath.workdps(30):
+        k, p, q = ([mpmath.mpf(v) for v in col] for col in (k, p, q))
+        x = mpmath.mpf(x)
+        d = [(pi + qi) / ki for ki, pi, qi in zip(k, p, q)]
+        top = len(k) - 1
+        qn, h, s1, siq = mpmath.mpf(1), 0, 0, 0
+        for i in range(1, top + 1):
+            qn *= x / (x + d[i])
+            h, s1, siq = h + i * p[i] / k[i] * qn, s1 + qn, siq + i * q[i] / k[i] * qn
+        c = x / (x + d[top])
+        tail_q = qn * c / (1 - c)  # sum of Q_i over i > top
+        tail_iq = qn * (top * c / (1 - c) + c / (1 - c) ** 2)  # sum of i Q_i there
+        h += p[top] / k[top] * tail_iq
+        s1 += tail_q
+        siq += q[top] / k[top] * tail_iq
+        return float(h / (x + d[0])), float((1 + s1) / (x + d[0])), float(siq / (x + d[0]))
+
+
+def _shaped(values, shape):
+    """values rising, or alternating between the smaller and larger half."""
+    ordered = sorted(values)
+    if shape == "rising":
+        return ordered
+    return [ordered[j // 2] if j % 2 == 0 else ordered[-1 - j // 2] for j in range(len(values))]
+
+
+_rates = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(*(
+           st.builds(_shaped, st.lists(rates, min_size=n, max_size=n),
+                     st.sampled_from(["rising", "oscillating"]))
+           for rates in (st.floats(0.1, 3.0), _rates, _rates)))),
+       st.floats(1e-2, 1e2))
+def test_unordered_table_intervals_contain_high_precision_sums(kpq, x):
+    """Tables need no order: with k, p and q rising or oscillating, every
+    interval contains the 30-digit sum, and building the table is silent."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fam = _table(*kpq)
+    table = fam.describe()
+    f, skm, siqm = _table_exact(table["k"], table["p"], table["q"], x)
+    assert _encloses(F_equilibrium(fam, x), f)
     assert _encloses(_one(fam, "kM", x), skm)
     assert _encloses(_one(fam, "iqM", x), siqm)
 
@@ -614,10 +667,8 @@ def _reference_evaluate(fam, quantity, xs, r=1.0, *, tol=series.DEFAULT_TOL,
 
 
 def _table(k, p, q):
-    """A table from drawn rows: k and p non-increasing, p_i + q_i > 0."""
-    p = sorted(p, reverse=True)
-    return TabulatedFamily(k=sorted(k, reverse=True), p=p,
-                           q=[qi if pi + qi > 0.0 else 1.0 for pi, qi in zip(p, q)])
+    """A table from drawn rows in any order, with p_i + q_i > 0."""
+    return TabulatedFamily(k=k, p=p, q=[qi if pi + qi > 0.0 else 1.0 for pi, qi in zip(p, q)])
 
 
 _identity_families = st.one_of(
