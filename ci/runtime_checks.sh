@@ -39,6 +39,10 @@ test "$code" -eq 2
 code=0; quartzeq reproduce --criterion 11 || code=$?
 test "$code" -eq 2
 
+# the default reproduce text carries no wall time: re-runs are byte-identical
+quartzeq reproduce --criterion 1 > reproduce_1.txt
+quartzeq reproduce --criterion 1 | cmp - reproduce_1.txt
+
 # the probe's scan stops where the d-identity bound rules out a
 # crossing, long before the grid rows past the 10^6 term cap
 python -c "from quartzeq import PowerLawFamily, count_equilibria_probe as p; print(p(PowerLawFamily.from_ab(0.2, -1.5), 0.2, 1.0))"
@@ -103,5 +107,9 @@ quartzeq roots --k 1 --N 1 --alpha 0.25 --r 1 | python -c "import json, sys; ass
 quartzeq roots --k 1 --N 1 --alpha 0.3 --r 1 | python -c "import json, sys; assert json.load(sys.stdin)['classification'] == 'no_roots'"
 # two roots at N = 100000: the peak is one O(N) pass
 quartzeq roots --k 1 --N 100000 --alpha 1 --r 1
+# a non-golden case: each root is a sign change of F_piecewise - alpha/r
+# between it and the next float (or an exact zero), not pinned bytes
+sign_change="import json, math, sys; from quartzeq.piecewise import F_piecewise; doc = json.load(sys.stdin); g = lambda x: F_piecewise(0.7, 9, x) - 0.9; assert doc['count'] == 2, doc; assert all(g(x) == 0.0 or g(x) * g(math.nextafter(x, math.inf)) < 0.0 for x in doc['roots']), doc['roots']"
+quartzeq roots --k 0.7 --N 9 --alpha 0.9 --r 1 | python -c "$sign_change"
 echo '{"a": 2, "b": 0}' > classify.json
 quartzeq --config classify.json classify

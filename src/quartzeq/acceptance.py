@@ -58,8 +58,8 @@ class CriterionResult:
     @property
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return (f"{status} criterion {self.number:2d} [{self.runtime_s:6.2f}s"
-                f"/{self.limit_s:.0f}s] {self.title}: {self.details}")
+        # no wall time, so that re-runs print the same bytes
+        return f"{status} criterion {self.number:2d} {self.title}: {self.details}"
 
 
 class _Check:

@@ -13,18 +13,20 @@ solutions of F(x) = alpha/r, so there are two, one (tangent), or none
 according to alpha/r versus the peak value.
 
 The peak's y* and F_max depend on N alone and are computed once per N.
-solve_roots bisects each root to adjacent floats, evaluating F only
-inside a certified band around it.  F_piecewise is within _F_REL_ERR
-(relative) of the exact F at the rounded kx; the exact F rises up to its
-peak and falls past it, and the rounded kx never falls as x grows.  So
-where F_piecewise clears alpha/r by the margin _BAND_MARGIN = 64
-_F_REL_ERR, the exact F clears it by more than twice _F_REL_ERR.  If that
-holds above alpha/r at x* and at the band's end on x*'s side, it holds at
-every x between them; if it holds below alpha/r at the band's far end, it
-holds at every x beyond it.  Every midpoint the bisection skips therefore
-takes the side an evaluation would give it, and none is an exact zero:
-the roots are bit for bit those of the bisection that evaluates every
-midpoint.
+solve_roots bisects each root to adjacent floats inside a certified
+bracket, starting from the F values that certified it.  F_piecewise is
+within e = _F_REL_ERR (relative) of the exact F at the rounded kx.  The
+ends of a bracket pass F_piecewise >= phi (1 + M) on the peak's side and
+F_piecewise <= phi (1 - M) on the other (phi = alpha/r, M = _BRACKET_MARGIN),
+tests that round twice by at most u = 2^-53 (relative); x* passes the
+first before any bracket is sought, and 0, where F = 0, the second.  So
+at the ends' rounded kx the exact F clears phi on the same sides once
+(1 + M)(1 - u)^2 > 1 + e and (1 - M)(1 + u)^2 < 1 - e, that is once
+M > e + 2u to first order; M = 2e.  The ends then bracket a computed sign
+change of F_piecewise - phi and, since F is monotone on each flank and the
+rounded kx never falls as x grows, the exact root in kx.  Where no bracket
+is certified (F(x*) within the margin of phi, or Newton not settling),
+the root is bisected over [0, x*] or the doubling bracket past x*.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ NEAR_THRESHOLD_BAND = 10.0  # multiples of tol, relative to the peak value
 # F_piecewise's relative error against the exact F at the rounded kx, for any
 # kx and N, which the tests pin against 50-digit references
 _F_REL_ERR = 1e-14
-# how far F_piecewise must clear alpha/r, relative, at a root's band ends and
-# at x* (see the module docstring)
-_BAND_MARGIN = 64 * _F_REL_ERR
-_NEWTON_STEPS = 8  # per root; a band needs Newton to settle within them
+# how far F_piecewise must clear alpha/r, relative, at a root's bracket ends
+# and at x* (see the module docstring)
+_BRACKET_MARGIN = 2 * _F_REL_ERR
+_NEWTON_STEPS = 8  # per root; a bracket needs Newton to settle within them
+_Bracket = tuple[float, float, float, float]  # (lo, g(lo), hi, g(hi)), g = F - alpha/r
 
 # Below this u = (N+1) log1p(1/kx), F_piecewise sums series instead of
 # the closed form, whose two terms cancel by a factor of about 4/u there.
@@ -130,20 +133,12 @@ def _stationary_polynomial(N: int, y: float) -> float:
     return 1.0 - (N + 1) ** 2 * yn + N * (2 * N + 3) * yn * y - N * (N + 1) * yn * y * y
 
 
-def _bisect_to_adjacent(f, lo: float, hi: float, f_lo: float, band=None) -> float:
-    """Bisect a sign change down to adjacent floats; exact zeros returned.
+def _bisect_to_adjacent(f, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
+    """Bisect a sign change of f, given f_lo = f(lo) and f_hi = f(hi), to adjacent floats.
 
-    band = (x_lo, x_hi), when given, certifies that f is nonzero with lo's
-    sign at every x <= x_lo in [lo, hi] and with hi's sign at every
-    x >= x_hi.  A midpoint (or hi itself) outside the band then takes its
-    side without a call to f, so the midpoints and the result are exactly
-    those of the bisection without a band, and f is evaluated only inside
-    it.  solve_roots certifies its bands (_root_band) from F_piecewise's
-    relative error _F_REL_ERR and the margin _BAND_MARGIN: see the module
-    docstring.
+    f is evaluated only at midpoints strictly inside (lo, hi); an exact zero
+    is returned as it is met.
     """
-    x_lo, x_hi = band or (-math.inf, math.inf)
-    f_hi = f(hi) if hi < x_hi else -f_lo
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -154,12 +149,6 @@ def _bisect_to_adjacent(f, lo: float, hi: float, f_lo: float, band=None) -> floa
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return mid if lo < mid < hi else lo
-        if mid <= x_lo:
-            lo = mid
-            continue
-        if mid >= x_hi:
-            hi = mid
-            continue
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
@@ -172,10 +161,10 @@ def _bisect_to_adjacent(f, lo: float, hi: float, f_lo: float, band=None) -> floa
 @functools.lru_cache(maxsize=256)
 def _peak(N: int) -> tuple[float, float]:
     """(y*, F_max) for N >= 1: in y = kx/(kx+1) the peak of F depends on N alone."""
-    y_star = _bisect_to_adjacent(
-        lambda y: _stationary_polynomial(N, y), 0.0, (N + 1) / (N + 2),
-        _stationary_polynomial(N, 0.0)
-    )
+    y_hi = (N + 1) / (N + 2)
+    y_star = _bisect_to_adjacent(lambda y: _stationary_polynomial(N, y), 0.0,
+                                 _stationary_polynomial(N, 0.0), y_hi,
+                                 _stationary_polynomial(N, y_hi))
     return y_star, _F_piecewise_y(N, y_star)
 
 
@@ -215,7 +204,7 @@ class RootReport:
 
 def _root_guesses(k: float, N: int, phi: float, y_star: float,
                   f_max: float) -> tuple[float, float]:
-    """First guesses at the two roots of F(x) = phi < F_max, for _root_band.
+    """First guesses at the two roots of F(x) = phi < F_max, for _root_bracket.
 
     Near the peak F follows its parabola in y, of curvature
     p_N'(y*)/(1-y*)^2 there.  Lower down F ~ kx on the left and, with
@@ -239,19 +228,21 @@ def _x_of_y(k: float, y: float) -> float:
     return y / den if y > 0.0 and den > 0.0 else math.nan
 
 
-def _root_band(k: float, N: int, phi: float, a: float, b: float,
-               x: float, rising: bool) -> tuple[float, float] | None:
-    """A certified band (x_lo, x_hi) around the root of F(x) = phi in (a, b).
+def _root_bracket(k: float, N: int, phi: float, bracket: _Bracket, x: float,
+                  rising: bool) -> _Bracket | None:
+    """A certified bracket (lo, g(lo), hi, g(hi)), g = F - phi, inside bracket.
 
-    F rises through the root if rising (a = 0, b = x*) and falls through
-    it otherwise (a = x*, b = inf); F(x*) must clear phi by _BAND_MARGIN.
-    Safeguarded Newton steps on ln F = ln phi in ln x, from the guess x
-    and with F'(x) = k p_N(y), estimate the root.  An end of the band is
-    kept only where F_piecewise clears phi by _BAND_MARGIN on its side;
-    one that does not is widened until it does, and one that leaves (a, b)
-    is dropped (+-inf).  None when Newton does not settle.
+    bracket = (a, g(a), b, g(b)) holds the root of F(x) = phi, which F rises
+    through if rising (a = 0, b = x*) and falls through otherwise (a = x*,
+    b = inf); F(x*) must clear phi by _BRACKET_MARGIN.  Safeguarded Newton
+    steps on ln F = ln phi in ln x, from the guess x and with
+    F'(x) = k p_N(y), estimate the root.  An end is kept only where
+    F_piecewise clears phi by _BRACKET_MARGIN on its side; one that does not
+    is widened until it does, and one that leaves (a, b) becomes a or b.
+    None when Newton does not settle.
     """
-    a0, b0 = a, b
+    a0, g_a, b0, g_b = bracket
+    a, b = a0, b0
 
     def inside(x: float) -> float:  # x, or else a bisection of (a, b) in ln x
         if a < x < b:
@@ -286,23 +277,24 @@ def _root_band(k: float, N: int, phi: float, a: float, b: float,
     else:
         return None
     # x is off by about step^2 and by step times the slope's relative error
-    c0 = 4.0 * step * step + 2.0 * abs(step) * p_rel + 2.0 * _BAND_MARGIN / abs(slope)
+    c0 = 4.0 * step * step + 2.0 * abs(step) * p_rel + 2.0 * _BRACKET_MARGIN / abs(slope)
 
-    def end(sign: float) -> float:
+    def end(sign: float, edge: tuple[float, float]) -> tuple[float, float]:
         # the end above the root of a rising F, or below that of a falling
         # one, lies on the peak's side: there F must exceed phi
         above = (sign > 0.0) == rising
+        bound = phi * (1.0 + _BRACKET_MARGIN) if above else phi * (1.0 - _BRACKET_MARGIN)
         c = c0
         while True:
             x_end = x * (1.0 + sign * c)
             if not a0 < x_end < b0:
-                return sign * math.inf
+                return edge
             f = _F_piecewise(k, N, x_end)
-            if (f >= phi * (1.0 + _BAND_MARGIN)) if above else (f <= phi * (1.0 - _BAND_MARGIN)):
-                return x_end
+            if (f >= bound) if above else (f <= bound):
+                return x_end, f - phi
             c *= 16.0
 
-    return end(-1.0), end(1.0)
+    return *end(-1.0, (a0, g_a)), *end(1.0, (b0, g_b))
 
 
 def solve_roots(k: float, N: int, r: float, alpha: float, *,
@@ -334,32 +326,30 @@ def solve_roots(k: float, N: int, r: float, alpha: float, *,
     def g(x: float) -> float:
         return _F_piecewise(k, N, x) - phi
 
-    # a band needs F(x*) clear of alpha/r, which a tol far below the margin
-    # may not leave; without one the bisections evaluate every midpoint
+    # the full brackets, as F(0) = 0 and F -> 0 as x -> inf
     f_star = _F_piecewise(k, N, x_star)
-    left_band = right_band = None
-    if f_star >= phi * (1.0 + _BAND_MARGIN):
+    left = (0.0, -phi, x_star, f_star - phi)
+    right = (x_star, f_star - phi, math.inf, -phi)
+    # a certified bracket needs F(x*) clear of alpha/r, which a tol far
+    # below the margin may not leave
+    if f_star >= phi * (1.0 + _BRACKET_MARGIN):
         guess_l, guess_r = _root_guesses(k, N, phi, y_star, f_max)
-        left_band = _root_band(k, N, phi, 0.0, x_star, guess_l, True)
-        right_band = _root_band(k, N, phi, x_star, math.inf, guess_r, False)
-    left = _bisect_to_adjacent(g, 0.0, x_star, -phi, left_band)
-    x_lo, x_hi = right_band or (-math.inf, math.inf)
-
-    def above(x: float) -> bool:  # g(x) >= 0, read from the band outside it
-        return x <= x_lo or (x < x_hi and g(x) >= 0.0)
-
-    # F decreases past x_star: F(x_top) >= alpha/r leaves no right root up to x_top
-    x_top = 0.5 * sys.float_info.max / max(k, 1.0)
-    hi = min(2.0 * x_star, x_top)
-    while above(hi):
-        if hi == x_top:
-            raise ConvergenceError(
-                f"F stays above alpha/r={phi!r} at every finite x up to {x_top!r}",
-                series="piecewise_roots", x=x_top,
-            )
-        hi = min(2.0 * hi, x_top)
-    right = _bisect_to_adjacent(g, x_star, hi, f_star - phi, right_band)
-    return RootReport(k, N, r, alpha, 2, (left, right), "two_roots",
+        left = _root_bracket(k, N, phi, left, guess_l, True) or left
+        right = _root_bracket(k, N, phi, right, guess_r, False) or right
+    if right[2] == math.inf:
+        # F decreases past x_star: F(x_top) >= alpha/r leaves no right root up to x_top
+        x_top = 0.5 * sys.float_info.max / max(k, 1.0)
+        hi = min(2.0 * x_star, x_top)
+        while (g_hi := g(hi)) >= 0.0:
+            if hi == x_top:
+                raise ConvergenceError(
+                    f"F stays above alpha/r={phi!r} at every finite x up to {x_top!r}",
+                    series="piecewise_roots", x=x_top,
+                )
+            hi = min(2.0 * hi, x_top)
+        right = (x_star, f_star - phi, hi, g_hi)
+    roots = (_bisect_to_adjacent(g, *left), _bisect_to_adjacent(g, *right))
+    return RootReport(k, N, r, alpha, 2, roots, "two_roots",
                       x_star, f_max, a_star, False)
 
 

@@ -8,11 +8,13 @@ a subprocess, for a real stdout file descriptor.
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -20,7 +22,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from quartzeq import cli
+from quartzeq import acceptance, cli
 
 EPS = 2.0**-52
 
@@ -545,6 +547,21 @@ def test_byte_identical_reruns():
     first = run(argv)
     second = run(argv)
     assert first == second
+
+
+def test_reproduce_text_is_byte_identical_across_reruns(monkeypatch):
+    # the text document carries no wall time, so a clock that makes each
+    # run take longer than the last changes no byte; only --format json's
+    # runtime_s varies
+    ticks = itertools.count()
+    monkeypatch.setattr(acceptance, "time",
+                        types.SimpleNamespace(perf_counter=lambda: 0.01 * next(ticks) ** 2))
+    argv = ["reproduce", "--criterion", "1"]
+    first, second = run(argv), run(argv)
+    assert first[0] == 0 and first == second
+    runtimes = [json.loads(run(argv + ["--format", "json"])[1])["results"][0]["runtime_s"]
+                for _ in range(2)]
+    assert runtimes[0] != runtimes[1]
 
 
 def test_unknown_verb_exits_argparse():

@@ -1,13 +1,16 @@
 """Piecewise-constant family: closed forms, stationary point, root solving."""
 
 import math
+import struct
 import sys
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quartzeq import piecewise
 from quartzeq.coefficients import PiecewiseConstantFamily
 from quartzeq.errors import ConvergenceError, DomainError
 from quartzeq.piecewise import (
@@ -85,16 +88,22 @@ def test_closed_form_against_50_digit_reference(N):
 @given(k=st.floats(0.3, 3.0), N=st.integers(1, 5000), log_kx=st.floats(-3.0, 12.0),
        frac=st.floats(1e-6, 0.999))
 def test_F_piecewise_error_bound_holds(k, N, log_kx, frac):
-    # the premise of solve_roots' band certificate: F_piecewise within
-    # _F_REL_ERR of the exact F at the rounded kx, here at a random kx and at
-    # both roots of F = frac * F_max
-    xs = [10.0**log_kx / k, *solve_roots(k, N, 1.0, frac * stationary_point(k, N)[2]).roots]
+    # the premise of solve_roots' bracket certificate: F_piecewise within
+    # _F_REL_ERR of the exact F at the rounded kx, here at a random kx, at
+    # both roots of F = frac * F_max and at the ends of their certified
+    # brackets, where the exact F must also lie on F_piecewise's side of phi
+    phi = frac * stationary_point(k, N)[2]
+    rep, brackets = _solve_traced(k, N, 1.0, phi)
+    ends = [x for b in brackets if b is not None for x in b if 0.0 < x < math.inf]
     with mpmath.workdps(50):
-        for x in xs:
+        for x in [10.0**log_kx / k, *rep.roots, *ends]:
             kx = mpmath.mpf(k * x)  # rounded as F_piecewise rounds it
             y = kx / (kx + 1)
             exact = kx * (1 - y ** (N + 1)) - (N + 1) * y ** (N + 1)
-            assert abs(F_piecewise(k, N, x) - exact) <= _F_REL_ERR * exact, (k, N, x)
+            f = F_piecewise(k, N, x)
+            assert abs(f - exact) <= _F_REL_ERR * exact, (k, N, x)
+            if x in ends:
+                assert (exact > phi) == (f > phi) and exact != phi, (k, N, x)
 
 
 def _reference_bisect(f, lo, hi, f_lo):
@@ -166,21 +175,80 @@ def _criterion_3_cases():
     return cases
 
 
+def _solve_traced(k, N, r, alpha, tol=1e-12):
+    """solve_roots, with the (lo, hi) each root was bisected over if certified, else None."""
+    stationary_point(k, N)  # the peak is cached: every bisection is a root's
+    made, started = [], []
+    bracket, bisect = piecewise._root_bracket, piecewise._bisect_to_adjacent
+
+    def recording_bracket(*args):
+        made.append(bracket(*args))
+        return made[-1]
+
+    def recording_bisect(f, lo, f_lo, hi, f_hi):
+        started.append((lo, hi))
+        return bisect(f, lo, f_lo, hi, f_hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(piecewise, "_root_bracket", recording_bracket)
+        mp.setattr(piecewise, "_bisect_to_adjacent", recording_bisect)
+        rep = solve_roots(k, N, r, alpha, tol=tol)
+    certified = [(b[0], b[2]) for b in made if b is not None]
+    return rep, [lo_hi if lo_hi in certified else None for lo_hi in started]
+
+
+def _ulps(a, b):
+    """Distance in ulps between two positive floats."""
+    return abs(struct.unpack("<q", struct.pack("<d", a))[0]
+               - struct.unpack("<q", struct.pack("<d", b))[0])
+
+
+def _check_contract(k, N, r, alpha, tol=1e-12):
+    """solve_roots against the reference; returns the largest root move in ulps.
+
+    Every field but the roots is the reference's bit for bit.  Each root is a
+    sign change of F_piecewise - alpha/r between it and the next float (or an
+    exact zero) inside its certified bracket, and is the reference's root
+    bit for bit where no bracket was certified.
+    """
+    rep, brackets = _solve_traced(k, N, r, alpha, tol)
+    ref = _reference_solve_roots(k, N, r, alpha, tol)
+    assert replace(rep, roots=ref.roots) == ref, (k, N, r, alpha)
+    if rep.count != 2:
+        assert rep.roots == ref.roots, (k, N, r, alpha)
+        return 0
+    phi = alpha / r
+    for x, x_ref, bracket in zip(rep.roots, ref.roots, brackets):
+        g, g_next = (_F_piecewise(k, N, t) - phi for t in (x, math.nextafter(x, math.inf)))
+        assert g == 0.0 or g < 0.0 < g_next or g > 0.0 > g_next, (k, N, r, alpha, x)
+        if bracket is None:
+            assert x == x_ref, (k, N, r, alpha)
+        else:
+            assert bracket[0] <= x <= bracket[1], (k, N, r, alpha, x, bracket)
+    return max(_ulps(x, x_ref) for x, x_ref in zip(rep.roots, ref.roots))
+
+
 class TestReference:
-    """solve_roots and stationary_point against the plain bisections, bit for bit."""
+    """solve_roots and stationary_point against the plain bisections.
+
+    The roots keep their contract, a sign change at adjacent floats, but a
+    root bisected from a certified bracket may be another sign change than
+    the reference's inside the rounding zone; each test prints the largest
+    such move.
+    """
 
     def test_criterion_3_sweep(self):
-        reports = [solve_roots(k, N, 1.0, phi) for k, N, phi in _criterion_3_cases()]
-        assert reports == [_reference_solve_roots(k, N, 1.0, phi)
-                           for k, N, phi in _criterion_3_cases()]
-        assert sum(rep.count == 2 for rep in reports) == 151
+        worst = max(_check_contract(k, N, 1.0, phi) for k, N, phi in _criterion_3_cases())
+        print(f"largest root move from the reference: {worst} ulps")
+        assert sum(solve_roots(k, N, 1.0, phi).count == 2
+                   for k, N, phi in _criterion_3_cases()) == 151
 
     def test_random_cases_up_to_N_5000(self):
         # alpha/r from far below the peak to past it: 1 +- 1e-11 are the
         # edges of the tangent band at the default tol, 1 - 2e-11 just outside
         rng = np.random.default_rng(22)
         mults = (1e-6, 0.5, 0.999, 1 - 2e-11, 1 - 1e-11, 1 + 1e-11, 1.05)
-        count = 0
+        count = worst = 0
         for _ in range(300):
             k = float(10.0 ** rng.uniform(-0.7, 0.7))
             N = int(np.exp(rng.uniform(0.0, math.log(5000.5))))
@@ -188,31 +256,65 @@ class TestReference:
             for mult in mults:
                 r = float(10.0 ** rng.uniform(-1, 1))
                 alpha = mult * fm * r
-                rep = solve_roots(k, N, r, alpha)
-                assert rep == _reference_solve_roots(k, N, r, alpha), (k, N, mult)
-                count += rep.count == 2
+                worst = max(worst, _check_contract(k, N, r, alpha))
+                count += solve_roots(k, N, r, alpha).count == 2
+        print(f"largest root move from the reference: {worst} ulps")
         assert count >= 3 * 300
 
     def test_tol_that_leaves_no_margin(self):
-        # a tol far below the band margin lets alpha/r come within 1e-13 of
-        # the peak, where F(x*) does not clear the margin, no band is
-        # certified and every midpoint is evaluated; at 1 - 1e-12 it does
+        # a tol far below the margin lets alpha/r come within 1e-14 of the
+        # peak, where F(x*) does not clear the margin, no bracket is
+        # certified and both roots are the reference's; at 1 - 1e-13 one is
+        worst = 0
         for k, N in ((1.0, 1), (0.4, 7), (2.5, 300)):
             fm = stationary_point(k, N)[2]
             for mult in (1 - 1e-12, 1 - 1e-13, 1 - 1e-14):
-                rep = solve_roots(k, N, 1.0, mult * fm, tol=1e-16)
-                assert rep == _reference_solve_roots(k, N, 1.0, mult * fm, tol=1e-16)
+                worst = max(worst, _check_contract(k, N, 1.0, mult * fm, tol=1e-16))
+                brackets = _solve_traced(k, N, 1.0, mult * fm, tol=1e-16)[1]
+                assert (brackets == [None, None]) == (mult > 1 - 2e-14), (k, N, mult)
+        print(f"largest root move from the reference: {worst} ulps")
 
     def test_bands_hold_when_newton_misleads(self, monkeypatch):
         # a slope a million times too steep stops Newton at its first guess,
-        # far from the root: the checks at the band ends, not Newton, keep
-        # every report exact (the peak bisection reads only p_N's sign)
-        from quartzeq import piecewise
-
+        # far from the root: the checks at the bracket ends, not Newton, keep
+        # every root a sign change inside them (the peak bisection reads
+        # only p_N's sign)
         p_N = piecewise._stationary_polynomial
         monkeypatch.setattr(piecewise, "_stationary_polynomial", lambda N, y: 1e6 * p_N(N, y))
+        worst = max(_check_contract(k, N, 1.0, phi) for k, N, phi in _criterion_3_cases())
+        print(f"largest root move from the reference: {worst} ulps")
+
+    def test_two_root_calls_evaluate_F_only_inside_their_brackets(self):
+        # F at the bracket ends is read from the checks that certified them,
+        # so the bisections evaluate it only at midpoints strictly inside;
+        # the bisections over [0, x*] and the doubling bracket averaged 40
+        counts = []
+        F, bisect = piecewise._F_piecewise, piecewise._bisect_to_adjacent
         for k, N, phi in _criterion_3_cases():
-            assert solve_roots(k, N, 1.0, phi) == _reference_solve_roots(k, N, 1.0, phi)
+            stationary_point(k, N)
+            xs, inside = [], []
+
+            def counting_F(k, N, x):
+                xs.append(x)
+                return F(k, N, x)
+
+            def checking_bisect(f, lo, f_lo, hi, f_hi):
+                def f_inside(x):
+                    inside.append(lo < x < hi)
+                    return f(x)
+                return bisect(f_inside, lo, f_lo, hi, f_hi)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(piecewise, "_F_piecewise", counting_F)
+                mp.setattr(piecewise, "_bisect_to_adjacent", checking_bisect)
+                rep = solve_roots(k, N, 1.0, phi)
+            if rep.count == 2:
+                counts.append(len(xs))
+                assert inside and all(inside), (k, N, phi)
+        print(f"F evaluations per two-root call: mean {sum(counts) / len(counts):.1f}, "
+              f"max {max(counts)}")
+        assert len(counts) == 151
+        assert sum(counts) <= 32 * len(counts) and max(counts) <= 44
 
     def test_overflowing_bracket_message(self):
         for k in (1.0, 3.0):
