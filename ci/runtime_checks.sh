@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The runtime CI job's CLI and probe checks, run from an installed copy:
 #     bash ci/runtime_checks.sh
-# Each check is a command that must exit 0, or a usage error whose exit
-# code must be 2.  Scratch files go to a temporary directory, removed on exit.
+# Each check is a command that must exit 0, a usage error whose exit code
+# must be 2, or a numeric failure whose exit code must be 3.  Scratch files
+# go to a temporary directory, removed on exit.
 set -eo pipefail
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -111,5 +112,10 @@ quartzeq roots --k 1 --N 100000 --alpha 1 --r 1
 # between it and the next float (or an exact zero), not pinned bytes
 sign_change="import json, math, sys; from quartzeq.piecewise import F_piecewise; doc = json.load(sys.stdin); g = lambda x: F_piecewise(0.7, 9, x) - 0.9; assert doc['count'] == 2, doc; assert all(g(x) == 0.0 or g(x) * g(math.nextafter(x, math.inf)) < 0.0 for x in doc['roots']), doc['roots']"
 quartzeq roots --k 0.7 --N 9 --alpha 0.9 --r 1 | python -c "$sign_change"
+# F(x) ~ 1/(kx) stays above 1e-310 at every finite x: no right root, a
+# computation error (exit 3) whose diagnostic names alpha/r on stderr
+code=0; quartzeq roots --k 1 --N 1 --alpha 1e-310 --r 1 2> no_right_root.err || code=$?
+test "$code" -eq 3
+grep -q "F stays above alpha/r=1e-310" no_right_root.err
 echo '{"a": 2, "b": 0}' > classify.json
 quartzeq --config classify.json classify

@@ -8,16 +8,14 @@ pole), and K(x) = sum i^{b+1} prod x/(x+j^a) as x -> oo.  Every claim
 is compared against the certified direct sum.
 """
 
-import numpy as np
-
 from quartzeq import (
     K_direct,
     K_expansion_refined,
     R_expansion,
     R_sum_direct,
     cutoff_index,
-    fit_tail_envelope,
     relative_tail_beyond_cutoff,
+    tail_envelope,
 )
 
 # --- R(v): the residue expansion converges fast -------------------------
@@ -47,13 +45,9 @@ print("a stable constant: the next order is exactly 1/x")
 
 # --- how many terms does the direct sum really need? ----------------------
 # Beyond i0 = ceil(x^{3/(3a+2)}) the summand decays fast; the dropped
-# fraction of K shrinks roughly exponentially in x^{1/(3a+1)}.
-print("\nx      cutoff  dropped fraction")
+# fraction of K shrinks roughly exponentially in x^{1/(3a+2)}, and
+# tail_envelope proves a bound on it.
+print("\nx      cutoff  proven bound  dropped fraction  margin")
 for x in (1e2, 1e3, 1e4):
-    frac = relative_tail_beyond_cutoff(1.0, -1.0, x)
-    print(f"{x:.0e}  {cutoff_index(1.0, x):6d}  {frac:.3e}")
-
-env = fit_tail_envelope(1.0, -1.0, np.geomspace(100.0, 3000.0, 6))
-print(f"\nfitted envelope: {env.amplitude:.3f} * exp(-{env.rate:.3f} * x^{env.exponent})")
-x = 1e4
-print(f"bound at x = 1e4: {env.bound(x):.3e} vs measured {relative_tail_beyond_cutoff(1.0, -1.0, x):.3e}")
+    bound, frac = tail_envelope(1.0, -1.0, x), relative_tail_beyond_cutoff(1.0, -1.0, x)
+    print(f"{x:.0e}  {cutoff_index(1.0, x):6d}  {bound:.3e}     {frac:.3e}         {bound / frac:.2f}x")

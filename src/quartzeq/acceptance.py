@@ -3,9 +3,9 @@
 Ten numbered criteria cover the load-bearing claims: exact telescoping
 identities, piecewise closed forms and root multiplicity, the regime
 trichotomy, asymptotic expansions (constant-order, closed-form,
-Mellin-residue, Euler-Maclaurin), dynamics cross-checks, and tail
-envelopes.  Each criterion returns a CriterionResult; run_all executes
-them in order.  `python -m quartzeq.acceptance` prints one pass/fail
+Mellin-residue, Euler-Maclaurin), dynamics cross-checks, and the
+far-tail bound.  Each criterion returns a CriterionResult; run_all
+executes them in order.  `python -m quartzeq.acceptance` prints one pass/fail
 line per criterion and exits nonzero if any fail.
 
 Tolerances and pinned constants here are frozen: loosening them to make
@@ -35,10 +35,10 @@ from .asymptotics import (
     K_direct,
     R_expansion,
     R_sum_direct,
-    fit_tail_envelope,
     h10_closed_form,
     power_sum,
     relative_tail_beyond_cutoff,
+    tail_envelope,
 )
 
 __all__ = ["CriterionResult", "run_all", "run_criterion", "CRITERIA", "DEFAULT_SEED"]
@@ -332,17 +332,15 @@ def criterion_9(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
 
 
 def criterion_10(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
-    """Fitted decay envelope bounds out-of-sample relative tails."""
+    """The proven far-tail bound holds over the measured relative tails."""
     chk = _Check()
     details = []
     for a in (1.0, 2.0):
-        env = fit_tail_envelope(a, -1.0, np.geomspace(10.0, 100.0, 6))
-        margins = []
-        for x in (1e3, 1e4):
-            margins.append(env.bound(x) / relative_tail_beyond_cutoff(a, -1.0, x))
+        margins = [tail_envelope(a, -1.0, x) / relative_tail_beyond_cutoff(a, -1.0, x)
+                   for x in (1e3, 1e4)]
         chk.expect(all(m >= 1.0 for m in margins),
                    f"a={a} envelope margin {min(margins):.3f} < 1")
-        details.append(f"a={a} margins {margins[0]:.1f}x/{margins[1]:.1f}x")
+        details.append(f"a={a} margins {margins[0]:.2f}x/{margins[1]:.2f}x")
     return chk.summary("; ".join(details))
 
 

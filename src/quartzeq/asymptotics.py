@@ -27,8 +27,9 @@ hand-validated through depth 4 at a = 1, where it reproduces
     K_{1,-1}(x) = sqrt(pi/2) sqrt(x) - 2/3 + sqrt(2 pi)/24 x^{-1/2} + O(1/x).
 
 Also here: exact/asymptotic power sums sum_{i<=n} i^a, the closed form
-for H at (a,b) = (1,0), and fitted super-polynomial envelopes for the
-mass sitting beyond the cutoff index x^{3/(3a+2)}.
+for H at (a,b) = (1,0), and a proven bound on the fraction of K sitting
+beyond the cutoff index x^{3/(3a+2)}, which decays like
+exp(-x^{1/(3a+2)}/(a+1)).
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .series import DEFAULT_TERM_CAP, DEFAULT_TOL, BoundedValue, blocked_sum, certified
+from .series import (DEFAULT_TERM_CAP, DEFAULT_TOL, BoundedValue, _geometric_tail,
+                     blocked_sum, certified)
 from .special import (
     EULER_GAMMA,
     bernoulli_fraction,
@@ -60,11 +62,11 @@ __all__ = [
     "h10_closed_form",
     "cutoff_index",
     "relative_tail_beyond_cutoff",
-    "TailEnvelope",
-    "fit_tail_envelope",
+    "tail_envelope",
 ]
 
 _MAX_REFINED_DEPTH = 4  # coefficient bookkeeping hand-validated through here
+_NUDGE = 2.0**-44  # tail_envelope's margin on each computed quantity
 
 
 @dataclass(frozen=True)
@@ -437,56 +439,46 @@ def relative_tail_beyond_cutoff(a: float, b: float, x: float) -> float:
 
     The absolute beyond-cutoff mass grows with x (K itself grows
     polynomially); exponential smallness is a statement about this
-    fraction, which is what the fitted envelopes bound.
+    fraction, which is what tail_envelope bounds.
     """
     t = K_direct(a, b, x, start=cutoff_index(a, x))
     k = K_direct(a, b, x)
     return (t.value + t.tail_bound) / k.value
 
 
-@dataclass(frozen=True)
-class TailEnvelope:
-    """Fitted bound amplitude * exp(-rate * x^exponent) for the relative tail.
+def tail_envelope(a: float, b: float, x: float) -> float:
+    """Proven upper bound on the exact ratio relative_tail_beyond_cutoff measures.
 
-    exponent = 1/(3a+1); rate is the shallowest pairwise decay observed
-    on the fitting grid, clamped at 0 (the decay often has not set in
-    yet on small-x windows, in which case the envelope degenerates to a
-    constant), and amplitude carries a factor-2 headroom.  Conservative
-    by construction on the fitted range; validity beyond it is checked,
-    not assumed.
+    With i0 = cutoff_index(a, x), c = b + 1 and Q_i = prod_{j<=i} x/(x+j^a),
+    the beyond-cutoff mass is T = sum_{i>i0} i^c Q_i, and:
+
+    - log(1+u) >= u - u^2/2 for u >= 0, so the integral of log(1 + t^a/x)
+      over [0, i0] is at least Phi = i0^{a+1}/((a+1)x) -
+      i0^{2a+1}/(2(2a+1)x^2); as the integrand rises, that integral is at
+      most sum_{j<=i0} log(1 + j^a/x), and Q_{i0} <= exp(-max(0, Phi)).
+    - Each later factor is at most r = x/(x + (i0+1)^a), so
+      Q_i <= exp(-Phi) r^{i-i0} for i > i0.
+    - The bounding terms i^c r^{i-i0} start at (i0+1)^c r, and each step
+      is at most s = ((i0+2)/(i0+1))^{max(c,0)} r, so T <= exp(-Phi) times
+      that first term summed geometrically; where s >= 1 there is no
+      claim and the result is inf.
+
+    T is divided by the low end of K_direct(a, b, x)'s interval.  Every
+    computed quantity is off by a few roundings, far below 2^-44 of its
+    size: Phi's two parts, s and the quotient are each moved by 2^-44 in
+    the direction that enlarges the bound (the nudge of Phi's first part,
+    which is at least Phi, also covers the rounding of their
+    difference).  The bound decays like exp(-x^{1/(3a+2)}/(a+1)).  See
+    Olver, Asymptotics and Special Functions, ch. 8, for sums against
+    integrals of monotone functions.
     """
-
-    amplitude: float
-    rate: float
-    exponent: float
-
-    def bound(self, x: float) -> float:
-        if not (math.isfinite(x) and x > 0.0):
-            raise DomainError(f"x must be finite and positive, got {x}")
-        return self.amplitude * math.exp(-self.rate * x**self.exponent)
-
-
-def fit_tail_envelope(a: float, b: float, xs) -> TailEnvelope:
-    """Fit a TailEnvelope to measured relative beyond-cutoff tails."""
-    _check_a(a)
-    xs = sorted(float(x) for x in xs)
-    if len(xs) < 3:
-        raise DomainError("need at least 3 fitting points")
-    s = 1.0 / (3.0 * a + 1.0)
-    us, logs, tails = [], [], []
-    for x in xs:
-        ratio = relative_tail_beyond_cutoff(a, b, x)
-        if not ratio > 0.0:
-            raise DomainError(f"relative tail underflowed at x={x}")
-        us.append(x**s)
-        logs.append(math.log(ratio))
-        tails.append(ratio)
-    rate = max(
-        0.0,
-        min(
-            (logs[i] - logs[j]) / (us[j] - us[i])
-            for i in range(len(xs)) for j in range(i + 1, len(xs))
-        ),
-    )
-    amplitude = 2.0 * max(t * math.exp(rate * u) for t, u in zip(tails, us))
-    return TailEnvelope(amplitude, rate, s)
+    i0, c = cutoff_index(a, x), b + 1.0
+    k = K_direct(a, b, x)
+    u = i0**a / x  # the i0-th factor's j^a/x, so that no x^2 can overflow
+    phi = max(0.0, i0 * u / (a + 1.0) * (1.0 - _NUDGE)
+              - i0 * u * u / (2.0 * (2.0 * a + 1.0)) * (1.0 + _NUDGE))
+    r = x / (x + (i0 + 1.0) ** a)
+    s = ((i0 + 2.0) / (i0 + 1.0)) ** max(c, 0.0) * r * (1.0 + _NUDGE)
+    first = (i0 + 1.0) ** c * r
+    tail = math.exp(-phi) * (first + _geometric_tail(first, s))
+    return tail / (k.value - k.tail_bound) * (1.0 + _NUDGE)

@@ -337,15 +337,16 @@ def solve_roots(k: float, N: int, r: float, alpha: float, *,
         left = _root_bracket(k, N, phi, left, guess_l, True) or left
         right = _root_bracket(k, N, phi, right, guess_r, False) or right
     if right[2] == math.inf:
-        # F decreases past x_star: F(x_top) >= alpha/r leaves no right root up to x_top
+        # F decreases past x_star: F(x_top) >= alpha/r leaves no right root up
+        # to x_top, and otherwise the doubling stops at x_top at the latest
         x_top = 0.5 * sys.float_info.max / max(k, 1.0)
+        if g(x_top) >= 0.0:
+            raise ConvergenceError(
+                f"F stays above alpha/r={phi!r} at every finite x up to {x_top!r}",
+                series="piecewise_roots", x=x_top,
+            )
         hi = min(2.0 * x_star, x_top)
         while (g_hi := g(hi)) >= 0.0:
-            if hi == x_top:
-                raise ConvergenceError(
-                    f"F stays above alpha/r={phi!r} at every finite x up to {x_top!r}",
-                    series="piecewise_roots", x=x_top,
-                )
             hi = min(2.0 * hi, x_top)
         right = (x_star, f_star - phi, hi, g_hi)
     roots = (_bisect_to_adjacent(g, *left), _bisect_to_adjacent(g, *right))

@@ -324,6 +324,22 @@ class TestReference:
                 _reference_solve_roots(k, 1, 1.0, 1e-310)
             assert str(new.value) == str(ref.value)
 
+    def test_overflowing_bracket_raises_before_doubling(self, monkeypatch):
+        # one F(x_top) >= alpha/r decides that no right root exists; the
+        # doubling bracket took about 1,020 steps up to x_top to find it
+        F, xs = piecewise._F_piecewise, []
+
+        def counting_F(k, N, x):
+            xs.append(x)
+            return F(k, N, x)
+
+        monkeypatch.setattr(piecewise, "_F_piecewise", counting_F)
+        for k in (1.0, 3.0):
+            xs.clear()
+            with pytest.raises(ConvergenceError, match=r"^F stays above alpha/r=1e-310 "):
+                solve_roots(k, 1, 1.0, 1e-310)
+            assert len(xs) <= 24, (k, len(xs))
+
     def test_stationary_point_at_new_k_with_cached_N(self):
         for N in (1, 7, 20, 5000):
             stationary_point(1.3, N)  # the peak of this N is now cached

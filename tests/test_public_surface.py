@@ -6,7 +6,7 @@ from quartzeq import asymptotics, coefficients, dynamics, errors, piecewise, pow
 
 MODULES = (errors, coefficients, series, piecewise, powerlaw, asymptotics, dynamics)
 
-# the 54 exported names, pinned so that an edit to any module's __all__ shows here
+# the 53 exported names, pinned so that an edit to any module's __all__ shows here
 PINNED = sorted([
     "QuartzeqError", "DomainError", "ConvergenceError", "ConsistencyError",
     "IntegrationError",
@@ -22,8 +22,7 @@ PINNED = sorted([
     "SUPREMUM_AT_INFINITY",
     "ExpansionTerm", "AsymptoticExpansion", "R_sum_direct", "R_expansion",
     "power_sum", "K_direct", "K_expansion_refined", "h10_closed_form",
-    "cutoff_index", "relative_tail_beyond_cutoff", "TailEnvelope",
-    "fit_tail_envelope",
+    "cutoff_index", "relative_tail_beyond_cutoff", "tail_envelope",
     "SystemState", "TrajectorySummary", "integrate", "initial_state",
     "state_from_profile", "conservation_residual", "equilibrium_residual",
     "__version__",
