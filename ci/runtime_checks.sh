@@ -10,8 +10,8 @@ trap 'rm -rf "$work"' EXIT
 cd "$work"
 
 quartzeq threshold --a 2 --b 0
-# the d-identity bound stops this scan after 125 of its 200 grid rows;
-# rounds of 25 rows then rescan the bracket of the best one
+# the d-identity bound stops this scan after 125 grid rows; rounds of 25
+# rows then rescan the bracket of the best one
 quartzeq threshold --a 0.8 --b -1.08 --alpha 0.3
 # the scan sets its own extent: past x = 1e6 the d-identity bound
 # stops it, here after the peak near x = 4.7e7
@@ -106,8 +106,12 @@ quartzeq --config run.json roots
 quartzeq roots --k 1 --N 1 --alpha 0.2 --r 1 | python -c "import json, sys; assert json.load(sys.stdin)['roots'] == [0.3819660112501051, 2.6180339887498936]"
 quartzeq roots --k 1 --N 1 --alpha 0.25 --r 1 | python -c "import json, sys; assert json.load(sys.stdin)['classification'] == 'tangent'"
 quartzeq roots --k 1 --N 1 --alpha 0.3 --r 1 | python -c "import json, sys; assert json.load(sys.stdin)['classification'] == 'no_roots'"
-# two roots at N = 100000: the peak is one O(N) pass
-quartzeq roots --k 1 --N 100000 --alpha 1 --r 1
+# the peak is one bisection of the factored stationarity form at any N
+quartzeq roots --k 1 --N 100000000 --alpha 1 --r 1
+# 3% below the peak at N = 1e9 (2.984e8) there are two roots, each a sign
+# change of F_piecewise - alpha/r between it and the next float
+large_N="import json, math, sys; from quartzeq.piecewise import F_piecewise; doc = json.load(sys.stdin); g = lambda x: F_piecewise(1.0, 10**9, x) - 2.9e8; assert doc['classification'] == 'two_roots', doc; assert all(g(x) == 0.0 or g(x) * g(math.nextafter(x, math.inf)) < 0.0 for x in doc['roots']), doc['roots']"
+quartzeq roots --k 1 --N 1000000000 --alpha 2.9e8 --r 1 | python -c "$large_N"
 # a non-golden case: each root is a sign change of F_piecewise - alpha/r
 # between it and the next float (or an exact zero), not pinned bytes
 sign_change="import json, math, sys; from quartzeq.piecewise import F_piecewise; doc = json.load(sys.stdin); g = lambda x: F_piecewise(0.7, 9, x) - 0.9; assert doc['count'] == 2, doc; assert all(g(x) == 0.0 or g(x) * g(math.nextafter(x, math.inf)) < 0.0 for x in doc['roots']), doc['roots']"

@@ -67,6 +67,7 @@ __all__ = [
 
 _MAX_REFINED_DEPTH = 4  # coefficient bookkeeping hand-validated through here
 _NUDGE = 2.0**-44  # tail_envelope's margin on each computed quantity
+_ENVELOPE_TERMS = 2**16  # tail_envelope's cap on the terms summed one by one
 
 
 @dataclass(frozen=True)
@@ -458,19 +459,23 @@ def tail_envelope(a: float, b: float, x: float) -> float:
       most sum_{j<=i0} log(1 + j^a/x), and Q_{i0} <= exp(-max(0, Phi)).
     - Each later factor is at most r = x/(x + (i0+1)^a), so
       Q_i <= exp(-Phi) r^{i-i0} for i > i0.
-    - The bounding terms i^c r^{i-i0} start at (i0+1)^c r, and each step
-      is at most s = ((i0+2)/(i0+1))^{max(c,0)} r, so T <= exp(-Phi) times
-      that first term summed geometrically; where s >= 1 there is no
+    - The bounding terms i^c r^{i-i0} start at (i0+1)^c r, and the step
+      from index i to i+1 is s_i = ((i+1)/i)^{max(c,0)} r, which falls as
+      i grows.  They are summed one by one up to the first index m with
+      s_m < 1, and the rest is at most the m-th term summed geometrically
+      with step s_m, so T <= exp(-Phi) times that total.  m - i0 is at
+      most about c x^{2/(3a+2)}; past _ENVELOPE_TERMS terms there is no
       claim and the result is inf.
 
     T is divided by the low end of K_direct(a, b, x)'s interval.  Every
     computed quantity is off by a few roundings, far below 2^-44 of its
-    size: Phi's two parts, s and the quotient are each moved by 2^-44 in
-    the direction that enlarges the bound (the nudge of Phi's first part,
-    which is at least Phi, also covers the rounding of their
-    difference).  The bound decays like exp(-x^{1/(3a+2)}/(a+1)).  See
-    Olver, Asymptotics and Special Functions, ch. 8, for sums against
-    integrals of monotone functions.
+    size: Phi's two parts, each s_i and the quotient are each moved by
+    2^-44 in the direction that enlarges the bound (the nudge of Phi's
+    first part, which is at least Phi, also covers the rounding of their
+    difference, and the terms are summed with math.fsum).  The bound
+    decays like exp(-x^{1/(3a+2)}/(a+1)).  See Olver, Asymptotics and
+    Special Functions, ch. 8, for sums against integrals of monotone
+    functions.
     """
     i0, c = cutoff_index(a, x), b + 1.0
     k = K_direct(a, b, x)
@@ -478,7 +483,11 @@ def tail_envelope(a: float, b: float, x: float) -> float:
     phi = max(0.0, i0 * u / (a + 1.0) * (1.0 - _NUDGE)
               - i0 * u * u / (2.0 * (2.0 * a + 1.0)) * (1.0 + _NUDGE))
     r = x / (x + (i0 + 1.0) ** a)
-    s = ((i0 + 2.0) / (i0 + 1.0)) ** max(c, 0.0) * r * (1.0 + _NUDGE)
-    first = (i0 + 1.0) ** c * r
-    tail = math.exp(-phi) * (first + _geometric_tail(first, s))
+    terms, i = [(i0 + 1.0) ** c * r], i0 + 1.0
+    while (s := ((i + 1.0) / i) ** max(c, 0.0) * r * (1.0 + _NUDGE)) >= 1.0:
+        if len(terms) == _ENVELOPE_TERMS:
+            return math.inf
+        terms.append(terms[-1] * s)
+        i += 1.0
+    tail = math.exp(-phi) * (math.fsum(terms) + _geometric_tail(terms[-1], s))
     return tail / (k.value - k.tail_bound) * (1.0 + _NUDGE)

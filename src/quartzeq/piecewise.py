@@ -12,7 +12,11 @@ N(N+1)/(2kx); equilibria at dust inflow alpha and supply r are the
 solutions of F(x) = alpha/r, so there are two, one (tangent), or none
 according to alpha/r versus the peak value.
 
-The peak's y* and F_max depend on N alone and are computed once per N.
+The peak depends on N alone and is computed once per N.  In
+z = 1 - y = 1/(kx+1) it is the root of the stationarity form
+p_N = (1-y)^2 dF/dy = 1 - y^N (1 + N z + N(N+1) z^2), which is computed
+from z in that factored form, with no cancelling terms, and F_max has
+a closed form in z* (_peak); Newton's slope reads the same form.
 solve_roots bisects each root to adjacent floats inside a certified
 bracket, starting from the F values that certified it.  F_piecewise is
 within e = _F_REL_ERR (relative) of the exact F at the rounded kx.  The
@@ -111,26 +115,16 @@ def _F_piecewise(k: float, N: int, x: float) -> float:
     return math.exp(-u) * (kx * u * u * pe + (N + 1) * (kx * s) * (2.0 * t * pa - w))
 
 
-def _F_piecewise_y(N: int, y: float) -> float:
-    """F in the compact variable y = kx/(kx+1) in [0, 1), for integer N >= 0.
+def _stationary_form(N: int, z: float) -> float:
+    """p_N = (1-y)^2 dF/dy at z = 1 - y = 1/(kx+1) in [0, 1], for N >= 1.
 
-    Equals sum_{j=1..N} y^j - N y^{N+1}; identically zero when N = 0.
+    p_N = 1 - (N+1)^2 y^N + N(2N+3) y^{N+1} - N(N+1) y^{N+2} factors
+    exactly as 1 - y^N (1 + N z + N(N+1) z^2), computed so with
+    y^N = exp(N log1p(-z)): no terms of size (N+1)^2 cancel.
     """
-    acc = 0.0
-    # Horner over sum_{j=1..N} y^j - N y^{N+1} = y*(1 + y*(1 + ... ) ) - ...
-    for _ in range(N):
-        acc = y * (1.0 + acc)
-    return acc - N * y ** (N + 1)
-
-
-def _stationary_polynomial(N: int, y: float) -> float:
-    """p_N(y) = 1 - (N+1)^2 y^N + N(2N+3) y^{N+1} - N(N+1) y^{N+2}.
-
-    Its unique root in (0, (N+1)/(N+2)) locates the maximum of F; the
-    polynomial equals (1-y)^2 dF/dy.  N >= 1, as stationary_point checks.
-    """
-    yn = y**N
-    return 1.0 - (N + 1) ** 2 * yn + N * (2 * N + 3) * yn * y - N * (N + 1) * yn * y * y
+    if z >= 1.0:
+        return 1.0
+    return 1.0 - math.exp(N * math.log1p(-z)) * (1.0 + N * z * (1.0 + (N + 1) * z))
 
 
 def _bisect_to_adjacent(f, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
@@ -160,12 +154,22 @@ def _bisect_to_adjacent(f, lo: float, f_lo: float, hi: float, f_hi: float) -> fl
 
 @functools.lru_cache(maxsize=256)
 def _peak(N: int) -> tuple[float, float]:
-    """(y*, F_max) for N >= 1: in y = kx/(kx+1) the peak of F depends on N alone."""
-    y_hi = (N + 1) / (N + 2)
-    y_star = _bisect_to_adjacent(lambda y: _stationary_polynomial(N, y), 0.0,
-                                 _stationary_polynomial(N, 0.0), y_hi,
-                                 _stationary_polynomial(N, y_hi))
-    return y_star, _F_piecewise_y(N, y_star)
+    """(z*, F_max) for N >= 1: in z = 1/(kx+1) the peak of F depends on N alone.
+
+    p_N is 1 at z = 1 and negative at z = 1/(N+2), and its one root between
+    them is bisected.  With D = 1 + N z + N(N+1) z^2,
+
+        F = y (1 - y^N) / z - N y^{N+1},
+
+    and the root has y^N D = 1, so y^N = 1/D there and
+
+        F_max = (y/D) ((D - 1)/z - N) = N(N+1) z* (1 - z*) / D.
+    """
+    z_lo = 1.0 / (N + 2)
+    z_star = _bisect_to_adjacent(lambda z: _stationary_form(N, z), z_lo,
+                                 _stationary_form(N, z_lo), 1.0, 1.0)
+    return z_star, N * (N + 1) * z_star * (1.0 - z_star) / (
+        1.0 + N * z_star * (1.0 + (N + 1) * z_star))
 
 
 def stationary_point(k: float, N: int) -> tuple[float, float, float]:
@@ -175,8 +179,8 @@ def stationary_point(k: float, N: int) -> tuple[float, float, float]:
     no stationary point.
     """
     _check_kN(k, N, min_N=1)
-    y_star, f_max = _peak(N)
-    return y_star, y_star / (k * (1.0 - y_star)), f_max
+    z_star, f_max = _peak(N)
+    return 1.0 - z_star, _x_of_z(k, z_star), f_max
 
 
 def alpha_star(k: float, N: int, r: float) -> float:
@@ -202,30 +206,29 @@ class RootReport:
     near_threshold: bool
 
 
-def _root_guesses(k: float, N: int, phi: float, y_star: float,
+def _root_guesses(k: float, N: int, phi: float, z_star: float,
                   f_max: float) -> tuple[float, float]:
     """First guesses at the two roots of F(x) = phi < F_max, for _root_bracket.
 
-    Near the peak F follows its parabola in y, of curvature
-    p_N'(y*)/(1-y*)^2 there.  Lower down F ~ kx on the left and, with
-    z = 1/(kx+1), F = A z (1 - B z + O(z^2)) on the right, A = N(N+1)/2,
-    B = (2N+1)/3.  A guess can be nan or off the bracket; Newton's
-    safeguard then starts inside it.
+    Near the peak F follows its parabola in z = 1/(kx+1), of curvature
+    p_N'(y*)/z*^2 there, p_N'(y) = N(N+1) y^(N-1) z (1 - (N+2) z).  Lower
+    down F ~ kx on the left and F = A z (1 - B z + O(z^2)) on the right,
+    A = N(N+1)/2, B = (2N+1)/3.  A guess can be nan or off the bracket;
+    Newton's safeguard then starts inside it.
     """
-    curv = N * (N + 1) * y_star ** (N - 1) * (
-        (2 * N + 3) * y_star - (N + 1) - (N + 2) * y_star * y_star)
+    curv = N * (N + 1) * math.exp((N - 1) * math.log1p(-z_star)) * z_star * (
+        1.0 - (N + 2) * z_star)
     if phi > 0.5 * f_max and curv < 0.0:
-        dy = math.sqrt(2.0 * (f_max - phi) / -curv) * (1.0 - y_star)
-        return _x_of_y(k, y_star - dy), _x_of_y(k, y_star + dy)
+        dz = math.sqrt(2.0 * (f_max - phi) / -curv) * z_star
+        return _x_of_z(k, z_star + dz), _x_of_z(k, z_star - dz)
     z = phi / (0.5 * N * (N + 1))
     z *= 1.0 + (2 * N + 1) / 3.0 * z
     return phi / k, (1.0 / z - 1.0) / k if z > 0.0 else math.inf
 
 
-def _x_of_y(k: float, y: float) -> float:
-    """x = y / (k (1 - y)) for y in (0, 1), else nan."""
-    den = k * (1.0 - y)
-    return y / den if y > 0.0 and den > 0.0 else math.nan
+def _x_of_z(k: float, z: float) -> float:
+    """x = (1 - z) / (k z) for z in (0, 1), else nan."""
+    return (1.0 - z) / (k * z) if 0.0 < z < 1.0 else math.nan
 
 
 def _root_bracket(k: float, N: int, phi: float, bracket: _Bracket, x: float,
@@ -236,9 +239,10 @@ def _root_bracket(k: float, N: int, phi: float, bracket: _Bracket, x: float,
     through if rising (a = 0, b = x*) and falls through otherwise (a = x*,
     b = inf); F(x*) must clear phi by _BRACKET_MARGIN.  Safeguarded Newton
     steps on ln F = ln phi in ln x, from the guess x and with
-    F'(x) = k p_N(y), estimate the root.  An end is kept only where
-    F_piecewise clears phi by _BRACKET_MARGIN on its side; one that does not
-    is widened until it does, and one that leaves (a, b) becomes a or b.
+    F'(x) = k p_N at z = 1/(kx+1), estimate the root.  An end is kept only
+    where F_piecewise clears phi by _BRACKET_MARGIN on its side; one that
+    does not is widened until it does, and one that leaves (a, b) becomes a
+    or b.
     None when Newton does not settle.
     """
     a0, g_a, b0, g_b = bracket
@@ -252,6 +256,7 @@ def _root_bracket(k: float, N: int, phi: float, bracket: _Bracket, x: float,
         return 2.0 * a if b == math.inf else math.sqrt(a) * math.sqrt(b)
 
     x = inside(x)
+    prev = math.inf  # the previous step
     for _ in range(_NEWTON_STEPS):
         f = _F_piecewise(k, N, x)
         if not f > 0.0:
@@ -261,23 +266,26 @@ def _root_bracket(k: float, N: int, phi: float, bracket: _Bracket, x: float,
         else:
             b = x
         kx = k * x
-        y = kx / (kx + 1.0)
-        p = _stationary_polynomial(N, y)
-        # p_N's rounding error swamps p_N, which cancels as y -> 1, only far
-        # out on the right flank, where ln F falls like -ln x
-        p_err = 8.0 * sys.float_info.epsilon * (N + 1) ** 2 * y**N
+        z = 1.0 / (kx + 1.0)
+        p = _stationary_form(N, z)
+        # p_N's rounding error, about eps (3 + 2 N |ln y|), swamps p_N ~
+        # -N(N+1) z^2/2 only far out on the right flank, where ln F ~ -ln x
+        p_err = 8.0 * sys.float_info.epsilon * (1.0 + N * z)
         slope, p_rel = (kx * p / f, p_err / abs(p)) if abs(p) > 2.0 * p_err else (-1.0, 1.0)
         step = math.inf  # a slope of the wrong sign: bisect instead
         if (slope > 0.0) == rising:
             step = math.log(max(phi / f, sys.float_info.min)) / slope
-        if abs(step) < 1e-6:  # x e^step is then within about step^2 of the root
+        if abs(step) < 1e-6:  # x e^step is then within about C step^2 of the root
             x *= math.exp(step)
             break
         x = inside(x * math.exp(step) if abs(step) < 1.0 else math.nan)
+        prev = step
     else:
         return None
-    # x is off by about step^2 and by step times the slope's relative error
-    c0 = 4.0 * step * step + 2.0 * abs(step) * p_rel + 2.0 * _BRACKET_MARGIN / abs(slope)
+    # x is off by about C step^2, Newton's ratio C ~ |step| / prev^2 (taken
+    # as at least 4), and by step times the slope's relative error
+    c0 = (max(4.0, 2.0 * abs(step) / (prev * prev)) * step * step
+          + 2.0 * abs(step) * p_rel + 2.0 * _BRACKET_MARGIN / abs(slope))
 
     def end(sign: float, edge: tuple[float, float]) -> tuple[float, float]:
         # the end above the root of a rising F, or below that of a falling
@@ -312,7 +320,8 @@ def solve_roots(k: float, N: int, r: float, alpha: float, *,
     if not (0.0 < tol < 1e-2):
         raise DomainError(f"tol must lie in (0, 1e-2), got {tol}")
 
-    y_star, x_star, f_max = stationary_point(k, N)
+    z_star, f_max = _peak(N)
+    x_star = _x_of_z(k, z_star)
     a_star = r * f_max
     phi = alpha / r
 
@@ -333,7 +342,7 @@ def solve_roots(k: float, N: int, r: float, alpha: float, *,
     # a certified bracket needs F(x*) clear of alpha/r, which a tol far
     # below the margin may not leave
     if f_star >= phi * (1.0 + _BRACKET_MARGIN):
-        guess_l, guess_r = _root_guesses(k, N, phi, y_star, f_max)
+        guess_l, guess_r = _root_guesses(k, N, phi, z_star, f_max)
         left = _root_bracket(k, N, phi, left, guess_l, True) or left
         right = _root_bracket(k, N, phi, right, guess_r, False) or right
     if right[2] == math.inf:

@@ -21,9 +21,9 @@ two neighbours), so existence answers inside its error bar are reported
 as indeterminate rather than as a guess.  The same d-identity bounds F
 below the line too: with c_n = sup_{i>=n} i rho_i / d_i,
 F(x) < sum_{i<n} i rho_i / x + c_n at every x (_weak_F_bound).  One slice
-scan (_F_scan) serves both searches and stops where that bound proves F
-below a floor at every larger x: the largest F seen for the m estimate,
-alpha/r for the root probe.
+scan (_F_scan) serves both searches and stops only where that bound
+proves F below a floor at every larger x: the largest F seen for the m
+estimate, alpha/r for the root probe.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import numpy as np
 
 from .coefficients import PowerLawFamily
 from .errors import ConvergenceError, DomainError, _inflow_ratio
+from .piecewise import _bisect_to_adjacent
 from .series import evaluate
 
 __all__ = [
@@ -133,8 +134,7 @@ class MEstimate(NamedTuple):
 
 
 _SLICE = 25  # rows per evaluate walk of a ThresholdWeak scan or rescan round
-_M_FLOOR_ROWS = 200  # m scan rows up to x = 1e6, all scanned unless the bound stops first
-_M_STEP = math.log(1e6 / 1e-3) / (_M_FLOOR_ROWS - 1)  # m scan row spacing in log x
+_M_STEP = math.log(1e6 / 1e-3) / 199  # m scan row spacing in log x: 199 rows per 9 decades
 _BOUND_MARGIN = 1e-6  # relative rounding margin of _weak_F_bound
 
 
@@ -214,11 +214,10 @@ def estimate_m_with_error(params: PowerLawFamily) -> tuple[MEstimate, float, int
     (module docstring).  Below it the estimate is m with its maximizer:
     _F_scan over the log grid of _m_rows, 199 rows per 9 decades from
     x = 1e-3, then rounds that rescan the bracket of the best row and its
-    two neighbours.  The scan stops before a slice where _weak_F_bound
-    proves every later row below the largest F scanned, or after the slice
-    that reaches x = 1e6 (row 199) unless its best row is the last one.
-    Past 1e6 only the bound stops it, since for a large a F can rest on a
-    plateau there and climb again; the grid ends near 1e308 (_m_rows).
+    two neighbours.  Only _weak_F_bound stops the scan: before a slice where
+    it proves every later row below the largest F scanned.  No fixed right
+    end would do, since for a large a F can rest on a plateau past 1e6 and
+    climb again; the grid ends near 1e308 (_m_rows).
 
     Each round is one evaluate walk over _SLICE rows, evenly spaced in
     log x across the bracket and centred on the best row so far, which is
@@ -250,8 +249,6 @@ def _regime_verdict(params: PowerLawFamily) -> tuple[RegimeVerdict, int]:
     for row_xs, rows in _F_scan(params, map(_m_rows, itertools.count(0, _SLICE))):
         xs += row_xs.tolist()
         vals += rows
-        if len(vals) == _M_FLOOR_ROWS and int(np.argmax(vals)) < len(vals) - 1:
-            break
     evals = len(vals)
     x_best, step = xs[int(np.argmax(vals))], _M_STEP
     half = _SLICE // 2
@@ -284,14 +281,14 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float,
                            r: float) -> tuple[int, tuple[float, ...]]:
     """Heuristic equilibrium count: sign changes of F - alpha/r on a log grid.
 
-    The grid has 400 points over [1e-4, 1e6].  Each sign change is refined
-    by bisection, so every returned root is genuine; the COUNT is only as
-    good as the grid (roots closer than one grid cell merge, roots outside
-    the grid are missed).  No uniqueness theorem backs this in the
-    power-law case.  The grid is read by _F_scan in slices of 25 rows, with
-    alpha/r as its floor;
-    the first row it skips counts as below alpha/r, as every later one is,
-    so the brackets and roots are bit for bit those of the whole grid.  A
+    The grid has 400 points over [1e-4, 1e6].  Each sign change is
+    bisected to adjacent floats (piecewise._bisect_to_adjacent), so every
+    returned root is genuine; the COUNT is only as good as the grid (roots
+    closer than one grid cell merge, roots outside the grid are missed).
+    No uniqueness theorem backs this in the power-law case.  The grid is
+    read by _F_scan in slices of 25 rows, with alpha/r as its floor; the
+    first row it skips counts as below alpha/r, as every later one is, so
+    the brackets and roots are bit for bit those of the whole grid.  A
     ThresholdStrict family at alpha/r >= 1 has no root and is not scanned:
     F < m = 1 at every x (classify_regime's exact m).
     """
@@ -304,32 +301,16 @@ def count_equilibria_probe(params: PowerLawFamily, alpha: float,
     vals = [v - phi for _, rows in _F_scan(params, slices, phi) for v in rows]
     if len(vals) < len(xs):
         vals.append(-math.inf)  # the first skipped row; no later row crosses
-    # one bracket [lo_x, hi_x, F > alpha/r at lo_x] per root, in x order; a
-    # grid point where F = alpha/r is the bracket [x, x]
-    brackets = []
-    for i, (lo_v, hi_v) in enumerate(zip(vals, vals[1:])):
-        if lo_v == 0.0:
-            brackets.append([float(xs[i]), float(xs[i]), False])
-        elif (lo_v > 0.0) != (hi_v > 0.0):
-            brackets.append([float(xs[i]), float(xs[i + 1]), lo_v > 0.0])
-    if vals[-1] == 0.0:
-        brackets.append([float(xs[-1]), float(xs[-1]), False])
-    # the open brackets bisect in lockstep, one evaluate walk per round over
-    # their midpoints; each takes the steps it would take alone
-    live = [br for br in brackets if br[0] < br[1]]
-    for _ in range(200):
-        live = [br for br in live if br[0] < math.sqrt(br[0] * br[1]) < br[1]]
-        if not live:
-            break
-        mids = [math.sqrt(lo_x * hi_x) for lo_x, hi_x, _ in live]
-        for br, mid, value in zip(live, mids, _F_rows(params, mids)):
-            mv = value - phi
-            if mv == 0.0:
-                br[0] = br[1] = mid
-            elif (mv > 0.0) == br[2]:
-                br[0] = mid
-            else:
-                br[1] = mid
-        live = [br for br in live if br[0] < br[1]]
-    roots = tuple(0.5 * (lo_x + hi_x) for lo_x, hi_x, _ in brackets)
-    return len(roots), roots
+
+    def g(x: float) -> float:
+        return _F_rows(params, [x])[0] - phi
+
+    # a root at each grid point where F = alpha/r, and one across each strict
+    # sign change between neighbours
+    roots = []
+    for i, v in enumerate(vals):
+        if v == 0.0:
+            roots.append(float(xs[i]))
+        elif i + 1 < len(vals) and vals[i + 1] != 0.0 and (v > 0.0) != (vals[i + 1] > 0.0):
+            roots.append(_bisect_to_adjacent(g, float(xs[i]), v, float(xs[i + 1]), vals[i + 1]))
+    return len(roots), tuple(roots)

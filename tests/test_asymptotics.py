@@ -253,7 +253,8 @@ class TestTailEnvelope:
             except ConvergenceError:  # K_direct at its term cap
                 skipped.append((a, b, x))
                 return
-            assert tail_envelope(a, b, x) >= measured, (a, b, x)
+            bound = tail_envelope(a, b, x)
+            assert math.isfinite(bound) and bound >= measured, (a, b, x, bound, measured)
 
         check()
         print(f"skipped {len(skipped)} of {len(drawn)} draws at K_direct's term cap")
@@ -272,9 +273,19 @@ class TestTailEnvelope:
         print("bound/measured:", {key: round(m, 3) for key, m in margins.items()})
         assert all(1.0 <= m <= 2.0 for m in margins.values())
 
-    def test_no_claim_where_the_geometric_step_reaches_one(self):
-        # i0 = 1 at x = 1 and b + 1 = 3: s = (3/2)^3 / 2 > 1
+    @pytest.mark.parametrize("a, b, x", [(1.0, 2.0, 1.0), (4.0, 3.9, 1e6)])
+    def test_finite_where_the_first_geometric_step_reaches_one(self, a, b, x):
+        # i0 = 1 at (1, 2, 1), where the first step (3/2)^3 / 3 is above 1:
+        # the terms up to the first step below 1 are summed one by one
+        bound = tail_envelope(a, b, x)
+        assert math.isfinite(bound) and bound >= relative_tail_beyond_cutoff(a, b, x)
+
+    def test_no_claim_past_the_term_cap(self, monkeypatch):
+        from quartzeq import asymptotics
+
+        monkeypatch.setattr(asymptotics, "_ENVELOPE_TERMS", 1)
         assert tail_envelope(1.0, 2.0, 1.0) == math.inf
+        assert math.isfinite(tail_envelope(1.0, -1.0, 1e3))
 
 
 @functools.lru_cache(maxsize=None)

@@ -412,6 +412,22 @@ class TestSimulate:
         assert lines[1] == "t,x,total_cells,total_load,rhs_norm"
         assert len(lines) == 2 + doc["n_steps"]  # config + header + one row per sample
 
+    def test_out_file_without_summary_out(self, tmp_path):
+        # the series goes to the file and the summary JSON alone to stdout
+        csv_path = tmp_path / "traj.csv"
+        code, out, _ = run(
+            ["simulate", "--family", "piecewise", "--k", "1", "--N", "1",
+             "--alpha", "0.2", "--r", "1", "--imax", "10", "--t-end", "50",
+             "--out", str(csv_path)]
+        )
+        assert code == 0
+        doc = json.loads(out)
+        check(doc, "simulate.schema.json")
+        lines = csv_path.read_text().splitlines()
+        assert lines[1] == "t,x,total_cells,total_load,rhs_norm"
+        assert len(lines) == 2 + doc["n_steps"]
+        assert not any(line.startswith("# summary: ") for line in lines)
+
     def test_stdout_trailing_summary(self):
         code, out, _ = run(
             ["simulate", "--family", "piecewise", "--k", "1", "--N", "1",

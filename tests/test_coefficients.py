@@ -233,6 +233,18 @@ def test_tail_infimum_below_the_next_512_d(fam, n):
     assert fam.d_inf_beyond(n) <= probed
 
 
+@pytest.mark.parametrize("a,b,n", [(0.05, -1.0, 0), (0.05, -1.0, 15), (0.3, -1.9, 0),
+                                   (0.01, -0.5, 0), (0.01, -0.5, 2000)])
+def test_tail_infimum_at_an_interior_minimum(a, b, n):
+    """For a > 0 > b, t^a + t^b is least at t* = (-b/a)^(1/(a-b)); past
+    n + 1 the infimum over i > n is taken next to t*, as a brute-force
+    minimum over i up to 10 t* (beyond t* the sum only grows) confirms."""
+    fam = PowerLawFamily.from_ab(a, b)
+    assert fam.t_star > n + 1
+    brute = min(i**a + i**b for i in range(n + 1, int(10 * fam.t_star) + 2))
+    assert brute * (1.0 - 2.0**-49) <= fam.d_inf_beyond(n) <= brute
+
+
 @given(_any_family, st.integers(1, 2000), st.floats(-3.0, 8.0))
 def test_ratio_sups_cover_weight_growth(fam, n, log10_x):
     """step_sup dominates every step w_{i+1}/w_i at i >= n, and step_bound

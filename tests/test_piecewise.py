@@ -18,8 +18,7 @@ from quartzeq.piecewise import (
     F_piecewise,
     RootReport,
     _F_piecewise,
-    _F_piecewise_y,
-    _stationary_polynomial,
+    _stationary_form,
     alpha_star,
     solve_roots,
     stationary_point,
@@ -30,6 +29,15 @@ from quartzeq.series import F_equilibrium, evaluate
 
 GOLDEN_LO = (3.0 - math.sqrt(5.0)) / 2.0
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
+
+
+def _F_y(N, y):
+    """F in y = kx/(kx+1) by Horner over sum_{j=1..N} y^j - N y^{N+1}: an
+    oracle that shares no formula with F_piecewise or the peak."""
+    acc = 0.0
+    for _ in range(N):
+        acc = y * (1.0 + acc)
+    return acc - N * y ** (N + 1)
 
 
 def test_closed_form_agrees_with_series():
@@ -45,7 +53,7 @@ def test_closed_form_agrees_with_series():
 def test_y_parametrisation_consistent():
     for k, N, x in ((1.0, 1, 1.0), (2.0, 4, 0.3), (0.5, 2, 12.0)):
         y = k * x / (k * x + 1.0)
-        assert F_piecewise(k, N, x) == pytest.approx(_F_piecewise_y(N, y), rel=1e-12)
+        assert F_piecewise(k, N, x) == pytest.approx(_F_y(N, y), rel=1e-12)
 
 
 def test_small_x_not_catastrophic():
@@ -129,10 +137,10 @@ def _reference_bisect(f, lo, hi, f_lo):
 
 
 def _reference_stationary_point(k, N):
-    """stationary_point with the peak bisected afresh on every call."""
-    y_star = _reference_bisect(lambda y: _stationary_polynomial(N, y), 0.0, (N + 1) / (N + 2),
-                               _stationary_polynomial(N, 0.0))
-    return y_star, y_star / (k * (1.0 - y_star)), _F_piecewise_y(N, y_star)
+    """stationary_point with the peak computed afresh, past its cache, on
+    every call; TestStationaryPoint checks the peak itself against 50 digits."""
+    z_star, f_max = piecewise._peak.__wrapped__(N)
+    return 1.0 - z_star, (1.0 - z_star) / (k * z_star), f_max
 
 
 def _reference_solve_roots(k, N, r, alpha, tol=1e-12):
@@ -279,8 +287,8 @@ class TestReference:
         # far from the root: the checks at the bracket ends, not Newton, keep
         # every root a sign change inside them (the peak bisection reads
         # only p_N's sign)
-        p_N = piecewise._stationary_polynomial
-        monkeypatch.setattr(piecewise, "_stationary_polynomial", lambda N, y: 1e6 * p_N(N, y))
+        p_N = piecewise._stationary_form
+        monkeypatch.setattr(piecewise, "_stationary_form", lambda N, z: 1e6 * p_N(N, z))
         worst = max(_check_contract(k, N, 1.0, phi) for k, N, phi in _criterion_3_cases())
         print(f"largest root move from the reference: {worst} ulps")
 
@@ -348,6 +356,20 @@ class TestReference:
                 assert alpha_star(k, N, 2.0) == 2.0 * _reference_stationary_point(k, N)[2]
 
 
+def _peak_50_digits(N):
+    """(z*, F_max) at the working precision: p_N bisected in z = 1 - y and
+    F summed as y (1 - y^N) / z - N y^{N+1}, without the closed form."""
+    def p(z):
+        return 1 - (1 - z) ** N * (1 + N * z + N * (N + 1) * z * z)
+
+    lo, hi = mpmath.mpf(1) / (N + 2), mpmath.mpf(1)
+    for _ in range(180):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if p(mid) < 0 else (lo, mid)
+    z = (lo + hi) / 2
+    return z, (1 - z) * ((1 - (1 - z) ** N) / z - N * (1 - z) ** N)
+
+
 class TestStationaryPoint:
     def test_unit_case_exact(self):
         y_star, x_star, f_max = stationary_point(1.0, 1)
@@ -356,10 +378,36 @@ class TestStationaryPoint:
         assert f_max == pytest.approx(0.25, abs=1e-12)
 
     def test_polynomial_root_at_half_for_n1(self):
-        # p(y) = (1 - 2y)(1 - y)^2 for N = 1
-        assert _stationary_polynomial(1, 0.5) == 0.0
-        assert _stationary_polynomial(1, 0.2) > 0.0
-        assert _stationary_polynomial(1, 0.8) < 0.0
+        # p = z^2 (2z - 1) for N = 1, z = 1 - y: F rises for z > 1/2
+        assert _stationary_form(1, 0.5) == 0.0
+        assert _stationary_form(1, 0.8) > 0.0
+        assert _stationary_form(1, 0.2) < 0.0
+        assert _stationary_form(1, 1.0) == 1.0
+
+    @pytest.mark.parametrize("N", [*range(1, 81), *(10**e for e in range(2, 10))])
+    def test_peak_against_50_digit_reference(self, N):
+        # the four-term p_N and the Horner F left x* 5.5e-3 and F_max 1.2e-5
+        # low at N = 1e7, and 79% and 11% low at N = 1e9
+        y_star, x_star, f_max = stationary_point(1.0, N)
+        with mpmath.workdps(50):
+            z, f_ref = _peak_50_digits(N)
+            x_ref = (1 - z) / z
+            assert abs(x_star - x_ref) <= 2e-15 * x_ref, N
+            assert abs(f_max - f_ref) <= 2e-15 * f_ref, N
+            assert abs(y_star - (1 - z)) <= 2e-16, N
+        if N == 1:
+            assert (y_star, x_star, f_max) == (0.5, 1.0, 0.25)
+
+    def test_stationary_form_on_the_far_right_flank(self):
+        # p_N ~ -N(N+1) z^2 / 2 far out: the four terms of size (N+1)^2 that
+        # summed to it gave -3.41e-13 here
+        k, N, x = 2.4916, 26, 1.84e7
+        z = 1.0 / (k * x + 1.0)
+        with mpmath.workdps(50):
+            zm = mpmath.mpf(z)
+            exact = 1 - (1 - zm) ** N * (1 + N * zm + N * (N + 1) * zm * zm)
+        assert exact == pytest.approx(-1.670e-13, rel=1e-3)
+        assert _stationary_form(N, z) == pytest.approx(float(exact), rel=1e-3)
 
     def test_f_max_is_actually_the_maximum(self):
         k, N = 2.0, 5
@@ -449,6 +497,18 @@ class TestSolveRoots:
             with pytest.raises(ConvergenceError,
                                match=r"^F stays above alpha/r=1e-310 at every finite x up to "):
                 solve_roots(k, 1, 1.0, 1e-310)
+
+    @pytest.mark.parametrize("N", [10**6, 10**9])
+    def test_two_roots_just_below_a_large_N_peak(self, N):
+        # alpha/r 1e-10 below the 50-digit peak: a peak read 1e-9 low at
+        # N = 1e6 (11% at 1e9) reported no roots
+        with mpmath.workdps(50):
+            phi = float(_peak_50_digits(N)[1] * (1 - mpmath.mpf(1e-10)))
+        rep = solve_roots(1.0, N, 1.0, phi)
+        assert rep.classification == "two_roots", rep
+        for x in rep.roots:
+            g, g_next = (_F_piecewise(1.0, N, t) - phi for t in (x, math.nextafter(x, math.inf)))
+            assert g == 0.0 or g * g_next < 0.0, (N, x)
 
     def test_near_threshold_band_scales_with_tol(self):
         # inside the 10*tol band the count is resolution-limited: report tangent

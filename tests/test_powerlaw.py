@@ -22,6 +22,7 @@ from quartzeq.powerlaw import (
     estimate_m_with_error,
     existence_verdict,
 )
+from quartzeq.piecewise import _bisect_to_adjacent
 from quartzeq.series import F_equilibrium
 
 THRESHOLD_FAMILY = PowerLawFamily.from_ab(2.0, 0.0)
@@ -315,13 +316,14 @@ def test_stopped_scan_matches_full_scan(grid, x_max, monkeypatch):
 
 def test_stopped_m_estimate_matches_full_scan(monkeypatch):
     # every row the bound skips lies below a scanned one, so m, its error
-    # bar and the maximizer are bit for bit those of the full scan, which
-    # ends at x = 1e6 (row 199): the bound stopped the pins after 125 or
-    # 150 grid rows
+    # bar and the maximizer are bit for bit those of the full scan to
+    # x = 1e6 (rows 0-199, ended by a stub bound that stops only the slice
+    # past them): the bound stopped the pins after 125 or 150 grid rows
     from quartzeq import powerlaw
 
     stopped = [estimate_m_with_error(PowerLawFamily.from_ab(a, b)) for a, b, *_ in _M_PINS]
-    monkeypatch.setattr(powerlaw, "_weak_F_bound", lambda fam, x: math.inf)
+    monkeypatch.setattr(powerlaw, "_weak_F_bound",
+                        lambda fam, x: -math.inf if x > 1e6 else math.inf)
     for (a, b, *_), (est, err, evals) in zip(_M_PINS, stopped):
         full_est, full_err, full_evals = estimate_m_with_error(PowerLawFamily.from_ab(a, b))
         assert (est.m, err, est.attained_at) == (full_est.m, full_err, full_est.attained_at)
@@ -423,42 +425,27 @@ def test_count_probe_finds_both_crossings():
 
 
 def _scalar_probe(fam, alpha):
-    """count_equilibria_probe over the whole grid with one F call per x:
-    every bracket bisects alone, one midpoint at a time."""
+    """count_equilibria_probe over the whole grid with one F call per x,
+    each sign change bisected by the routine the probe uses."""
     def f(x):
         return F_equilibrium(fam, x, cross_check=False).value - alpha
 
     xs = [float(x) for x in np.geomspace(1e-4, 1e6, 400)]
     vals = [f(x) for x in xs]
     roots = []
-    for i in range(len(xs) - 1):
+    for i in range(len(xs)):
         if vals[i] == 0.0:
             roots.append(xs[i])
-        elif (vals[i] > 0.0) != (vals[i + 1] > 0.0):
-            lo, hi = xs[i], xs[i + 1]
-            for _ in range(200):
-                mid = math.sqrt(lo * hi)
-                if not lo < mid < hi:
-                    break
-                mv = f(mid)
-                if mv == 0.0:
-                    lo = hi = mid
-                    break
-                if (mv > 0.0) == (vals[i] > 0.0):
-                    lo = mid
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
+        elif i + 1 < len(xs) and vals[i + 1] != 0.0 and (vals[i] > 0.0) != (vals[i + 1] > 0.0):
+            roots.append(_bisect_to_adjacent(f, xs[i], vals[i], xs[i + 1], vals[i + 1]))
     return len(roots), tuple(roots)
 
 
 @pytest.mark.parametrize("a,b,alpha", [(2.0, 0.0, 0.2), (2.0, 0.0, 0.3198), (1.0, -0.4, 0.3),
                                        (0.79, -1.07, 0.25), (1.5, 0.2, 0.4), (2.0, 1.4, 0.7)])
 def test_count_probe_lockstep_matches_scalar_bisection(a, b, alpha):
-    # the brackets, bisected together in one walk per round, take bit for
-    # bit the steps each takes alone
+    # the probe's scan, read in slices of 25 rows and stopped early by the
+    # bound, gives bit for bit the roots of a full scan one x at a time
     fam = PowerLawFamily.from_ab(a, b)
     assert count_equilibria_probe(fam, alpha, 1.0) == _scalar_probe(fam, alpha)
 
