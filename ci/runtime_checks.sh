@@ -116,6 +116,12 @@ quartzeq roots --k 1 --N 1000000000 --alpha 2.9e8 --r 1 | python -c "$large_N"
 # between it and the next float (or an exact zero), not pinned bytes
 sign_change="import json, math, sys; from quartzeq.piecewise import F_piecewise; doc = json.load(sys.stdin); g = lambda x: F_piecewise(0.7, 9, x) - 0.9; assert doc['count'] == 2, doc; assert all(g(x) == 0.0 or g(x) * g(math.nextafter(x, math.inf)) < 0.0 for x in doc['roots']), doc['roots']"
 quartzeq roots --k 0.7 --N 9 --alpha 0.9 --r 1 | python -c "$sign_change"
+# 1e-13 below a flat peak, at a tol that leaves no tangent band, the computed
+# F - alpha/r changes sign many times around each root: the safeguarded
+# Newton search must still stop, at two sign changes
+near_alpha=$(python -c "from quartzeq import stationary_point; print(repr((1 - 1e-13) * stationary_point(0.4, 7)[2]))")
+near_tangent="import json, math, sys; from quartzeq.piecewise import F_piecewise; doc = json.load(sys.stdin); g = lambda x: F_piecewise(0.4, 7, x) - $near_alpha; assert doc['classification'] == 'two_roots', doc; assert all(g(x) == 0.0 or g(x) * g(math.nextafter(x, math.inf)) < 0.0 for x in doc['roots']), doc['roots']"
+timeout 10 quartzeq roots --k 0.4 --N 7 --alpha "$near_alpha" --r 1 --tol 1e-16 | python -c "$near_tangent"
 # F(x) ~ 1/(kx) stays above 1e-310 at every finite x: no right root, a
 # computation error (exit 3) whose diagnostic names alpha/r on stderr
 code=0; quartzeq roots --k 1 --N 1 --alpha 1e-310 --r 1 2> no_right_root.err || code=$?

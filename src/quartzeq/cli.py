@@ -11,10 +11,10 @@ payloads byte-identical across runs on one platform.
 
 Exit codes: 0 success (and, for `reproduce`, all checks passed);
 1 failed checks; 2 usage errors; 3 numeric failures (unreached
-tolerance, term cap, float overflow, integration breakdown) with a
-structured JSON diagnostic on stderr; 141 (128 + SIGPIPE) when the reader
-closes stdout early, silently, as a shell reports for any command in such
-a pipe.
+tolerance, term cap, float overflow, integration breakdown, a broken
+internal invariant) with a structured JSON diagnostic on stderr; 141
+(128 + SIGPIPE) when the reader closes stdout early, silently, as a shell
+reports for any command in such a pipe.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from .coefficients import (
     load_family,
 )
 from .dynamics import initial_state, integrate
-from .errors import (ConsistencyError, ConvergenceError, DomainError, IntegrationError,
-                     _inflow_ratio)
+from .errors import DomainError, QuartzeqError, _inflow_ratio
 from .piecewise import solve_roots
 from .powerlaw import (
     SUPREMUM_AT_INFINITY,
@@ -530,15 +529,15 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return _EXIT_BROKEN_PIPE
-    except (ConvergenceError, ConsistencyError, IntegrationError, OverflowError) as exc:
+    except (DomainError, OSError) as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return _EXIT_USAGE
+    except (QuartzeqError, OverflowError) as exc:  # every other package error is numeric
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "diagnostic"):
             diagnostic["detail"] = exc.diagnostic()
         sys.stderr.write(_json_dump(diagnostic) + "\n")
         return _EXIT_NUMERIC
-    except (DomainError, OSError) as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return _EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -17,20 +17,17 @@ z = 1 - y = 1/(kx+1) it is the root of the stationarity form
 p_N = (1-y)^2 dF/dy = 1 - y^N (1 + N z + N(N+1) z^2), which is computed
 from z in that factored form, with no cancelling terms, and F_max has
 a closed form in z* (_peak); Newton's slope reads the same form.
-solve_roots bisects each root to adjacent floats inside a certified
-bracket, starting from the F values that certified it.  F_piecewise is
-within e = _F_REL_ERR (relative) of the exact F at the rounded kx.  The
-ends of a bracket pass F_piecewise >= phi (1 + M) on the peak's side and
-F_piecewise <= phi (1 - M) on the other (phi = alpha/r, M = _BRACKET_MARGIN),
-tests that round twice by at most u = 2^-53 (relative); x* passes the
-first before any bracket is sought, and 0, where F = 0, the second.  So
-at the ends' rounded kx the exact F clears phi on the same sides once
-(1 + M)(1 - u)^2 > 1 + e and (1 - M)(1 + u)^2 < 1 - e, that is once
-M > e + 2u to first order; M = 2e.  The ends then bracket a computed sign
-change of F_piecewise - phi and, since F is monotone on each flank and the
-rounded kx never falls as x grows, the exact root in kx.  Where no bracket
-is certified (F(x*) within the margin of phi, or Newton not settling),
-the root is bisected over [0, x*] or the doubling bracket past x*.
+solve_roots finds each root r as a sign change of F_piecewise - phi
+(phi = alpha/r) between r and the next float r+, on the flank (0, x*)
+or (x*, inf), by one safeguarded Newton search (_flank_root) that starts
+once F_piecewise(x*) > phi.  That sign change certifies a band: F_piecewise
+is within e = _F_REL_ERR (relative) of the exact F at the rounded kx, so on
+the rising flank F(r) <= phi/(1 - e) and F(r+) > phi/(1 + e), and the other
+way round on the falling one.  F is monotone on each flank and
+|d ln F / d ln x| <= 1 (F/x falls, and xF rises past x*), so F moves by
+about 2^-51 F at most from r to r+, and |F(r) - phi| <= (e + 2^-51 + O(e^2))
+phi < 2e phi.  The exact root lies in the same band, so r is within about
+2e/|d ln F / d ln x| of it, relative: far where F is flat near the peak.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, _check_kN, _check_r, _check_x
+from .errors import ConvergenceError, DomainError, QuartzeqError, _check_kN, _check_r, _check_x
 
 __all__ = [
     "F_piecewise",
@@ -57,11 +54,9 @@ NEAR_THRESHOLD_BAND = 10.0  # multiples of tol, relative to the peak value
 # F_piecewise's relative error against the exact F at the rounded kx, for any
 # kx and N, which the tests pin against 50-digit references
 _F_REL_ERR = 1e-14
-# how far F_piecewise must clear alpha/r, relative, at a root's bracket ends
-# and at x* (see the module docstring)
-_BRACKET_MARGIN = 2 * _F_REL_ERR
-_NEWTON_STEPS = 8  # per root; a bracket needs Newton to settle within them
-_Bracket = tuple[float, float, float, float]  # (lo, g(lo), hi, g(hi)), g = F - alpha/r
+# a Newton step in ln x below this leaves x about C step^2 from the root, C
+# the ratio of F's curvature to its slope in ln x: within F's rounding zone
+_SETTLED = 2.0**-26
 
 # Below this u = (N+1) log1p(1/kx), F_piecewise sums series instead of
 # the closed form, whose two terms cancel by a factor of about 4/u there.
@@ -138,7 +133,7 @@ def _bisect_to_adjacent(f, lo: float, f_lo: float, hi: float, f_hi: float) -> fl
     if f_hi == 0.0:
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
-        raise DomainError(f"no sign change on [{lo}, {hi}]")
+        raise QuartzeqError(f"no sign change on [{lo}, {hi}]")
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -208,7 +203,7 @@ class RootReport:
 
 def _root_guesses(k: float, N: int, phi: float, z_star: float,
                   f_max: float) -> tuple[float, float]:
-    """First guesses at the two roots of F(x) = phi < F_max, for _root_bracket.
+    """First guesses at the two roots of F(x) = phi < F_max, for _flank_root.
 
     Near the peak F follows its parabola in z = 1/(kx+1), of curvature
     p_N'(y*)/z*^2 there, p_N'(y) = N(N+1) y^(N-1) z (1 - (N+2) z).  Lower
@@ -231,78 +226,92 @@ def _x_of_z(k: float, z: float) -> float:
     return (1.0 - z) / (k * z) if 0.0 < z < 1.0 else math.nan
 
 
-def _root_bracket(k: float, N: int, phi: float, bracket: _Bracket, x: float,
-                  rising: bool) -> _Bracket | None:
-    """A certified bracket (lo, g(lo), hi, g(hi)), g = F - phi, inside bracket.
+def _log_slope(k: float, N: int, x: float, f: float) -> float:
+    """d ln F / d ln x = k x p_N / F at x, given f = F(x) > 0, with p_N at z = 1/(kx+1).
 
-    bracket = (a, g(a), b, g(b)) holds the root of F(x) = phi, which F rises
-    through if rising (a = 0, b = x*) and falls through otherwise (a = x*,
-    b = inf); F(x*) must clear phi by _BRACKET_MARGIN.  Safeguarded Newton
-    steps on ln F = ln phi in ln x, from the guess x and with
-    F'(x) = k p_N at z = 1/(kx+1), estimate the root.  An end is kept only
-    where F_piecewise clears phi by _BRACKET_MARGIN on its side; one that
-    does not is widened until it does, and one that leaves (a, b) becomes a
-    or b.
-    None when Newton does not settle.
+    p_N's rounding error, about eps (3 + 2 N |ln y|) <= 8 eps (1 + N z),
+    swamps p_N ~ -N(N+1) z^2/2 only far out on the right flank, where
+    ln F ~ -ln x: the slope is -1 there.
     """
-    a0, g_a, b0, g_b = bracket
-    a, b = a0, b0
+    kx = k * x
+    z = 1.0 / (kx + 1.0)
+    p = _stationary_form(N, z)
+    return kx * p / f if abs(p) > 16.0 * sys.float_info.epsilon * (1.0 + N * z) else -1.0
 
-    def inside(x: float) -> float:  # x, or else a bisection of (a, b) in ln x
-        if a < x < b:
-            return x
-        if a == 0.0:
-            return 0.5 * b
-        return 2.0 * a if b == math.inf else math.sqrt(a) * math.sqrt(b)
 
-    x = inside(x)
-    prev = math.inf  # the previous step
-    for _ in range(_NEWTON_STEPS):
+def _flank_root(k: float, N: int, phi: float, lo: float, g_lo: float, hi: float,
+                g_hi: float | None, x: float, rising: bool) -> float:
+    """The root of F(x) = phi on one flank of the peak: a sign change of
+    g = F_piecewise - phi between adjacent floats.
+
+    (lo, hi) is a sign-change bracket with g_lo = g(lo) and g_hi = g(hi):
+    (0, x*) if rising, where F rises through phi, else (x*, x_top), where F
+    falls; there g_hi is None until a bisection or the last bracket needs
+    it, and F(x_top) >= phi then raises.  From the guess x, Newton steps on
+    ln F = ln phi in ln x take the slope _log_slope, safeguarded as in
+    rtsafe (Numerical Recipes 9.4): a step that leaves (lo, hi) or does not
+    halve the previous move is replaced by a bisection of (lo, hi) in ln x,
+    a halving while lo = 0.  Each x evaluated becomes an end.  The point a
+    Newton step below _SETTLED leads to is evaluated, then x steps outward
+    from it by 1, 2, 4, ... ulps until g changes sign, and the bracket left
+    is bisected to adjacent floats.
+    """
+    def g(t: float) -> float:
+        return _F_piecewise(k, N, t) - phi
+
+    def g_top() -> float:  # g(hi) at hi = x_top, which must be negative
+        if (value := g(hi)) >= 0.0:
+            raise ConvergenceError(
+                f"F stays above alpha/r={phi!r} at every finite x up to {hi!r}",
+                series="piecewise_roots", x=hi,
+            )
+        return value
+
+    prev = math.inf  # the previous move in ln x
+    settled = False
+    while True:
+        if not lo < x < hi:
+            if settled:  # the step did not leave the end it started from
+                x = last
+                break
+            if g_hi is None:
+                g_hi = g_top()
+            x = 0.5 * hi if lo == 0.0 else math.sqrt(lo) * math.sqrt(hi)
+            if not lo < x < hi:  # lo and hi are (about) adjacent floats
+                return _bisect_to_adjacent(g, lo, g_lo, hi, g_hi)
+            prev = math.log(hi / x)
         f = _F_piecewise(k, N, x)
-        if not f > 0.0:
-            return None
+        if f == phi:
+            return x
         if (f < phi) == rising:
-            a = x
+            lo, g_lo = x, f - phi
         else:
-            b = x
-        kx = k * x
-        z = 1.0 / (kx + 1.0)
-        p = _stationary_form(N, z)
-        # p_N's rounding error, about eps (3 + 2 N |ln y|), swamps p_N ~
-        # -N(N+1) z^2/2 only far out on the right flank, where ln F ~ -ln x
-        p_err = 8.0 * sys.float_info.epsilon * (1.0 + N * z)
-        slope, p_rel = (kx * p / f, p_err / abs(p)) if abs(p) > 2.0 * p_err else (-1.0, 1.0)
-        step = math.inf  # a slope of the wrong sign: bisect instead
-        if (slope > 0.0) == rising:
-            step = math.log(max(phi / f, sys.float_info.min)) / slope
-        if abs(step) < 1e-6:  # x e^step is then within about C step^2 of the root
-            x *= math.exp(step)
+            hi, g_hi = x, f - phi
+        if settled:
             break
-        x = inside(x * math.exp(step) if abs(step) < 1.0 else math.nan)
-        prev = step
-    else:
-        return None
-    # x is off by about C step^2, Newton's ratio C ~ |step| / prev^2 (taken
-    # as at least 4), and by step times the slope's relative error
-    c0 = (max(4.0, 2.0 * abs(step) / (prev * prev)) * step * step
-          + 2.0 * abs(step) * p_rel + 2.0 * _BRACKET_MARGIN / abs(slope))
-
-    def end(sign: float, edge: tuple[float, float]) -> tuple[float, float]:
-        # the end above the root of a rising F, or below that of a falling
-        # one, lies on the peak's side: there F must exceed phi
-        above = (sign > 0.0) == rising
-        bound = phi * (1.0 + _BRACKET_MARGIN) if above else phi * (1.0 - _BRACKET_MARGIN)
-        c = c0
-        while True:
-            x_end = x * (1.0 + sign * c)
-            if not a0 < x_end < b0:
-                return edge
-            f = _F_piecewise(k, N, x_end)
-            if (f >= bound) if above else (f <= bound):
-                return x_end, f - phi
-            c *= 16.0
-
-    return *end(-1.0, (a0, g_a)), *end(1.0, (b0, g_b))
+        last = x
+        step = math.log(max(phi / f, sys.float_info.min)) / _log_slope(k, N, x, f)
+        # a step the wrong way leaves (lo, hi), whose end x is; a move of e^700
+        # is never Newton's, and math.exp overflows past e^709.8
+        if abs(step) <= min(0.5 * prev, 700.0):
+            prev, settled = abs(step), abs(step) < _SETTLED
+            x *= math.exp(step)
+        else:
+            x = math.nan
+    up = x == lo
+    ulp, n = math.ulp(x), 1.0
+    while lo < (t := x + n * ulp if up else x - n * ulp) < hi:
+        g_t = g(t)
+        if g_t == 0.0:
+            return t
+        if (g_t < 0.0) == rising:
+            lo, g_lo = t, g_t
+        else:
+            hi, g_hi = t, g_t
+        if (t == lo) != up:  # g changed sign
+            break
+        n *= 2.0
+    return _bisect_to_adjacent(g, lo, g_lo, hi, g_top() if g_hi is None else g_hi)
 
 
 def solve_roots(k: float, N: int, r: float, alpha: float, *,
@@ -335,30 +344,16 @@ def solve_roots(k: float, N: int, r: float, alpha: float, *,
     def g(x: float) -> float:
         return _F_piecewise(k, N, x) - phi
 
-    # the full brackets, as F(0) = 0 and F -> 0 as x -> inf
-    f_star = _F_piecewise(k, N, x_star)
-    left = (0.0, -phi, x_star, f_star - phi)
-    right = (x_star, f_star - phi, math.inf, -phi)
-    # a certified bracket needs F(x*) clear of alpha/r, which a tol far
-    # below the margin may not leave
-    if f_star >= phi * (1.0 + _BRACKET_MARGIN):
+    g_star = _F_piecewise(k, N, x_star) - phi
+    if g_star <= 0.0:
+        # a tol below F's rounding error lets alpha/r reach the computed F(x*):
+        # x* is then both roots, or else no sign change is left
+        roots = (_bisect_to_adjacent(g, 0.0, -phi, x_star, g_star),) * 2
+    else:
         guess_l, guess_r = _root_guesses(k, N, phi, z_star, f_max)
-        left = _root_bracket(k, N, phi, left, guess_l, True) or left
-        right = _root_bracket(k, N, phi, right, guess_r, False) or right
-    if right[2] == math.inf:
-        # F decreases past x_star: F(x_top) >= alpha/r leaves no right root up
-        # to x_top, and otherwise the doubling stops at x_top at the latest
-        x_top = 0.5 * sys.float_info.max / max(k, 1.0)
-        if g(x_top) >= 0.0:
-            raise ConvergenceError(
-                f"F stays above alpha/r={phi!r} at every finite x up to {x_top!r}",
-                series="piecewise_roots", x=x_top,
-            )
-        hi = min(2.0 * x_star, x_top)
-        while (g_hi := g(hi)) >= 0.0:
-            hi = min(2.0 * hi, x_top)
-        right = (x_star, f_star - phi, hi, g_hi)
-    roots = (_bisect_to_adjacent(g, *left), _bisect_to_adjacent(g, *right))
+        x_top = 0.5 * sys.float_info.max / max(k, 1.0)  # k x_top stays finite
+        roots = (_flank_root(k, N, phi, 0.0, -phi, x_star, g_star, guess_l, True),
+                 _flank_root(k, N, phi, x_star, g_star, x_top, None, guess_r, False))
     return RootReport(k, N, r, alpha, 2, roots, "two_roots",
                       x_star, f_max, a_star, False)
 

@@ -56,7 +56,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .coefficients import CoefficientFamily
-from .errors import ConsistencyError, ConvergenceError, DomainError, _check_r, _check_x
+from .errors import ConsistencyError, ConvergenceError, DomainError, QuartzeqError, _check_r, _check_x
 
 __all__ = [
     "BoundedValue",
@@ -96,9 +96,9 @@ class BoundedValue:
 
     def __post_init__(self):
         if not math.isfinite(self.value):
-            raise DomainError(f"non-finite series value {self.value}")
+            raise QuartzeqError(f"non-finite series value {self.value}")
         if not (self.tail_bound >= 0.0):
-            raise DomainError(f"negative tail bound {self.tail_bound}")
+            raise QuartzeqError(f"negative tail bound {self.tail_bound}")
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,17 @@ class TestRoots:
         assert code == 2
         assert "usage error" in err
 
+    def test_no_sign_change_is_numeric_error(self, monkeypatch):
+        # a root bracket without a sign change breaks the solver's own
+        # invariant, not the input's: forced here by an F that stays at 0
+        from quartzeq import piecewise
+
+        monkeypatch.setattr(piecewise, "_F_piecewise", lambda k, N, x: 0.0)
+        code, out, err = run(["roots", "--k", "1", "--N", "1", "--alpha", "0.2", "--r", "1"])
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "QuartzeqError",
+                                   "message": "no sign change on [0.0, 1.0]"}
+
 
 class TestClassifyThreshold:
     def test_classify_weak(self):
@@ -248,6 +259,18 @@ class TestEquilibrium:
         assert diag["error"] == "ConvergenceError"
         assert diag["detail"]["terms_used"] == 10
 
+
+    @pytest.mark.parametrize("pair, message", [((math.nan, 0.0), "non-finite series value nan"),
+                                               ((1.0, -1.0), "negative tail bound -1.0")])
+    def test_broken_bounded_value_is_numeric_error(self, monkeypatch, pair, message):
+        # BoundedValue's checks guard the series kernel's own output, so a
+        # failed one is a numeric failure, not a usage error
+        from quartzeq import series
+
+        monkeypatch.setattr(series, "_certified_pair", lambda *args: pair)
+        code, out, err = run(["equilibrium", "--x", "1", "--quantity", "kM"])
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "QuartzeqError", "message": message}
 
     @pytest.mark.parametrize("argv", [
         ["equilibrium", "--x", "1", "--term-cap", "0"],
